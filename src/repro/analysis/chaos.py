@@ -216,23 +216,33 @@ class CampaignChaosConfig:
         warm_kill: 1-based ordinal of the warm-checkpoint build to die in
             (SIGKILL while the build lock is held, with partial temp-file
             litter left behind), independent of ``kill_seq``.
+        image_kill: 1-based ordinal of the sharded-cell image to die after
+            (SIGKILL once the image is durable, before its segments are
+            collected), independent of the other two.
     """
 
     kill_seq: Optional[int] = None
     mode: str = "kill"
     warm_kill: Optional[int] = None
+    image_kill: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("kill", "torn", "term"):
             raise ValueError(
                 f"campaign chaos mode must be kill/torn/term, got {self.mode!r}"
             )
-        if self.warm_kill is not None and self.warm_kill < 1:
-            raise ValueError(f"warm_kill must be >= 1, got {self.warm_kill}")
+        for name in ("warm_kill", "image_kill"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     @property
     def enabled(self) -> bool:
-        return self.kill_seq is not None or self.warm_kill is not None
+        return (
+            self.kill_seq is not None
+            or self.warm_kill is not None
+            or self.image_kill is not None
+        )
 
 
 def parse_campaign_chaos_spec(
@@ -241,7 +251,8 @@ def parse_campaign_chaos_spec(
     """Parse ``key=value,...`` into a :class:`CampaignChaosConfig`.
 
     Keys: ``kill`` (journal seq), ``mode`` (kill/torn/term), ``warm_kill``
-    (build ordinal). Returns None for empty/disabled specs.
+    (build ordinal), ``image_kill`` (cell-image ordinal). Returns None for
+    empty/disabled specs.
 
     Example:
         >>> parse_campaign_chaos_spec("kill=7,mode=torn").mode
@@ -259,15 +270,15 @@ def parse_campaign_chaos_spec(
             continue
         name, sep, value = item.partition("=")
         name = name.strip()
-        if not sep or name not in ("kill", "mode", "warm_kill"):
+        if not sep or name not in ("kill", "mode", "warm_kill", "image_kill"):
             raise ValueError(
                 f"bad campaign chaos item {item!r}; known keys: "
-                "kill, mode, warm_kill"
+                "kill, mode, warm_kill, image_kill"
             )
         if name == "kill":
             kwargs["kill_seq"] = int(value, 0)
-        elif name == "warm_kill":
-            kwargs["warm_kill"] = int(value, 0)
+        elif name in ("warm_kill", "image_kill"):
+            kwargs[name] = int(value, 0)
         else:
             kwargs["mode"] = value.strip()
     return CampaignChaosConfig(**kwargs)
@@ -284,13 +295,16 @@ class CampaignFaultInjector:
     Wired by the orchestrator into :class:`~repro.campaign.journal.
     CampaignJournal` (``before``/``after`` each durable append) and into
     ``SweepRunner.warm_build_hook`` (called while the warm-image build lock
-    is held). SIGKILL is delivered to the *own* process group leader — the
-    orchestrator — so no cleanup handler runs, exactly like the OOM killer.
+    is held) and ``SweepRunner.cell_image_hook`` (called once a sharded
+    cell's image is written). SIGKILL is delivered to the *own* process
+    group leader — the orchestrator — so no cleanup handler runs, exactly
+    like the OOM killer.
     """
 
     def __init__(self, config: CampaignChaosConfig) -> None:
         self.config = config
         self.warm_builds_seen = 0
+        self.cell_images_seen = 0
 
     # ------------------------------------------------------------ journal
 
@@ -332,3 +346,14 @@ class CampaignFaultInjector:
             handle.flush()
             os.fsync(handle.fileno())
         os.kill(os.getpid(), signal.SIGKILL)
+
+    def on_cell_image(self, image_path: str) -> None:
+        """Possibly die right after a sharded cell's image is written.
+
+        The image is durable and none of its segments has been collected,
+        so the resumed campaign must verify and reuse it (or re-simulate
+        whatever is missing) and converge to the same bytes.
+        """
+        self.cell_images_seen += 1
+        if self.cell_images_seen == self.config.image_kill:
+            os.kill(os.getpid(), signal.SIGKILL)

@@ -71,6 +71,11 @@ Checkpoint acceleration
     own :func:`job_key` components (their cache entries never collide with
     cold ones), and refuse to compose with ``check`` or ``telemetry``. See
     :mod:`repro.checkpoint` and ``docs/architecture.md`` §11.
+
+    :meth:`SweepRunner.submit_sharded` splits one long run into segment
+    jobs behind a single warm-up: a warm job snapshots the warmed cell to a
+    content-addressed image, and each segment job restores it (see
+    :mod:`repro.checkpoint.shard`).
 """
 
 from __future__ import annotations
@@ -83,7 +88,17 @@ import threading
 import time
 import traceback as traceback_module
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.analysis.chaos import ChaosConfig, FaultInjector, chaos_from_env
 from repro.sim.system import SimulationResult, SystemConfig, run_system
@@ -154,14 +169,38 @@ def job_key(
     are documented approximations of a cold full-length run, so their
     entries must never collide with — or be served to — cold sweeps.
     """
+    hasher = _hash_prefix(config, _trace_chunks(traces))
+    return _finish_key(hasher, max_events, check, fork, sampled, shard)
+
+
+def _trace_chunks(traces: Sequence[Trace]) -> Iterator[bytes]:
+    """The bytes :func:`job_key` hashes for ``traces``, chunk by chunk."""
+    for trace in traces:
+        yield f"|trace:{trace.name}:{len(trace.records)}|".encode()
+        for start in range(0, len(trace.records), _KEY_CHUNK):
+            yield repr(trace.records[start : start + _KEY_CHUNK]).encode()
+
+
+def _hash_prefix(config: SystemConfig, chunks: Iterable[bytes]):
+    """SHA-256 over ``config`` and the trace chunks: a key's shared prefix."""
     import hashlib
 
     hasher = hashlib.sha256()
     hasher.update(repr(config).encode())
-    for trace in traces:
-        hasher.update(f"|trace:{trace.name}:{len(trace.records)}|".encode())
-        for start in range(0, len(trace.records), _KEY_CHUNK):
-            hasher.update(repr(trace.records[start : start + _KEY_CHUNK]).encode())
+    for chunk in chunks:
+        hasher.update(chunk)
+    return hasher
+
+
+def _finish_key(
+    hasher,
+    max_events: Optional[int] = None,
+    check: str = "off",
+    fork: Optional[str] = None,
+    sampled: Optional[str] = None,
+    shard: Optional[str] = None,
+) -> str:
+    """Hash the optional components into ``hasher``; returns the key."""
     if max_events is not None:
         hasher.update(f"|max_events:{max_events}".encode())
     if str(check).lower() != "off":
@@ -283,6 +322,10 @@ class SweepJob:
     from the (read-only) file, so any number of cells fork from one snapshot
     concurrently. ``sampled`` switches the job to SMARTS-style sampled
     execution. Both change results, so both are part of :func:`job_key`.
+
+    ``cell_image`` is a sharded cell's warmed image on disk: a job with a
+    ``shard`` restores it and runs that segment; a job without one is the
+    cell's single warm-up, which writes the image and returns its header.
     """
 
     job_id: int
@@ -297,11 +340,19 @@ class SweepJob:
     warm_mechanism: Optional[str] = None
     sampled: Optional["SampledConfig"] = None
     shard: Optional["ShardSpec"] = None
+    cell_image: Optional[str] = None
+
+    @property
+    def builds_image(self) -> bool:
+        """Whether this is a sharded cell's warm-up job."""
+        return self.cell_image is not None and self.shard is None
 
     @property
     def label(self) -> str:
         names = ",".join(trace.name for trace in self.traces)
         tags = ""
+        if self.builds_image:
+            tags += "+warm"
         if self.fork_checkpoint is not None:
             tags += "+fork"
         if self.sampled is not None:
@@ -342,15 +393,22 @@ def _execute_checkpoint(job: SweepJob) -> SimulationResult:
 def _execute(job: SweepJob) -> SimulationResult:
     """Run one job (module-level so the process pool can pickle it).
 
+    A sharded cell's warm-up job writes its image and returns the image
+    header instead of a result.
+
     Telemetry-enabled jobs stream epochs to ``<telemetry_path>.partial``
     while running and rename to the final path on success, so a crashed or
     hung attempt leaves a ``.partial`` forensic trail of exactly the epochs
     it completed, while finished artifacts are never torn.
     """
-    if job.shard is not None:
-        from repro.checkpoint.shard import run_shard
+    if job.cell_image is not None:
+        from repro.checkpoint import load_snapshot, save_snapshot
+        from repro.checkpoint.shard import run_shard, warm_cell
 
-        return run_shard(job.config, list(job.traces), job.shard)
+        if job.builds_image:
+            system = warm_cell(job.config, list(job.traces))
+            return save_snapshot(system, job.cell_image)
+        return run_shard(load_snapshot(job.cell_image), job.shard)
     if job.fork_checkpoint is not None or job.sampled is not None:
         return _execute_checkpoint(job)
     if job.telemetry is None or job.telemetry_path is None:
@@ -448,6 +506,11 @@ class SweepFuture:
         self._runner = runner
         self._failure: Optional[JobFailure] = None
         self._resolve_lock = threading.Lock()
+        #: The cell warm-up whose image this segment restores: no attempt
+        #: starts before it lands.
+        self.prerequisite: Optional["SweepFuture"] = None
+        #: The segments waiting on this warm-up.
+        self.dependents: List["SweepFuture"] = []
 
     def done(self) -> bool:
         return (
@@ -489,10 +552,16 @@ class ShardedSweepFuture:
     deterministic composite of the segment keys (stable across resumes, so
     campaign journals can record it), and ``result()`` blocks for every
     segment and returns the stitched whole-run result. A failing segment
-    raises its :class:`SweepJobError` unchanged.
+    (or the cell warm-up it restores) raises its :class:`SweepJobError`
+    unchanged. ``on_collected`` runs once, when ``result()`` first stitches
+    the segments or surfaces a failure.
     """
 
-    def __init__(self, futures: Sequence[SweepFuture]) -> None:
+    def __init__(
+        self,
+        futures: Sequence[SweepFuture],
+        on_collected: Optional[Callable[[], None]] = None,
+    ) -> None:
         import hashlib
 
         if not futures:
@@ -508,6 +577,7 @@ class ShardedSweepFuture:
             label=f"{label}+stitched{len(self.futures)}",
         )
         self._value: Optional[SimulationResult] = None
+        self._on_collected = on_collected
 
     def done(self) -> bool:
         return self._value is not None or all(
@@ -518,10 +588,19 @@ class ShardedSweepFuture:
         from repro.checkpoint.shard import stitch_shards
 
         if self._value is None:
-            self._value = stitch_shards(
-                [future.result(timeout) for future in self.futures]
-            )
+            try:
+                results = [future.result(timeout) for future in self.futures]
+            except SweepJobError:
+                self._collected()
+                raise
+            self._value = stitch_shards(results)
+            self._collected()
         return self._value
+
+    def _collected(self) -> None:
+        on_collected, self._on_collected = self._on_collected, None
+        if on_collected is not None:
+            on_collected()
 
     def shard_results(self) -> List[SimulationResult]:
         """The per-segment results (for confidence-interval estimation)."""
@@ -671,6 +750,15 @@ class SweepRunner:
         #: is held, right before a warm image is written — the campaign
         #: chaos layer uses it to die mid-checkpoint-build on schedule.
         self.warm_build_hook: Optional[Callable[[str], None]] = None
+        #: Test/chaos hook called (with the image path) in this process once
+        #: a sharded cell's image is written, before its segments are
+        #: collected — the campaign chaos layer dies there on schedule.
+        self.cell_image_hook: Optional[Callable[[str], None]] = None
+        self._image_users: Dict[str, int] = {}  # cell image -> live cells
+        self._image_tempdir = None  # image directory when the cache is off
+        #: Encoded trace chunks per trace tuple (by identity; the tuple is
+        #: held so its ids stay valid), so each is encoded once per runner.
+        self._encoded_traces: Dict[Tuple[int, ...], Tuple] = {}
 
     # ------------------------------------------------------------ lifecycle
 
@@ -691,11 +779,14 @@ class SweepRunner:
         """
         with self._lock:
             pool, self._pool = self._pool, None
+            tempdir, self._image_tempdir = self._image_tempdir, None
         if pool is not None:
             if cancel:
                 pool.shutdown(wait=False, cancel_futures=True)
             else:
                 pool.shutdown(wait=True)
+        if tempdir is not None:
+            tempdir.cleanup()
 
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._pool is None:
@@ -711,7 +802,6 @@ class SweepRunner:
         config: SystemConfig,
         traces: Sequence[Trace],
         max_events: Optional[int] = None,
-        shard: Optional["ShardSpec"] = None,
     ) -> SweepFuture:
         """Schedule one simulation; duplicate submissions share one future.
 
@@ -724,55 +814,33 @@ class SweepRunner:
                 "sampled mode schedules its own detailed windows; "
                 "max_events is not supported"
             )
-        if shard is not None:
-            self._check_shardable(max_events)
         fork_checkpoint = None
         warm_mechanism = None
         if self.checkpoint_dir is not None:
             warm_mechanism, fork_checkpoint = self._ensure_warm_image(
                 config, traces
             )
-        key = job_key(
-            config,
-            traces,
+        key = _finish_key(
+            self._key_prefix(config, traces),
             max_events,
             check=self.check,
             fork=warm_mechanism,
             sampled=self.sampled.key() if self.sampled is not None else None,
-            shard=shard.key() if shard is not None else None,
         )
-        with self._lock:
-            existing = self._futures.get(key)
-            if existing is not None:
-                self.memo_hits += 1
-                return existing
-            telemetry_path = (
-                os.path.join(self.telemetry_dir, f"{key}.telemetry.jsonl")
-                if self.telemetry is not None
-                else None
-            )
-            job = SweepJob(
-                self._next_id,
-                key,
-                config,
-                traces,
-                max_events,
-                self.check,
-                telemetry=self.telemetry,
-                telemetry_path=telemetry_path,
-                fork_checkpoint=fork_checkpoint,
-                warm_mechanism=warm_mechanism,
-                sampled=self.sampled,
-                shard=shard,
-            )
-            self._next_id += 1
-            self.jobs_submitted += 1
-            future = self._dispatch(job)
-            if future._failure is None:
-                self._futures[key] = future
-            return future
+        future, fresh = self._register(
+            key,
+            config,
+            traces,
+            max_events=max_events,
+            fork_checkpoint=fork_checkpoint,
+            warm_mechanism=warm_mechanism,
+            sampled=self.sampled,
+        )
+        if fresh:
+            self._launch(future)
+        return future
 
-    def _check_shardable(self, max_events: Optional[int]) -> None:
+    def _check_shardable(self) -> None:
         if self.check != "off":
             raise ValueError(
                 "sharded runs do not compose with --check: the functional "
@@ -786,13 +854,9 @@ class SweepRunner:
             )
         if self.checkpoint_dir is not None or self.sampled is not None:
             raise ValueError(
-                "sharded runs already warm and fast-forward per segment; "
-                "they do not compose with fork-from-warm or sampled mode"
-            )
-        if max_events is not None:
-            raise ValueError(
-                "sharded runs schedule their own segments; max_events is "
-                "not supported"
+                "sharded runs warm each cell into an image of their own and "
+                "fast-forward per segment; they do not compose with "
+                "fork-from-warm or sampled mode"
             )
 
     def submit_sharded(
@@ -801,22 +865,67 @@ class SweepRunner:
         traces: Sequence[Trace],
         shards: int,
     ) -> "ShardedSweepFuture":
-        """Split one run into ``shards`` stitched segments (one job each).
+        """Split one run into ``shards`` stitched segments behind one warm-up.
 
-        Each segment is an independent, individually cached job
-        (:mod:`repro.checkpoint.shard`), so segments fan out across the
-        worker pool and a resumed campaign re-answers completed segments
-        from the cache. ``result()`` stitches the segments into one
-        whole-run :class:`SimulationResult`.
+        The cell warms once: a warm job builds the system, runs it to the
+        warmup boundary, quiesces and rebases it
+        (:func:`~repro.checkpoint.shard.warm_cell`), and snapshots it to
+        ``cell-<key>.ckpt`` next to the result cache, keyed by the cell's
+        own config and traces. When the image lands, one job per segment
+        restores it and runs its segment
+        (:func:`~repro.checkpoint.shard.run_shard`), so segments still fan
+        out across the pool. Each segment is individually cached under its
+        own key, so a resumed campaign re-answers completed segments from
+        the cache, and a cell whose segments are all cached never warms.
+        An image already on disk is digest-verified and reused; a corrupt
+        one is quarantined to ``.ckpt.corrupt`` and rebuilt. The image is
+        deleted once the cell is collected (stitched or failed).
+        ``result()`` stitches the segments into one whole-run
+        :class:`SimulationResult`.
         """
         from repro.checkpoint.shard import ShardSpec
 
+        self._check_shardable()
         traces = tuple(traces)
-        futures = [
-            self.submit(config, traces, shard=ShardSpec(index, shards))
-            for index in range(shards)
-        ]
-        return ShardedSweepFuture(futures)
+        hasher = self._key_prefix(config, traces)
+        image = os.path.join(
+            self._cell_image_dir(), f"cell-{hasher.hexdigest()}.ckpt"
+        )
+        futures: List[SweepFuture] = []
+        fresh: List[SweepFuture] = []
+        for index in range(shards):
+            spec = ShardSpec(index, shards)
+            future, created = self._register(
+                _finish_key(hasher.copy(), shard=spec.key()),
+                config,
+                traces,
+                shard=spec,
+                cell_image=image,
+            )
+            futures.append(future)
+            if created:
+                fresh.append(future)
+        if not fresh:
+            return ShardedSweepFuture(futures)
+        with self._lock:
+            self._image_users[image] = self._image_users.get(image, 0) + 1
+        warm = self._cell_warmup(hasher.hexdigest(), config, traces, image)
+        if warm is not None:
+            warm.dependents = fresh
+            for future in fresh:
+                future.prerequisite = warm
+            self._launch(warm)
+        if warm is not None and self.workers >= 2 and not self.degraded_inline:
+            # Pool: the segments start the moment the image lands.
+            warm._inner.add_done_callback(
+                lambda inner: self._on_image_built(warm, inner)
+            )
+        else:
+            for future in fresh:
+                self._launch(future)
+        return ShardedSweepFuture(
+            futures, on_collected=lambda: self._release_image(image)
+        )
 
     def run(
         self,
@@ -903,7 +1012,7 @@ class SweepRunner:
         )
 
         warm_config = warm_config_for(config)
-        key = job_key(warm_config, traces)
+        key = _finish_key(self._key_prefix(warm_config, traces))
         path = os.path.join(self.checkpoint_dir, f"warm-{key}.ckpt")
         with self._warm_lock:
             if path in self._warm_verified:
@@ -954,25 +1063,172 @@ class SweepRunner:
         except OSError:
             pass
 
+    # ---------------------------------------------------------- cell images
+
+    def _cell_image_dir(self) -> str:
+        """Where sharded-cell images live: beside the result cache, or in a
+        private temporary directory (removed on close) when it is off."""
+        if self.cache_dir is not None:
+            os.makedirs(self.cache_dir, exist_ok=True)
+            return self.cache_dir
+        with self._lock:
+            if self._image_tempdir is None:
+                import tempfile
+
+                self._image_tempdir = tempfile.TemporaryDirectory(
+                    prefix="repro-cells-"
+                )
+            return self._image_tempdir.name
+
+    def _cell_warmup(
+        self,
+        key: str,
+        config: SystemConfig,
+        traces: Tuple[Trace, ...],
+        image: str,
+    ) -> Optional[SweepFuture]:
+        """The warm job that writes ``image``, or None if a verified image
+        is already on disk (a corrupt one is quarantined first)."""
+        from repro.checkpoint import CheckpointError, verify_snapshot
+
+        if os.path.exists(image):
+            try:
+                verify_snapshot(image)
+                return None
+            except CheckpointError:
+                self._quarantine_checkpoint(image)
+        with self._lock:
+            job = SweepJob(
+                self._next_id, key, config, traces, cell_image=image
+            )
+            self._next_id += 1
+        return SweepFuture(job, runner=self)
+
+    def _on_image_built(
+        self, warm: SweepFuture, inner: concurrent.futures.Future
+    ) -> None:
+        """Pool callback: a cell warm-up finished, start its segments."""
+        if inner.cancelled() or inner.exception() is not None:
+            return  # the collecting thread retries the warm-up
+        for future in warm.dependents:
+            self._start_dependent(future)
+
+    def _start_dependent(self, future: SweepFuture) -> None:
+        """Submit a segment whose image has landed, unless someone else is.
+
+        May run on the pool's result thread, so it never blocks, never
+        runs a job inline and never respawns a pool; a segment it skips is
+        submitted by the thread that collects it (see :meth:`_await`).
+        """
+        pool = self._pool
+        if pool is None or self.degraded_inline:
+            return
+        if not future._resolve_lock.acquire(blocking=False):
+            return
+        try:
+            if future._inner is None and not future.done():
+                future._inner = pool.submit(
+                    _execute_in_worker, future.job, future.attempts,
+                    self.chaos, self.heartbeat_dir,
+                )
+        except (concurrent.futures.BrokenExecutor, RuntimeError):
+            pass  # pool broke or shut down: the collector resubmits
+        finally:
+            future._resolve_lock.release()
+
+    def _await_prerequisite(self, future: SweepFuture) -> None:
+        """Block until the cell image this segment restores has landed; a
+        failed warm-up fails the segment with the warm-up's failure."""
+        try:
+            future.prerequisite.result()
+        except SweepJobError as exc:
+            with self._lock:
+                if self._futures.get(future.job.key) is future:
+                    del self._futures[future.job.key]
+            future._failure = exc.failure
+            raise
+
+    def _release_image(self, image: str) -> None:
+        """A sharded cell was collected: delete its image once unused."""
+        with self._lock:
+            users = self._image_users.get(image, 0) - 1
+            if users > 0:
+                self._image_users[image] = users
+                return
+            self._image_users.pop(image, None)
+        try:
+            os.unlink(image)
+        except OSError:
+            pass
+
     # ------------------------------------------------------------- dispatch
 
-    def _dispatch(self, job: SweepJob) -> SweepFuture:
-        cached = self._load_cached(job.key)
-        if cached is not None:
-            self.cache_hits += 1
-            self._emit(job, 0.0, "hit")
-            return SweepFuture(job, value=cached)
-        future = SweepFuture(job, runner=self)
+    def _key_prefix(self, config: SystemConfig, traces: Tuple[Trace, ...]):
+        """The key hasher over ``config`` and ``traces`` (see
+        :func:`job_key`); each trace tuple is encoded once per runner."""
+        ids = tuple(id(trace) for trace in traces)
+        with self._lock:
+            entry = self._encoded_traces.get(ids)
+            if entry is None:
+                entry = (traces, tuple(_trace_chunks(traces)))
+                self._encoded_traces[ids] = entry
+        return _hash_prefix(config, entry[1])
+
+    def _register(
+        self,
+        key: str,
+        config: SystemConfig,
+        traces: Tuple[Trace, ...],
+        **fields,
+    ) -> Tuple[SweepFuture, bool]:
+        """The future for ``key``: memoized, answered from the disk cache,
+        or new and not yet launched (then the flag is True)."""
+        with self._lock:
+            existing = self._futures.get(key)
+            if existing is not None:
+                self.memo_hits += 1
+                return existing, False
+            telemetry_path = (
+                os.path.join(self.telemetry_dir, f"{key}.telemetry.jsonl")
+                if self.telemetry is not None
+                else None
+            )
+            job = SweepJob(
+                self._next_id,
+                key,
+                config,
+                traces,
+                check=self.check,
+                telemetry=self.telemetry,
+                telemetry_path=telemetry_path,
+                **fields,
+            )
+            self._next_id += 1
+            self.jobs_submitted += 1
+            cached = self._load_cached(key)
+            if cached is not None:
+                self.cache_hits += 1
+                self._emit(job, 0.0, "hit")
+                future = SweepFuture(job, value=cached)
+            else:
+                future = SweepFuture(job, runner=self)
+            self._futures[key] = future
+            return future, cached is None
+
+    def _launch(self, future: SweepFuture) -> None:
+        """Start a registered job: onto the pool, or run it inline."""
         if self.workers >= 2 and not self.degraded_inline:
-            future._inner = self._submit_attempt(job, future.attempts)
-            return future
+            with self._lock:
+                future._inner = self._submit_attempt(
+                    future.job, future.attempts
+                )
+            return
         # Inline mode executes at submission (callers may rely on
         # jobs_executed being current); failures surface from result().
         try:
             self._await(future)
         except SweepJobError:
             pass
-        return future
 
     def _submit_attempt(
         self, job: SweepJob, attempt: int
@@ -1008,6 +1264,8 @@ class SweepRunner:
             job = future.job
             while True:
                 if future._inner is None:
+                    if future.prerequisite is not None:
+                        self._await_prerequisite(future)
                     future._inner = self._submit_attempt(job, future.attempts)
                 pool_died = False
                 try:
@@ -1046,6 +1304,16 @@ class SweepRunner:
         self, future: SweepFuture, result: SimulationResult
     ) -> SimulationResult:
         job = future.job
+        if job.builds_image:
+            with self._lock:
+                self.warm_images_built += 1
+            self._emit(job, time.perf_counter() - future.started, "warm")
+            future._value = result
+            if self.cell_image_hook is not None:
+                self.cell_image_hook(job.cell_image)
+            for dependent in future.dependents:
+                self._start_dependent(dependent)
+            return result
         with self._lock:
             self.jobs_executed += 1
         self._store_cached(job.key, job.label, result)

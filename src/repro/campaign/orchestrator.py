@@ -40,6 +40,7 @@ Layout of a campaign directory::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -132,9 +133,10 @@ class CampaignConfig:
 
     ``full_width`` switches multi-core counts to the paper's complete
     102/259/120 mix tables and adds the alone-IPC normalizer cells;
-    ``shards`` >= 2 splits each long run into that many epoch segments
-    stitched back together (see :mod:`repro.checkpoint.shard`); ``tier``
-    records which preset produced this config.
+    ``shards`` >= 2 splits each long run into that many epoch segments,
+    restored from one warm-up per cell and stitched back together (see
+    :mod:`repro.checkpoint.shard`); ``tier`` records which preset produced
+    this config.
     """
 
     scale: str = "quick"
@@ -174,7 +176,8 @@ class CampaignConfig:
         if self.shards and (self.telemetry or self.checkpoint):
             raise ValueError(
                 "sharded runs cannot stream telemetry or fork from warm "
-                "images (each shard re-warms independently); pick one"
+                "images (each cell warms into an image of its own, which "
+                "its segments restore and fast-forward); pick one"
             )
         if self.sensitivity and not self.sensitivity_benchmarks:
             raise ValueError(
@@ -495,7 +498,11 @@ class Campaign:
         runner = self._make_runner(workers, progress, max_attempts, job_timeout)
         if chaos is not None:
             runner.warm_build_hook = chaos.on_warm_build
+            runner.cell_image_hook = chaos.on_cell_image
         scale = SCALES[self.config.scale]
+        # Each distinct workload's traces, built once for this run (the
+        # runner likewise encodes each trace tuple once for its keys).
+        workloads: Dict[CampaignCell, List] = {}
         reap_dead_beacons(self.directory)
         beacon = orchestrator_beacon_path(self.directory)
         failed_now: Dict[str, str] = {}
@@ -518,7 +525,7 @@ class Campaign:
                     index += 1
                     self.journal.append("dispatch", cell=cell.cell_id)
                     hits_before = runner.cache_hits
-                    future = self._submit_cell(runner, scale, cell)
+                    future = self._submit_cell(runner, scale, cell, workloads)
                     source = (
                         "cache" if runner.cache_hits > hits_before else "run"
                     )
@@ -555,7 +562,7 @@ class Campaign:
                         )
             if self._drain_signal is not None:
                 return self._drained(runner, failed_now, beacon)
-            return self._finalize(runner, scale, failed_now, beacon)
+            return self._finalize(runner, scale, failed_now, beacon, workloads)
         finally:
             self.journal.chaos = None
             runner.close()
@@ -563,19 +570,31 @@ class Campaign:
 
     # ------------------------------------------------------------ internals
 
-    def _submit_cell(self, runner: SweepRunner, scale, cell: CampaignCell):
+    def _submit_cell(
+        self,
+        runner: SweepRunner,
+        scale,
+        cell: CampaignCell,
+        workloads: Dict[CampaignCell, List],
+    ):
         """Submit one cell's job(s); sharded for long whole-run cells.
 
         Alone and sensitivity cells stay whole — they are short normalizer
         or single-point runs where shard warmup overhead dominates.
+        ``workloads`` memoizes traces by the cell fields they depend on.
         """
         config = cell_config(scale, cell)
-        traces = cell_traces(
-            scale, cell,
-            refs=self.config.refs,
-            full_width=self.config.full_width,
-            ingest_dir=self.config.ingest_dir,
+        workload = dataclasses.replace(
+            cell, cell_id="", mechanism="", backend=None, bandwidth=None
         )
+        traces = workloads.get(workload)
+        if traces is None:
+            traces = workloads[workload] = cell_traces(
+                scale, cell,
+                refs=self.config.refs,
+                full_width=self.config.full_width,
+                ingest_dir=self.config.ingest_dir,
+            )
         if (
             self.config.shards >= 2
             and cell.category in ("bench", "mix", "trace")
@@ -664,6 +683,7 @@ class Campaign:
         scale,
         failed_now: Dict[str, str],
         beacon: str,
+        workloads: Dict[CampaignCell, List],
     ) -> CampaignOutcome:
         """Assemble final artifacts from the cache and commit completion.
 
@@ -679,7 +699,7 @@ class Campaign:
         for cell in self.cells:
             if cell.cell_id in failed_now:
                 continue
-            future = self._submit_cell(runner, scale, cell)
+            future = self._submit_cell(runner, scale, cell, workloads)
             try:
                 result = future.result()
             except SweepJobError as exc:

@@ -14,8 +14,9 @@ Kill points are scheduled through :class:`~repro.analysis.chaos.
 CampaignFaultInjector` (the ``REPRO_CAMPAIGN_CHAOS`` environment variable)
 at exact journal sequence offsets, so each proof run dies at the same
 instant every time — including *mid-journal-append* (a torn half record is
-fsync'd first) and *mid-checkpoint-build* (the warm-image build lock is
-held, partial temp litter is left). Campaigns run with ``--workers 0``
+fsync'd first), *mid-checkpoint-build* (the warm-image build lock is
+held, partial temp litter is left) and *after a sharded cell's image is
+written* (its segments not yet collected). Campaigns run with ``--workers 0``
 (inline) so the journal offsets of the interesting transitions are
 deterministic.
 
@@ -86,6 +87,7 @@ def campaign_command(
     cores: Optional[str] = None,
     sensitivity: Optional[str] = None,
     sensitivity_benchmarks: Optional[str] = None,
+    shards: Optional[int] = None,
 ) -> List[str]:
     """The ``repro campaign run`` invocation the proof drives."""
     command = [
@@ -107,6 +109,8 @@ def campaign_command(
         command.extend(["--sensitivity", sensitivity])
     if sensitivity_benchmarks is not None:
         command.extend(["--sensitivity-benchmarks", sensitivity_benchmarks])
+    if shards is not None:
+        command.extend(["--shards", str(shards)])
     if telemetry:
         command.append("--telemetry")
     if checkpoint:
@@ -212,6 +216,7 @@ def kill_and_resume_proof(
     cores: Optional[str] = None,
     sensitivity: Optional[str] = None,
     sensitivity_benchmarks: Optional[str] = None,
+    shards: Optional[int] = None,
     max_resumes: int = 4,
 ) -> ProofReport:
     """Run the proof: reference run, then kill/resume at every point.
@@ -227,7 +232,7 @@ def kill_and_resume_proof(
             reference_dir, benchmarks, mechanisms, refs,
             telemetry=telemetry, checkpoint=checkpoint,
             tier=tier, cores=cores, sensitivity=sensitivity,
-            sensitivity_benchmarks=sensitivity_benchmarks,
+            sensitivity_benchmarks=sensitivity_benchmarks, shards=shards,
         )
     )
     assert reference.returncode == 0, (
@@ -241,7 +246,7 @@ def kill_and_resume_proof(
             directory, benchmarks, mechanisms, refs,
             telemetry=telemetry, checkpoint=checkpoint,
             tier=tier, cores=cores, sensitivity=sensitivity,
-            sensitivity_benchmarks=sensitivity_benchmarks,
+            sensitivity_benchmarks=sensitivity_benchmarks, shards=shards,
         )
         first = run_campaign_process(command, chaos_spec=point.spec)
         if point.expect == "sigkill":

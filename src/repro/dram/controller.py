@@ -140,6 +140,14 @@ class MemoryController:
 
     def _kick(self) -> None:
         """Ensure a scheduling pass runs at the current cycle."""
+        # About half of all wakes issue nothing (64,285 of 125,522 on the
+        # benchmark's memory-bound workload), but skipping them is not free:
+        # the wake's position in its cycle's event bucket is observable.
+        # Rescheduling straight to the next-ready cycle changed result
+        # digests (1 of 6 cells when the pending wake was cancelled and
+        # re-appended, 6 of 6 when it was kept), and an O(1) fast path for
+        # empty wakes that keeps the event measured no gain. See
+        # docs/architecture.md §9.
         self._schedule_wake(self.queue.now)
 
     def _schedule_wake(self, time: int) -> None:

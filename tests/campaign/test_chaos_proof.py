@@ -51,3 +51,19 @@ class TestCheckpointCampaignProof:
             checkpoint=True,
         )
         assert report.ok, report.to_text()
+
+
+class TestShardedCampaignProof:
+    def test_kill_after_cell_image_recovers(self, tmp_path):
+        report = kill_and_resume_proof(
+            str(tmp_path),
+            variant="sharded",
+            kill_points=[
+                # SIGKILL once the first cell's image is durable and none
+                # of its segments has been collected: the resume reuses
+                # the image.
+                KillPoint("kill-after-cell-image", "image_kill=1"),
+            ],
+            shards=2,
+        )
+        assert report.ok, report.to_text()

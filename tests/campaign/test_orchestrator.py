@@ -120,6 +120,43 @@ class TestCompletion:
             Campaign.create(directory, make_config())
 
 
+class TestShardedCampaign:
+    def test_each_cell_warms_once_and_each_workload_is_built_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.analysis import runner as runner_module
+        from repro.campaign import orchestrator
+        from repro.checkpoint import shard
+
+        calls = {"traces": 0, "encodings": 0, "warm-ups": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            orchestrator, "cell_traces",
+            counting("traces", orchestrator.cell_traces),
+        )
+        monkeypatch.setattr(
+            runner_module, "_trace_chunks",
+            counting("encodings", runner_module._trace_chunks),
+        )
+        monkeypatch.setattr(
+            shard, "run_until_warm", counting("warm-ups", shard.run_until_warm)
+        )
+        directory = str(tmp_path / "camp")
+        outcome = run_campaign(directory, make_config(shards=2, refs=800))
+        assert outcome.status == "complete"
+        # Two mechanisms of one benchmark: one workload, dispatch and
+        # finalize together; one warm-up per cell; no image left behind.
+        assert calls == {"traces": 1, "encodings": 1, "warm-ups": 2}
+        assert not glob.glob(os.path.join(directory, "cache", "*.ckpt"))
+
+
 class TestRecovery:
     def test_resume_after_torn_tail_is_byte_identical(self, tmp_path):
         reference = str(tmp_path / "reference")

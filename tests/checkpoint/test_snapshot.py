@@ -8,6 +8,9 @@ on top of that guarantee.
 """
 
 import dataclasses
+import functools
+import hashlib
+import io
 import json
 import pickle
 import struct
@@ -24,8 +27,12 @@ from repro.checkpoint import (
     snapshot_system,
     verify_snapshot,
 )
-from repro.checkpoint.snapshot import MAGIC
+from repro.checkpoint.shard import ShardSpec
+from repro.checkpoint.snapshot import MAGIC, _dumps, _RestrictedUnpickler
+from repro.dram.controller import Phase
+from repro.dram.request import MemoryRequest
 from repro.sim.system import System
+from repro.utils.events import Event
 
 REFS = 3_000
 SPLIT_EVENTS = 20_000
@@ -89,6 +96,14 @@ class TestRestoreEquivalence:
         assert [r.to_dict() for r in restored.telemetry.records] == [
             r.to_dict() for r in system.telemetry.records
         ]
+
+    @pytest.mark.parametrize("backend", ["tag", "dbi"])
+    @pytest.mark.parametrize("mechanism", FAMILIES)
+    def test_every_family_round_trips_over_dram_cache(self, mechanism, backend):
+        system = make_system(mechanism, benchmark="lbm", dram_cache=backend)
+        data = split_run(system)
+        restored = restore_system(data)
+        assert restored.resume().to_dict() == system.resume().to_dict()
 
     @pytest.mark.parametrize("backend", ["tag", "dbi"])
     def test_dram_cache_level_round_trips_byte_identical(self, backend):
@@ -185,6 +200,84 @@ class TestContainer:
     def test_errors_are_value_errors(self):
         # Sweep-cache-style quarantine handling catches ValueError.
         assert issubclass(CheckpointError, ValueError)
+
+
+def format1_container(system) -> bytes:
+    """A container as format 1 wrote it: plain pickle, default BUILD."""
+    payload = zlib.compress(
+        pickle.dumps(
+            {"format": 1, "system": system, "telemetry": None},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+    )
+    header = json.dumps(
+        {
+            "format": 1,
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+            "payload_bytes": len(payload),
+        },
+        sort_keys=True,
+    ).encode()
+    return MAGIC + struct.pack("<I", len(header)) + header + payload
+
+
+class TestStateSetter:
+    """Simulator objects restore through the state setter, not BUILD."""
+
+    @staticmethod
+    def round_trip(obj):
+        payload = _dumps({"obj": obj})
+        restored = _RestrictedUnpickler(io.BytesIO(payload)).load()["obj"]
+        return payload, restored
+
+    def test_frozen_dataclass(self):
+        spec = ShardSpec(index=1, count=3)
+        payload, restored = self.round_trip(spec)
+        assert b"_set_state" in payload
+        assert restored == spec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            restored.index = 2
+
+    def test_slots_classes(self):
+        system = make_system("baseline")
+        bank = system.memory.banks[0]
+        bank.busy_until = 41
+        event = Event(17, system.queue.run, audit=True)
+        event.cancel()
+        payload, (bank2, event2) = self.round_trip((bank, event))
+        assert b"_set_state" in payload
+        for name in type(bank).__slots__:
+            assert getattr(bank2, name) == getattr(bank, name), name
+        assert (event2.time, event2.cancelled, event2.audit) == (17, True, True)
+        assert event2.callback.__func__ is event.callback.__func__
+
+    def test_enum_member_keeps_identity(self):
+        payload, restored = self.round_trip(Phase.WRITE_DRAIN)
+        assert restored is Phase.WRITE_DRAIN
+        assert b"_set_state" not in payload
+
+    def test_eq_false_dataclass(self):
+        request = MemoryRequest(
+            block_addr=0x40, is_write=True, core_id=1, arrival_time=9
+        )
+        _payload, restored = self.round_trip(request)
+        assert restored is not request
+        assert vars(restored) == vars(request)
+
+    def test_partial_of_bound_method(self):
+        bank = make_system("baseline").memory.banks[0]
+        bank.open_row, bank.busy_until = 4, 30
+        probe = functools.partial(bank.is_ready, 4)
+        _payload, restored = self.round_trip(probe)
+        assert restored.func.__self__ is not bank
+        assert restored.func.__self__.busy_until == 30
+        assert [restored(now) for now in (29, 30)] == [False, True]
+
+    def test_format1_container_still_loads(self):
+        system = make_system("dbi+awb+clb", dram_cache="dbi")
+        split_run(system)
+        restored = restore_system(format1_container(system))
+        assert restored.resume().to_dict() == system.resume().to_dict()
 
 
 class TestRestrictedUnpickle:

@@ -51,7 +51,8 @@
 #                  full-run sweep by >= 2.0x wall-clock (warm build included).
 #   campaign     — tools/soak_gate.py SIGKILLs a campaign orchestrator at
 #                  scheduled journal offsets (mid-journal-append, after a
-#                  dispatch, mid-warm-image-build) plus one SIGTERM drain,
+#                  dispatch, mid-warm-image-build, after a sharded cell's
+#                  image is written) plus one SIGTERM drain,
 #                  resumes each from the journal, and fails unless every
 #                  recovered campaign's results/report/telemetry artifacts
 #                  are byte-identical to an uninterrupted reference run.
@@ -61,6 +62,11 @@
 #                  then tools/soak_gate.py --tier SIGKILLs a shrunken
 #                  tier campaign mid-dispatch and requires byte-identical
 #                  surfaces after resume.
+#   perfbench    — the repo benchmark's own checks: perfbench/tests, then one
+#                  untraced campaign-slice pass at seed 1 that fails unless
+#                  its result line reports "failed": 0, i.e. every cell,
+#                  results.json (stitched keys included) and the surfaces
+#                  match the digests pinned in perfbench/digests.json.
 #   perf         — tools/perf_gate.py measures quick-scale fig6 cells on HEAD
 #                  and on a pinned pre-overhaul reference commit (same
 #                  machine), and fails if the speedup ratio regresses >20%
@@ -73,7 +79,7 @@ export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 COV_FAIL_UNDER=${COV_FAIL_UNDER:-$(cat tools/coverage_floor.txt)}
 ALL_STAGES=(tier1 coverage slowfuzz differential checked dramcache
             conformance sweep chaos reliability telemetry checkpoint
-            campaign campaignfull perf)
+            campaign campaignfull perfbench perf)
 
 if [ "${1:-}" = "--list" ]; then
     printf '%s\n' "${ALL_STAGES[@]}"
@@ -256,6 +262,21 @@ stage_campaignfull() {
     python tools/soak_gate.py --tier
     echo "ci: ok (quick-tier campaign emitted every surface; tier kill" \
          "points recovered byte-identically)"
+}
+
+stage_perfbench() {
+    python -m pytest -q perfbench/tests
+    python perfbench/run.py --workload campaign-slice --seed 1 \
+        --seconds 1 --trace 0 > "$tmp/perfbench.txt"
+    python - "$tmp/perfbench.txt" << 'PY'
+import json, sys
+
+line = open(sys.argv[1]).read().splitlines()[-1]
+result = json.loads(line)
+if result["failed"] != 0:
+    sys.exit(f"ci: FAIL — campaign-slice digests: {line}")
+print(f"ci: ok (campaign-slice: {result['attempted']} digests match the pins)")
+PY
 }
 
 stage_perf() {

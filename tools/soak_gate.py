@@ -12,13 +12,16 @@ byte** equal to an uninterrupted reference run:
   and a SIGTERM graceful drain;
 * **checkpoint variant** — SIGKILL *mid-warm-image-build*, while the
   build lock is held and partial staging litter is on disk; the resume
-  must reclaim the dead owner's lock and rebuild.
+  must reclaim the dead owner's lock and rebuild;
+* **sharded variant** — SIGKILL right after the first sharded cell's
+  image is written, before any of its segments is collected; the resume
+  must verify and reuse the image and finish the cell's segments.
 
-Faults are scheduled at exact journal sequence offsets (via the
-``REPRO_CAMPAIGN_CHAOS`` environment variable), not sampled from a
-probability, so the gate is deterministic: the same instant dies on
-every CI run. ``--quick`` runs only the two load-bearing points (torn
-append + warm build) for a faster smoke.
+Faults are scheduled at exact journal sequence offsets or build ordinals
+(via the ``REPRO_CAMPAIGN_CHAOS`` environment variable), not sampled from
+a probability, so the gate is deterministic: the same instant dies on
+every CI run. ``--quick`` runs only the three load-bearing points (torn
+append, warm build, cell image) for a faster smoke.
 
 ``--tier`` instead proves a shrunken *quick-tier* campaign — full-width
 mix tables, alone-IPC normalizer cells and the sensitivity sweep — and
@@ -50,6 +53,9 @@ TELEMETRY_POINTS = [
 ]
 CHECKPOINT_POINTS = [
     KillPoint("kill-mid-warm-build", "warm_kill=1"),
+]
+SHARDED_POINTS = [
+    KillPoint("kill-after-cell-image", "image_kill=1"),
 ]
 
 # The shrunken quick-tier grid the --tier proof runs: small enough for CI,
@@ -99,7 +105,7 @@ def main() -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="only the torn-append and mid-warm-build points",
+        help="only the torn-append, mid-warm-build and cell-image points",
     )
     parser.add_argument(
         "--refs",
@@ -153,6 +159,7 @@ def main() -> int:
              {"telemetry": True, "refs": args.refs}),
             ("checkpoint", CHECKPOINT_POINTS,
              {"checkpoint": True, "refs": args.refs}),
+            ("sharded", SHARDED_POINTS, {"shards": 2, "refs": args.refs}),
         ]
 
     failed = False
