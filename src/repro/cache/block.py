@@ -9,7 +9,8 @@ class CacheBlock:
     ``dirty`` is the conventional in-tag dirty bit (paper Figure 1a). Caches
     managed by a DBI mechanism never set it — the Dirty-Block Index is then
     the sole authority on dirtiness (Figure 1b) — and tests assert that
-    invariant.
+    invariant. :meth:`repro.cache.cache.Cache.insert` fills an entry by
+    assigning its fields directly.
     """
 
     __slots__ = ("addr", "valid", "dirty", "owner_core")
@@ -19,13 +20,6 @@ class CacheBlock:
         self.valid = False
         self.dirty = False
         self.owner_core = -1
-
-    def fill(self, addr: int, core_id: int = -1) -> None:
-        """Install a (clean) block into this entry."""
-        self.addr = addr
-        self.valid = True
-        self.dirty = False
-        self.owner_core = core_id
 
     def invalidate(self) -> None:
         self.addr = -1

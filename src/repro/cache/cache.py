@@ -8,8 +8,7 @@ contention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from repro.cache.block import CacheBlock
 from repro.cache.config import CacheConfig
@@ -18,13 +17,21 @@ from repro.utils.rng import DeterministicRng
 from repro.utils.stats import StatGroup
 
 
-@dataclass(frozen=True)
-class EvictedBlock:
-    """What fell out of the cache on an insertion."""
+class EvictedBlock(NamedTuple):
+    """What fell out of the cache on an insertion.
+
+    A tuple, because one is built on every eviction: a frozen dataclass paid
+    an ``__init__`` frame and one ``object.__setattr__`` per field.
+    """
 
     addr: int
     dirty: bool
     owner_core: int
+
+
+#: ``_new_evicted(EvictedBlock, (addr, dirty, owner_core))`` builds one
+#: without the Python-level ``__new__`` frame the NamedTuple adds.
+_new_evicted = tuple.__new__
 
 
 class Cache:
@@ -124,7 +131,9 @@ class Cache:
         if counter is None:
             counter = self._c_misses = self.stats.counter("misses")
         counter.value += 1
-        self.policy.note_miss(set_idx, core_id)
+        policy = self.policy
+        if policy.duels:
+            policy.note_miss(set_idx, core_id)
         return False
 
     def touch(self, addr: int, core_id: int = -1) -> bool:
@@ -167,7 +176,9 @@ class Cache:
         if victim_way is None:
             victim_way = self.policy.victim_way(set_idx)
             victim = ways[victim_way]
-            evicted = EvictedBlock(victim.addr, victim.dirty, victim.owner_core)
+            evicted = _new_evicted(
+                EvictedBlock, (victim.addr, victim.dirty, victim.owner_core)
+            )
             del self._where[victim.addr]
             counter = self._c_evictions
             if counter is None:
@@ -184,8 +195,10 @@ class Cache:
                     self.observer.on_dirty_evicted(victim.addr)
 
         block = ways[victim_way]
-        block.fill(addr, core_id)
+        block.addr = addr
+        block.valid = True
         block.dirty = dirty
+        block.owner_core = core_id
         if dirty and self.observer is not None:
             self.observer.on_block_dirtied(addr)
         self._where[addr] = victim_way
@@ -200,9 +213,10 @@ class Cache:
 
     def mark_dirty(self, addr: int) -> bool:
         """Set the in-tag dirty bit. Returns False if the block is absent."""
-        block = self.probe(addr)
-        if block is None:
+        way = self._where.get(addr)
+        if way is None:
             return False
+        block = self.sets[addr & self._set_mask][way]
         if not block.dirty and self.observer is not None:
             self.observer.on_block_dirtied(addr)
         block.dirty = True

@@ -53,7 +53,8 @@ class MshrFile:
         Raises:
             RuntimeError: if the file is full and the address is not pending.
         """
-        waiters = self._pending.get(addr)
+        pending = self._pending
+        waiters = pending.get(addr)
         if waiters is not None:
             waiters.append(on_fill)
             counter = self._c_merged
@@ -61,9 +62,9 @@ class MshrFile:
                 counter = self._c_merged = self.stats.counter("merged")
             counter.value += 1
             return False
-        if self.is_full:
+        if self.capacity and len(pending) >= self.capacity:
             raise RuntimeError("MSHR file full; caller must check can_allocate")
-        self._pending[addr] = [on_fill]
+        pending[addr] = [on_fill]
         counter = self._c_allocated
         if counter is None:
             counter = self._c_allocated = self.stats.counter("allocated")
@@ -71,7 +72,7 @@ class MshrFile:
         dist = self._d_occupancy
         if dist is None:
             dist = self._d_occupancy = self.stats.distribution("occupancy")
-        dist.record(len(self._pending))
+        dist.record(len(pending))
         return True
 
     def complete(self, addr: int) -> int:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, Tuple
 
-from repro.utils.events import Event, EventQueue
+from repro.utils.events import EventQueue
 from repro.utils.stats import StatGroup
 
 
@@ -46,7 +46,9 @@ class TagPort:
         self.busy_until = 0
         self.stats = StatGroup(name)
         self._waiting: Tuple[Deque[Callable[[], None]], ...] = (deque(), deque())
-        self._grant_event: Optional[Event] = None
+        # A grant pass is queued. It is never cancelled, so a flag (not an
+        # Event) is all it needs.
+        self._grant_pending = False
         # Per-priority request counters, bound on first use (lazily, so the
         # exported stat set matches creation-on-first-increment) — the old
         # per-request f-string + StatGroup lookup showed up in profiles.
@@ -71,14 +73,26 @@ class TagPort:
         self._waiting[priority].append(callback)
         self._pump()
 
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails: images written before the
+        # flag existed hold the pending grant as ``_grant_event`` (an Event
+        # or None) instead.
+        if name == "_grant_pending" and "_grant_event" in self.__dict__:
+            self._grant_pending = self.__dict__.pop("_grant_event") is not None
+            return self._grant_pending
+        raise AttributeError(name)
+
     def _pump(self) -> None:
-        if self._grant_event is not None and not self._grant_event.cancelled:
+        if self._grant_pending:
             return  # a grant pass is already pending
-        grant_time = max(self.queue.now, self.busy_until)
-        self._grant_event = self.queue.schedule(grant_time, self._grant)
+        self._grant_pending = True
+        queue = self.queue
+        now = queue.now
+        busy_until = self.busy_until
+        queue.schedule(busy_until if busy_until > now else now, self._grant)
 
     def _grant(self) -> None:
-        self._grant_event = None
+        self._grant_pending = False
         now = self.queue.now
         if now < self.busy_until:
             self._pump()

@@ -13,6 +13,12 @@ Implements the policies the paper evaluates or compares against:
 All policies share one interface driven by the functional cache:
 ``on_hit``/``on_insert``/``on_invalidate``/``victim_way``/``note_miss``.
 Coin flips draw from a :class:`DeterministicRng` so runs are reproducible.
+
+The recency-stack policies sit on every cache access, so their hot methods
+are flat: LRU's ``on_hit``/``on_insert`` *are* ``_touch_mru``, and TA-DIP
+reads its dueling map directly. TA-DIP draws the BIP coin only on BIP-style
+insertions, so the RNG draw sequence — and every result — is that of the
+layered version.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ class ReplacementPolicy(abc.ABC):
         check_positive("num_ways", num_ways)
         self.num_sets = num_sets
         self.num_ways = num_ways
+
+    #: True for set-dueling policies, whose ``note_miss`` votes; the cache
+    #: skips the call for every other policy.
+    duels = False
 
     @abc.abstractmethod
     def on_hit(self, set_idx: int, way: int, core_id: int = -1) -> None:
@@ -64,7 +74,7 @@ class _RecencyStackPolicy(ReplacementPolicy):
             list(range(num_ways)) for _ in range(num_sets)
         ]
 
-    def _touch_mru(self, set_idx: int, way: int) -> None:
+    def _touch_mru(self, set_idx: int, way: int, core_id: int = -1) -> None:
         stack = self._stacks[set_idx]
         stack.remove(way)
         stack.append(way)
@@ -74,8 +84,7 @@ class _RecencyStackPolicy(ReplacementPolicy):
         stack.remove(way)
         stack.insert(0, way)
 
-    def on_hit(self, set_idx: int, way: int, core_id: int = -1) -> None:
-        self._touch_mru(set_idx, way)
+    on_hit = _touch_mru
 
     def victim_way(self, set_idx: int) -> int:
         return self._stacks[set_idx][0]
@@ -95,8 +104,7 @@ class _RecencyStackPolicy(ReplacementPolicy):
 class LruPolicy(_RecencyStackPolicy):
     """Classic least-recently-used (paper's Baseline)."""
 
-    def on_insert(self, set_idx: int, way: int, core_id: int = -1) -> None:
-        self._touch_mru(set_idx, way)
+    on_insert = _RecencyStackPolicy._touch_mru
 
 
 class BipPolicy(_RecencyStackPolicy):
@@ -188,6 +196,8 @@ class DipPolicy(_RecencyStackPolicy):
     its own PSEL and leader sets (thread-aware DIP, paper Table 2).
     """
 
+    duels = True
+
     def __init__(
         self,
         num_sets: int,
@@ -205,34 +215,35 @@ class DipPolicy(_RecencyStackPolicy):
         self.selectors = [PolicySelector(psel_bits) for _ in range(num_threads)]
         self.dueling = DuelingMap(num_sets, num_threads, leaders_per_policy)
 
-    def _thread(self, core_id: int) -> int:
-        return core_id % self.num_threads if core_id >= 0 else 0
-
-    def _insert_lru_style(self, set_idx: int, way: int) -> None:
-        self._touch_mru(set_idx, way)
-
     def _insert_bip_style(self, set_idx: int, way: int) -> None:
+        stack = self._stacks[set_idx]
+        stack.remove(way)
         if self._rng.chance(self.epsilon):
-            self._touch_mru(set_idx, way)
+            stack.append(way)
         else:
-            self._demote_lru(set_idx, way)
+            stack.insert(0, way)
 
     def on_insert(self, set_idx: int, way: int, core_id: int = -1) -> None:
-        role, owner = self.dueling.role(set_idx)
-        if role == DuelingMap.LEADER_A:
-            self._insert_lru_style(set_idx, way)
-        elif role == DuelingMap.LEADER_B:
-            self._insert_bip_style(set_idx, way)
-        elif self.selectors[self._thread(core_id)].prefers_second:
+        role = self.dueling.role_of[set_idx][0]
+        if role == DuelingMap.FOLLOWER:
+            selector = self.selectors[
+                core_id % self.num_threads if core_id >= 0 else 0
+            ]
+            bip = selector.value >= (selector.maximum + 1) // 2
+        else:
+            bip = role == DuelingMap.LEADER_B
+        if bip:
             self._insert_bip_style(set_idx, way)
         else:
-            self._insert_lru_style(set_idx, way)
+            stack = self._stacks[set_idx]
+            stack.remove(way)
+            stack.append(way)
 
     def note_miss(self, set_idx: int, core_id: int = -1) -> None:
-        role, owner = self.dueling.role(set_idx)
+        role, owner = self.dueling.role_of[set_idx]
         if role == DuelingMap.FOLLOWER:
             return
-        if owner != self._thread(core_id):
+        if owner != (core_id % self.num_threads if core_id >= 0 else 0):
             return
         selector = self.selectors[owner]
         if role == DuelingMap.LEADER_A:
@@ -305,6 +316,8 @@ class BrripPolicy(_RripBase):
 
 class DrripPolicy(_RripBase):
     """Dynamic RRIP: set dueling between SRRIP and BRRIP insertion."""
+
+    duels = True
 
     def __init__(
         self,

@@ -263,14 +263,12 @@ def check_write_buffer(write_buffer) -> None:
 def check_port_sanity(port) -> None:
     """``port-sanity`` for the shared LLC tag port."""
     name = "port-sanity"
-    if port.queued:
-        grant = port._grant_event
-        if grant is None or grant.cancelled:
-            _fail(
-                name,
-                f"{port.queued} lookup(s) queued but no grant pass pending "
-                f"(tag port stalled)",
-            )
+    if port.queued and not port._grant_pending:
+        _fail(
+            name,
+            f"{port.queued} lookup(s) queued but no grant pass pending "
+            f"(tag port stalled)",
+        )
 
 
 def check_retry_consistency(label: str, stored: dict, rerun: dict) -> None:

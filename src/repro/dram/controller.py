@@ -151,11 +151,14 @@ class MemoryController:
         self._schedule_wake(self.queue.now)
 
     def _schedule_wake(self, time: int) -> None:
-        if self._wake_event is not None and not self._wake_event.cancelled:
-            if self._wake_event.time <= time:
+        # The one cancellable entry on the queue: a later-arriving earlier
+        # wake cancels the pending one, so the wake is an Event.
+        wake = self._wake_event
+        if wake is not None and not wake.cancelled:
+            if wake.time <= time:
                 return  # an earlier-or-equal wake is already pending
-            self._wake_event.cancel()
-        self._wake_event = self.queue.schedule(time, self._wake)
+            wake.cancel()
+        self._wake_event = self.queue.schedule(time, Event(time, self._wake))
 
     def _wake(self) -> None:
         self._wake_event = None

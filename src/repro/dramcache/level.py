@@ -103,8 +103,9 @@ class DramCacheLevel:
         if counter is None:
             counter = self._c_reads = self.stats.counter("reads")
         counter.value += 1
-        self.queue.schedule_after(
-            self.config.tag_latency, partial(self._read_tags_done, request)
+        queue = self.queue
+        queue.schedule(
+            queue.now + self.config.tag_latency, partial(self._read_tags_done, request)
         )
 
     def _read_tags_done(self, request: MemoryRequest) -> None:
@@ -175,8 +176,9 @@ class DramCacheLevel:
         if counter is None:
             counter = self._c_writes = self.stats.counter("writes")
         counter.value += 1
-        self.queue.schedule_after(
-            self.config.tag_latency,
+        queue = self.queue
+        queue.schedule(
+            queue.now + self.config.tag_latency,
             partial(self._write_tags_done, request.block_addr, request.core_id),
         )
         return True

@@ -36,9 +36,11 @@ WRITEBACK_RETRY_INTERVAL = 50
 def _invoke(callback: Callable[[int], None], addr: int) -> None:
     """Module-level trampoline so deferred data deliveries pickle.
 
-    ``partial(_invoke, on_data, addr)`` replaces ``lambda: on_data(addr)``:
+    ``partial(_invoke, on_data, addr)`` replaced ``lambda: on_data(addr)``:
     the event graph must contain no closures or a checkpoint cannot
-    serialize it (see :mod:`repro.checkpoint`).
+    serialize it (see :mod:`repro.checkpoint`). Deliveries are now
+    scheduled as ``partial(on_data, addr)``, one frame fewer; this stays
+    for snapshot images that still hold ``_invoke`` partials.
     """
     callback(addr)
 
@@ -117,8 +119,9 @@ class LlcMechanism:
                 counter = self._c_read_hits = self.stats.counter("read_hits")
             counter.value += 1
             self._train_predictor(core_id, addr, hit=True)
-            self.queue.schedule_after(
-                self.llc.config.hit_latency, partial(_invoke, on_data, addr)
+            queue = self.queue
+            queue.schedule(
+                queue.now + self.llc.config.hit_latency, partial(on_data, addr)
             )
             return
         counter = self._c_read_misses
@@ -126,8 +129,9 @@ class LlcMechanism:
             counter = self._c_read_misses = self.stats.counter("read_misses")
         counter.value += 1
         self._train_predictor(core_id, addr, hit=False)
-        self.queue.schedule_after(
-            self.llc.config.miss_detect_latency,
+        queue = self.queue
+        queue.schedule(
+            queue.now + self.llc.config.miss_detect_latency,
             partial(self._fetch_block, core_id, addr, on_data),
         )
 
@@ -153,9 +157,8 @@ class LlcMechanism:
         )
 
     def _fill_request_done(self, core_id: int, request: MemoryRequest) -> None:
-        self._fill_arrived(core_id, request.block_addr)
-
-    def _fill_arrived(self, core_id: int, addr: int) -> None:
+        """The memory read for an LLC fill returned: install, wake waiters."""
+        addr = request.block_addr
         waiters = self._pending_fills.pop(addr, [])
         evicted = self.llc.insert(addr, core_id=core_id, dirty=False)
         if evicted is not None:

@@ -89,7 +89,7 @@ class OooCore:
     # ------------------------------------------------------------- control
 
     def start(self) -> None:
-        self._schedule_advance(self.queue.now)
+        self._schedule_advance()
 
     def stop(self) -> None:
         """Stop issuing new work (in-flight loads still drain)."""
@@ -110,32 +110,43 @@ class OooCore:
             return
         self._paused = False
         if not self.finished:
-            self._schedule_advance(self.queue.now)
+            self._schedule_advance()
 
     # ------------------------------------------------------------ mainloop
 
-    def _schedule_advance(self, when: int) -> None:
+    def _schedule_advance(self) -> None:
         if self._advance_scheduled or self.finished:
             return
         self._advance_scheduled = True
-        self.queue.schedule(max(when, self.queue.now), self._advance_event)
-
-    def _advance_event(self) -> None:
-        self._advance_scheduled = False
-        self._advance()
+        self.queue.schedule(self.queue.now, self._advance)
 
     def _advance(self) -> None:
+        """The advance event: issue until the core stalls or must wait.
+
+        Runs on locals and re-arms itself; loads that miss the L1 complete
+        through :meth:`_load_done`.
+        """
+        self._advance_scheduled = False
         if self._paused:
             return
+        queue = self.queue
+        now = queue.now  # callbacks never move the clock
+        records = self._records
+        outstanding = self._outstanding
+        hierarchy = self.hierarchy
+        core_id = self.core_id
         while not self.finished:
-            gap, is_write, addr = self._records[self._pos]
+            gap, is_write, addr = records[self._pos]
             mem_instr_index = self._instr_count + gap
             issue_at = self._issue_time + gap
 
             # Window full: the oldest unfinished load blocks retirement of
-            # everything behind it, so issue must wait for it.
-            if self._outstanding:
-                oldest = min(self._outstanding)
+            # everything behind it, so issue must wait for it. Loads enter
+            # ``outstanding`` in issue order and a dict keeps insertion
+            # order, so its first key is the oldest.
+            if outstanding:
+                for oldest in outstanding:
+                    break
                 if oldest <= mem_instr_index - self.window:
                     self._waiting = True
                     counter = self._c_window_stalls
@@ -145,52 +156,45 @@ class OooCore:
                         )
                     counter.value += 1
                     return
-            if (
-                not is_write
-                and len(self._outstanding) >= self.max_outstanding_loads
-            ):
+            if not is_write and len(outstanding) >= self.max_outstanding_loads:
                 self._waiting = True
                 counter = self._c_mshr_stalls
                 if counter is None:
-                    counter = self._c_mshr_stalls = self.stats.counter(
-                        "mshr_stalls"
-                    )
+                    counter = self._c_mshr_stalls = self.stats.counter("mshr_stalls")
                 counter.value += 1
                 return
 
-            if issue_at > self.queue.now:
-                self._schedule_advance(issue_at)
+            if issue_at > now:
+                if not self._advance_scheduled:
+                    self._advance_scheduled = True
+                    queue.schedule(issue_at, self._advance)
                 return
 
             # Issue the memory operation now.
-            issue_cycle = max(issue_at, self.queue.now)
-            self._pos += 1
-            if self._pos >= len(self._records):
-                self._pos = 0  # replay the trace
+            pos = self._pos + 1
+            self._pos = 0 if pos >= len(records) else pos  # replay the trace
             self._instr_count = mem_instr_index + 1
-            self._issue_time = issue_cycle + 1
+            self._issue_time = now + 1
 
             if is_write:
                 counter = self._c_stores
                 if counter is None:
                     counter = self._c_stores = self.stats.counter("stores")
                 counter.value += 1
-                self.hierarchy.store(self.core_id, addr)
+                hierarchy.store(core_id, addr)
             else:
                 counter = self._c_loads
                 if counter is None:
                     counter = self._c_loads = self.stats.counter("loads")
                 counter.value += 1
-                index = mem_instr_index
-                hit = self.hierarchy.load(
-                    self.core_id, addr, partial(self._load_done_cb, index)
-                )
-                if not hit:
-                    self._outstanding[index] = issue_cycle
+                if not hierarchy.load(
+                    core_id, addr, partial(self._load_done, mem_instr_index)
+                ):
+                    outstanding[mem_instr_index] = now
 
             if not self.warmed and self._instr_count >= self.warmup_instructions:
                 self.warmed = True
-                self._measure_start_cycle = self.queue.now
+                self._measure_start_cycle = now
                 if self.on_warmed is not None:
                     self.on_warmed(self)
 
@@ -199,13 +203,14 @@ class OooCore:
                 if self.finished:
                     return
 
+    #: The advance event's name in images written before ``_advance`` was
+    #: merged into it.
+    _advance_event = _advance
+
     # --------------------------------------------------------- completions
 
-    def _load_done_cb(self, instr_index: int, _addr: int) -> None:
-        """Fill-callback shape (addr-taking, picklable) over :meth:`_load_done`."""
-        self._load_done(instr_index)
-
-    def _load_done(self, instr_index: int) -> None:
+    def _load_done(self, instr_index: int, _addr: int = -1) -> None:
+        """Fill callback (addr-taking, picklable) of the load ``instr_index``."""
         issue_cycle = self._outstanding.pop(instr_index, None)
         if issue_cycle is not None:
             dist = self._d_load_latency
@@ -218,7 +223,11 @@ class OooCore:
             self._maybe_record()
         if self._waiting and not self.finished:
             self._waiting = False
-            self._schedule_advance(self.queue.now)
+            self._schedule_advance()
+
+    #: The fill callback's name in images written before it was merged
+    #: into ``_load_done``.
+    _load_done_cb = _load_done
 
     def _maybe_record(self) -> None:
         """Record IPC once every pre-limit instruction has retired.

@@ -31,8 +31,18 @@ from repro.utils.events import EventQueue
 from repro.utils.stats import StatGroup
 
 
+#: Per-access latencies the hierarchy reads from its configs once.
+_LATENCIES = ("_l1_miss_detect", "_l2_hit", "_l2_miss_detect")
+
+
 class Hierarchy:
-    """Private L1/L2 levels in front of a shared, mechanism-driven LLC."""
+    """Private L1/L2 levels in front of a shared, mechanism-driven LLC.
+
+    The per-access paths are flattened: latencies are read once, per-core
+    counters are bound inline (lazily, so the exported stat set stays
+    byte-identical to creation-on-first-increment), and every delay goes to
+    ``EventQueue.schedule`` as an absolute time.
+    """
 
     def __init__(
         self,
@@ -60,12 +70,29 @@ class Hierarchy:
             self.core_stats.append(StatGroup(f"hier_core{core}"))
         self._l1_config = l1_config
         self._l2_config = l2_config
-        # Per-(core, stat) counters, bound on first use so the per-access
-        # paths skip the StatGroup name lookup; lazy so the exported stat
-        # set stays byte-identical to creation-on-first-increment.
+        self._read_latencies()
+        # Per-(core, stat) counters, bound on first use.
         self._bound: List[dict] = [{} for _ in range(num_cores)]
 
+    def _read_latencies(self) -> None:
+        self._l1_miss_detect = self._l1_config.miss_detect_latency
+        self._l2_hit = self._l2_config.hit_latency
+        self._l2_miss_detect = self._l2_config.miss_detect_latency
+
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails: images written before the
+        # latencies were read once lack them.
+        if name in _LATENCIES and "_l2_config" in self.__dict__:
+            self._read_latencies()
+            return self.__dict__[name]
+        raise AttributeError(name)
+
     def _count(self, core_id: int, name: str) -> None:
+        """Bump a per-core counter, binding it on first use.
+
+        The per-access paths try the bound counter inline and call this only
+        when the name is not bound yet.
+        """
         bound = self._bound[core_id]
         counter = bound.get(name)
         if counter is None:
@@ -76,74 +103,82 @@ class Hierarchy:
 
     def load(self, core_id: int, addr: int, on_complete: Callable[[int], None]) -> bool:
         """Issue a load. Returns True iff it hit in the L1 (synchronous)."""
-        l1 = self.l1s[core_id]
-        if l1.lookup(addr, core_id):
-            self._count(core_id, "l1_hits")
+        bound = self._bound[core_id]
+        if self.l1s[core_id].lookup(addr, core_id):
+            try:
+                bound["l1_hits"].value += 1
+            except KeyError:
+                self._count(core_id, "l1_hits")
             return True
-        self._count(core_id, "l1_misses")
-        self._miss_to_l2(core_id, addr, on_complete)
+        try:
+            bound["l1_misses"].value += 1
+        except KeyError:
+            self._count(core_id, "l1_misses")
+        if self.l1_mshrs[core_id].allocate(addr, on_complete):
+            queue = self.queue
+            queue.schedule(
+                queue.now + self._l1_miss_detect,
+                partial(self._access_l2, core_id, addr),
+            )
         return False
 
-    def _miss_to_l2(
-        self, core_id: int, addr: int, on_fill: Callable[[int], None]
-    ) -> None:
-        mshr = self.l1_mshrs[core_id]
-        is_new_miss = mshr.allocate(addr, on_fill)
-        if not is_new_miss:
-            return  # merged with an in-flight miss to the same block
-        self.queue.schedule_after(
-            self._l1_config.miss_detect_latency,
-            partial(self._access_l2, core_id, addr),
-        )
-
     def _access_l2(self, core_id: int, addr: int) -> None:
-        l2 = self.l2s[core_id]
-        if l2.lookup(addr, core_id):
-            self._count(core_id, "l2_hits")
-            self.queue.schedule_after(
-                self._l2_config.hit_latency,
-                partial(self._fill_l1, core_id, addr),
+        bound = self._bound[core_id]
+        queue = self.queue
+        if self.l2s[core_id].lookup(addr, core_id):
+            try:
+                bound["l2_hits"].value += 1
+            except KeyError:
+                self._count(core_id, "l2_hits")
+            queue.schedule(
+                queue.now + self._l2_hit, partial(self._fill_l1, core_id, addr)
             )
             return
-        self._count(core_id, "l2_misses")
-        self.queue.schedule_after(
-            self._l2_config.miss_detect_latency,
-            partial(self._read_llc, core_id, addr),
+        try:
+            bound["l2_misses"].value += 1
+        except KeyError:
+            self._count(core_id, "l2_misses")
+        queue.schedule(
+            queue.now + self._l2_miss_detect, partial(self._read_llc, core_id, addr)
         )
 
     def _read_llc(self, core_id: int, addr: int) -> None:
-        self._count(core_id, "llc_reads")
+        bound = self._bound[core_id]
+        try:
+            bound["llc_reads"].value += 1
+        except KeyError:
+            self._count(core_id, "llc_reads")
         self.mechanism.read(core_id, addr, partial(self._llc_data, core_id))
-
-    def _llc_data(self, core_id: int, addr: int) -> None:
-        self._fill_l2(core_id, addr)
-        self._fill_l1(core_id, addr)
 
     # -------------------------------------------------------------- fills
 
-    def _fill_l2(self, core_id: int, addr: int) -> None:
-        evicted = self.l2s[core_id].insert(addr, core_id=core_id, dirty=False)
+    def _llc_data(self, core_id: int, addr: int) -> None:
+        """LLC data arrived: fill the L2, then the L1."""
+        evicted = self.l2s[core_id].insert(addr, core_id, False)
         if evicted is not None and evicted.dirty:
             self._count(core_id, "l2_writebacks")
             self.mechanism.writeback(core_id, evicted.addr)
+        self._fill_l1(core_id, addr)
 
     def _fill_l1(self, core_id: int, addr: int) -> None:
-        evicted = self.l1s[core_id].insert(addr, core_id=core_id, dirty=False)
+        evicted = self.l1s[core_id].insert(addr, core_id, False)
         if evicted is not None and evicted.dirty:
             self._writeback_to_l2(core_id, evicted.addr)
-        mshr = self.l1_mshrs[core_id]
-        if mshr.outstanding(addr):
-            mshr.complete(addr)
+        # One pop: a fill may find no miss registered, which
+        # ``MshrFile.complete`` rejects.
+        waiters = self.l1_mshrs[core_id]._pending.pop(addr, None)
+        if waiters is not None:
+            for waiter in waiters:
+                waiter(addr)
 
     def _writeback_to_l2(self, core_id: int, addr: int) -> None:
         """A dirty L1 victim lands in the L2 (writeback-allocate)."""
         self._count(core_id, "l1_writebacks")
         l2 = self.l2s[core_id]
-        if l2.contains(addr):
-            l2.mark_dirty(addr)
+        if l2.mark_dirty(addr):  # present: now dirty
             l2.touch(addr, core_id)
             return
-        evicted = l2.insert(addr, core_id=core_id, dirty=True)
+        evicted = l2.insert(addr, core_id, True)
         if evicted is not None and evicted.dirty:
             self._count(core_id, "l2_writebacks")
             self.mechanism.writeback(core_id, evicted.addr)
@@ -152,13 +187,25 @@ class Hierarchy:
 
     def store(self, core_id: int, addr: int) -> None:
         """Write-allocate store; never blocks the core (store buffer)."""
+        bound = self._bound[core_id]
         l1 = self.l1s[core_id]
         if l1.lookup(addr, core_id):
-            self._count(core_id, "store_hits")
+            try:
+                bound["store_hits"].value += 1
+            except KeyError:
+                self._count(core_id, "store_hits")
             l1.mark_dirty(addr)
             return
-        self._count(core_id, "store_misses")
-        self._miss_to_l2(core_id, addr, partial(self._store_fill, core_id))
+        try:
+            bound["store_misses"].value += 1
+        except KeyError:
+            self._count(core_id, "store_misses")
+        if self.l1_mshrs[core_id].allocate(addr, partial(self._store_fill, core_id)):
+            queue = self.queue
+            queue.schedule(
+                queue.now + self._l1_miss_detect,
+                partial(self._access_l2, core_id, addr),
+            )
 
     def _store_fill(self, core_id: int, addr: int) -> None:
         """A store-miss fill arrived: the allocated L1 block becomes dirty."""

@@ -4,7 +4,11 @@ The event kernel exposes one hook — ``EventQueue.profiler`` — that, when set
 runs every callback through the profiler instead of calling it directly. The
 profiler wall-clocks each callback and attributes the time to the component
 that owns it (core front-end, hierarchy plumbing, LLC mechanism, tag port,
-DRAM controller, …), derived from the callback's defining module.
+DRAM controller, …), derived from the module of the function that runs: a
+callback is first unwrapped through ``functools.partial`` objects, bound
+methods, the mechanism trampolines (``_invoke``, ``_deliver_block``) and
+``MemoryRequest.fire_completion`` (which runs its ``on_complete``), so every
+partial of one method shares one site row.
 
 Profiling is strictly observational: it never touches the queue's clock,
 event accounting or any simulator state, so a profiled run produces results
@@ -17,7 +21,9 @@ Used by the ``repro profile`` CLI subcommand and ``tools/perf_gate.py``.
 
 from __future__ import annotations
 
+import functools
 import time as _time
+import types
 from typing import Callable, Dict, List, Optional, Tuple
 
 #: Module-prefix → component label, most specific first.
@@ -27,19 +33,49 @@ _COMPONENT_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.cache.port", "llc-port"),
     ("repro.cache", "cache"),
     ("repro.mechanisms", "mechanism"),
+    ("repro.dramcache", "dramcache"),
     ("repro.dram", "dram"),
     ("repro.core", "dbi"),
     ("repro.check", "check"),
     ("repro.sim", "sim"),
 )
 
+#: Partial targets whose first argument is the code that runs.
+_TRAMPOLINES = frozenset(
+    {("repro.mechanisms.base", "_invoke"), ("repro.mechanisms.base", "_deliver_block")}
+)
+#: Bound methods that run ``self.on_complete``.
+_FORWARDERS = frozenset({("repro.dram.request", "MemoryRequest.fire_completion")})
+
 
 def component_of(module: str) -> str:
     """Map a callback's defining module to a component label."""
     for prefix, label in _COMPONENT_PREFIXES:
-        if module.startswith(prefix):
+        if module == prefix or module.startswith(prefix + "."):
             return label
     return "other"
+
+
+def _site(fn) -> Tuple[str, str]:
+    return (
+        getattr(fn, "__module__", None) or "?",
+        getattr(fn, "__qualname__", None) or type(fn).__qualname__,
+    )
+
+
+def callback_site(callback: Callable) -> Tuple[str, str]:
+    """``(module, qualname)`` of the function a queued callback runs."""
+    fn = callback
+    while True:
+        if isinstance(fn, functools.partial):
+            fn = fn.args[0] if _site(fn.func) in _TRAMPOLINES else fn.func
+        elif isinstance(fn, types.MethodType):
+            if _site(fn.__func__) in _FORWARDERS:
+                fn = fn.__self__.on_complete
+            else:
+                fn = fn.__func__
+        else:
+            return _site(fn)
 
 
 class SimProfiler:
@@ -68,10 +104,7 @@ class SimProfiler:
             callback()
         finally:
             elapsed = _time.perf_counter() - t0
-            key = (
-                getattr(callback, "__module__", None) or "?",
-                getattr(callback, "__qualname__", None) or repr(callback),
-            )
+            key = callback_site(callback)
             site = self._sites.get(key)
             if site is None:
                 self._sites[key] = [1, elapsed]

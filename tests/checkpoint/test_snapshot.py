@@ -221,6 +221,72 @@ def format1_container(system) -> bytes:
     return MAGIC + struct.pack("<I", len(header)) + header + payload
 
 
+def as_pre_callable_image(system):
+    """Rewrite a live system into the layout of images written before queue
+    entries became bare callables: every bucket entry an ``Event``, the tag
+    port's pending grant held as ``_grant_event``, and no hierarchy latencies
+    read ahead of time."""
+    queue = system.queue
+    for time, bucket in queue._buckets.items():
+        bucket[:] = [
+            entry if isinstance(entry, Event) else Event(time, entry)
+            for entry in bucket
+        ]
+    port = system.port
+    grant = None
+    if port._grant_pending:
+        # The pending grant pass, skipping the head bucket's fired prefix.
+        (grant,) = [
+            entry
+            for time, bucket in queue._buckets.items()
+            for entry in bucket[queue._pos if time == queue._pos_time else 0 :]
+            if entry.callback == port._grant
+        ]
+    del port._grant_pending
+    port._grant_event = grant
+    for name in ("_l1_miss_detect", "_l2_hit", "_l2_miss_detect"):
+        delattr(system.hierarchy, name)
+
+
+class TestPreCallableImages:
+    """Images whose queue buckets hold only ``Event`` entries — every image
+    written before bare-callable entries — restore without a format bump."""
+
+    @pytest.mark.parametrize("dram_cache", [None, "dbi"])
+    @pytest.mark.parametrize("mechanism", ["tadip", "dbi+awb+clb"])
+    def test_restores_and_finishes_like_an_uninterrupted_run(
+        self, mechanism, dram_cache
+    ):
+        benchmark = "lbm" if dram_cache else "mcf"
+        expected = make_system(
+            mechanism, benchmark=benchmark, dram_cache=dram_cache
+        ).run()
+        system = make_system(mechanism, benchmark=benchmark, dram_cache=dram_cache)
+        for core in system.cores:
+            core.start()
+        system.queue.run(max_events=SPLIT_EVENTS)
+        # Stop where a tag-port grant pass is queued, so the image carries
+        # a legacy ``_grant_event``.
+        while not system.port._grant_pending:
+            assert system.queue.step()
+        as_pre_callable_image(system)
+        assert system.port._grant_event is not None
+        restored = restore_system(snapshot_system(system))
+        buckets = restored.queue._buckets.values()
+        assert buckets and all(
+            isinstance(entry, Event) for bucket in buckets for entry in bucket
+        )
+        assert "_grant_pending" not in vars(restored.port)
+        actual = restored.resume()
+        assert actual.to_dict() == expected.to_dict()
+        assert actual.events_processed == expected.events_processed
+
+    def test_pre_merge_callback_names_still_resolve(self):
+        core = make_system("baseline").cores[0]
+        assert core._advance_event == core._advance
+        assert core._load_done_cb == core._load_done
+
+
 class TestStateSetter:
     """Simulator objects restore through the state setter, not BUILD."""
 

@@ -5,8 +5,11 @@ byte-identical to an unprofiled one, and with the hook unset the kernel
 behaves exactly as before.
 """
 
+import functools
+
 from repro.analysis.scaling import SCALES
-from repro.sim.profiler import SimProfiler, component_of
+from repro.mechanisms.base import _invoke
+from repro.sim.profiler import SimProfiler, callback_site, component_of
 from repro.sim.system import run_system
 from repro.utils.events import EventQueue
 
@@ -64,6 +67,9 @@ class TestAttribution:
         assert component_of("repro.cache.cache") == "cache"
         assert component_of("repro.mechanisms.dbi_mech") == "mechanism"
         assert component_of("repro.dram.controller") == "dram"
+        assert component_of("repro.dramcache.level") == "dramcache"
+        assert component_of("repro.core.dbi") == "dbi"
+        assert component_of("repro.coreutils") == "other"
         assert component_of("repro.check.engine") == "check"
         assert component_of("some.third.party") == "other"
 
@@ -97,3 +103,32 @@ class TestAttribution:
         assert set(report["components"]) == set(shares)
         text = profiler.to_text(wall_seconds=0.5)
         assert "profiled 1 callbacks" in text
+
+    def test_callbacks_unwrap_to_the_function_that_runs(self):
+        class Owner:
+            def method(self, a, b):
+                pass
+
+        owner = Owner()
+        here = (__name__, Owner.method.__qualname__)
+        assert callback_site(owner.method) == here
+        assert callback_site(functools.partial(owner.method, 1, 2)) == here
+        assert callback_site(functools.partial(_invoke, owner.method, 1)) == here
+
+    def test_sites_are_callback_functions_not_instances(self):
+        """Thousands of partials over a handful of methods: one row per
+        method, and the hierarchy's callbacks are charged to ``hierarchy``."""
+        scale = SCALES["quick"]
+        trace = scale.benchmark_trace("lbm", refs=2000)
+        profiler = SimProfiler()
+        run_system(scale.system_config("dbi+awb"), [trace], profiler=profiler)
+        sites = profiler.top_sites(limit=10_000)
+        functions = {site for site, _calls, _seconds in sites}
+        assert len(sites) == len(functions)
+        # Every site names a function; none is a partial's repr.
+        assert all("partial" not in site and "<" not in site for site in functions)
+        # The simulator defines a few dozen callback functions at most.
+        assert len(sites) <= 30 < profiler.calls // 100
+        shares = profiler.component_shares()
+        assert "hierarchy" in shares
+        assert "other" not in shares

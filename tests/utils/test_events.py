@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.events import EventQueue
+from repro.utils.events import Event, EventQueue
 
 
 class TestScheduling:
@@ -55,15 +55,15 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         queue = EventQueue()
         fired = []
-        event = queue.schedule(5, lambda: fired.append(1))
+        event = queue.schedule(5, Event(5, lambda: fired.append(1)))
         event.cancel()
         queue.run()
         assert fired == []
 
     def test_len_excludes_cancelled(self):
         queue = EventQueue()
-        keep = queue.schedule(5, lambda: None)
-        drop = queue.schedule(6, lambda: None)
+        keep = queue.schedule(5, Event(5, lambda: None))
+        drop = queue.schedule(6, Event(6, lambda: None))
         drop.cancel()
         assert len(queue) == 1
         assert keep.time == 5

@@ -63,10 +63,12 @@
 #                  tier campaign mid-dispatch and requires byte-identical
 #                  surfaces after resume.
 #   perfbench    — the repo benchmark's own checks: perfbench/tests, then one
-#                  untraced campaign-slice pass at seed 1 that fails unless
-#                  its result line reports "failed": 0, i.e. every cell,
-#                  results.json (stitched keys included) and the surfaces
-#                  match the digests pinned in perfbench/digests.json.
+#                  untraced pass at seed 1 of each workload (memory-bound,
+#                  cache-resident, stacked-checked, campaign-slice) that
+#                  fails unless its result line reports "failed": 0, i.e.
+#                  every cell digest — and for campaign-slice results.json
+#                  (stitched keys included) and the surfaces — matches the
+#                  pins in perfbench/digests.json.
 #   perf         — tools/perf_gate.py measures quick-scale fig6 cells on HEAD
 #                  and on a pinned pre-overhaul reference commit (same
 #                  machine), and fails if the speedup ratio regresses >20%
@@ -266,17 +268,20 @@ stage_campaignfull() {
 
 stage_perfbench() {
     python -m pytest -q perfbench/tests
-    python perfbench/run.py --workload campaign-slice --seed 1 \
-        --seconds 1 --trace 0 > "$tmp/perfbench.txt"
-    python - "$tmp/perfbench.txt" << 'PY'
+    for workload in memory-bound cache-resident stacked-checked campaign-slice; do
+        python perfbench/run.py --workload "$workload" --seed 1 \
+            --seconds 1 --trace 0 > "$tmp/perfbench.txt"
+        python - "$tmp/perfbench.txt" "$workload" << 'PY'
 import json, sys
 
 line = open(sys.argv[1]).read().splitlines()[-1]
+workload = sys.argv[2]
 result = json.loads(line)
 if result["failed"] != 0:
-    sys.exit(f"ci: FAIL — campaign-slice digests: {line}")
-print(f"ci: ok (campaign-slice: {result['attempted']} digests match the pins)")
+    sys.exit(f"ci: FAIL — {workload} digests: {line}")
+print(f"ci: ok ({workload}: {result['attempted']} digests match the pins)")
 PY
+    done
 }
 
 stage_perf() {
