@@ -12,7 +12,9 @@ Commands:
                   untimed golden reference model (see repro.check).
     profile     — run one benchmark/mechanism with the per-event time-share
                   profiler attached and report where simulation time goes
-                  (component shares and the costliest callback sites).
+                  (component shares and the costliest callback sites);
+                  ``--dram-cache {tag,dbi}`` and ``--check`` profile the
+                  stacked and checked paths.
     timeline    — per-epoch telemetry view of one run (or a saved JSONL
                   stream): ASCII sparklines and a table of any stat keys,
                   with the measured warmup boundary marked.
@@ -575,11 +577,17 @@ def _cmd_profile(args) -> int:
 
     scale = SCALES[args.scale]
     trace = scale.benchmark_trace(args.benchmark, refs=args.refs)
+    overrides = {}
+    if args.dram_cache is not None:
+        from repro.analysis.experiments import _dramcache_level_config
+
+        overrides["dram_cache"] = _dramcache_level_config(
+            scale, args.dram_cache
+        )
+    config = scale.system_config(args.mechanism, **overrides)
     profiler = SimProfiler()
     start = time.perf_counter()
-    result = run_system(
-        scale.system_config(args.mechanism), [trace], profiler=profiler
-    )
+    result = run_system(config, [trace], check=args.check, profiler=profiler)
     wall = time.perf_counter() - start
     if args.json:
         import json
@@ -588,6 +596,8 @@ def _cmd_profile(args) -> int:
             "benchmark": args.benchmark,
             "mechanism": args.mechanism,
             "scale": args.scale,
+            "dram_cache": args.dram_cache,
+            "check": args.check,
             "events_processed": result.events_processed,
             "events_per_second": result.events_processed / wall,
         }
@@ -596,7 +606,8 @@ def _cmd_profile(args) -> int:
     else:
         print(
             f"benchmark {args.benchmark}  mechanism {args.mechanism}  "
-            f"scale {args.scale}"
+            f"scale {args.scale}  dram-cache {args.dram_cache or 'none'}  "
+            f"check {args.check}"
         )
         print(
             f"{result.events_processed} events in {wall:.3f}s "
@@ -916,6 +927,16 @@ def main(argv=None) -> int:
     prof_parser.add_argument(
         "--refs", type=int, default=None,
         help="memory references in the trace (default: scale profile's)",
+    )
+    prof_parser.add_argument(
+        "--dram-cache", choices=("tag", "dbi"), default=None,
+        help="profile with a die-stacked DRAM-cache level between the LLC "
+             "and off-chip DRAM, with this dirty-tracking backend",
+    )
+    prof_parser.add_argument(
+        "--check", choices=("off", "cheap", "full"), default="off",
+        help="runtime invariant checking level (default: off); check "
+             "sweeps are charged to the 'check' component",
     )
     prof_parser.add_argument(
         "--json", action="store_true", help="emit a JSON report"

@@ -261,7 +261,16 @@ class Cache:
 
     @property
     def dirty_count(self) -> int:
-        return sum(1 for block in self.iter_valid_blocks() if block.dirty)
+        # One comprehension, not a generator over iter_valid_blocks: checked
+        # mode and telemetry read this every sweep/epoch.
+        return len(
+            [
+                None
+                for ways in self.sets
+                for block in ways
+                if block.valid and block.dirty
+            ]
+        )
 
     def lru_half_ways(self, set_idx: int) -> List[int]:
         """LRU-half ways of a set (for VWQ's Set State Vector).

@@ -71,7 +71,13 @@ class TagPort:
             )
         counter.value += 1
         self._waiting[priority].append(callback)
-        self._pump()
+        if not self._grant_pending:
+            # Arm the grant pass (what _pump does, without the extra frame).
+            self._grant_pending = True
+            queue = self.queue
+            now = queue.now
+            busy_until = self.busy_until
+            queue.schedule(busy_until if busy_until > now else now, self._grant)
 
     def __getattr__(self, name: str):
         # Only reached when normal lookup fails: images written before the

@@ -45,13 +45,17 @@ import hashlib
 import json
 import os
 import signal
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.chaos import CampaignFaultInjector
 from repro.analysis.report import format_table
-from repro.analysis.runner import RetryPolicy, SweepJobError, SweepRunner
+from repro.analysis.runner import (
+    RetryPolicy,
+    SweepJobError,
+    SweepRunner,
+    stderr_progress,
+)
 from repro.analysis.scaling import SCALES
 from repro.campaign.journal import CampaignJournal, recover_journal
 from repro.campaign.plan import (
@@ -298,10 +302,6 @@ class CampaignOutcome:
     pending: List[str] = field(default_factory=list)
     signal: Optional[int] = None
     sweep_summary: str = ""
-
-
-def stderr_progress(line: str) -> None:
-    print(line, file=sys.stderr, flush=True)
 
 
 class Campaign:

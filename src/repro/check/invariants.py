@@ -63,9 +63,36 @@ def _fail(name: str, detail: str) -> None:
 
 
 def check_cache_structure(cache, label: str = None) -> None:
-    """``cache-structure`` for one :class:`repro.cache.cache.Cache`."""
+    """``cache-structure`` for one :class:`repro.cache.cache.Cache`.
+
+    Proved from the lookup map plus one count of valid blocks. Every
+    ``_where`` entry must name a valid block holding its address, in the set
+    the address hashes to; distinct addresses then name distinct blocks, so
+    the map is one-to-one into the valid blocks. If the valid blocks number
+    exactly ``len(_where)`` it is a bijection, which leaves no block cached
+    twice, sitting in the wrong set or missing from the map. Only a cache
+    that fails pays the per-block scan that names the fault.
+    """
+    sets = cache.sets
+    where = cache._where
+    mask = cache._set_mask
+    assoc = cache.config.associativity
+    for addr, way in where.items():
+        if not 0 <= way < assoc:
+            break
+        block = sets[addr & mask][way]
+        if not block.valid or block.addr != addr:
+            break
+    else:
+        valid = len([None for ways in sets for block in ways if block.valid])
+        if valid == len(where):
+            return
+    _name_cache_fault(cache, label or cache.stats.name)
+
+
+def _name_cache_fault(cache, label: str) -> None:
+    """Per-block scan behind a failed ``cache-structure`` check."""
     name = "cache-structure"
-    label = label or cache.stats.name
     valid = {}
     for set_idx, ways in enumerate(cache.sets):
         for way, block in enumerate(ways):
@@ -96,6 +123,7 @@ def check_cache_structure(cache, label: str = None) -> None:
             f"{label}: {len(valid)} valid blocks but {len(cache._where)} "
             f"lookup entries (e.g. unmapped {['%#x' % a for a in missing]})",
         )
+    _fail(name, f"{label}: lookup map and tag arrays disagree")
 
 
 def check_recency_stacks(stacks, num_ways: int, label: str) -> None:

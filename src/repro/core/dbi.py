@@ -378,11 +378,32 @@ class DirtyBlockIndex:
         return sum(entry.dirty_count for entry in self.iter_valid_entries())
 
     def all_dirty_blocks(self) -> List[int]:
-        """Every block address currently marked dirty (flush support)."""
+        """Every block address currently marked dirty (flush support).
+
+        Valid entries in (set, way) order, each one's blocks lowest bit
+        first. Checked mode enumerates this on every sweep, so the bit walk
+        is inlined instead of a generator step and a ``block_of`` call per
+        bit; a bit vector wider than the granularity still goes through
+        ``block_of``, which names the fault.
+        """
+        config = self.config
+        shift = config._granularity_shift
+        limit = 1 << config.granularity
         blocks = []
-        for entry in self.iter_valid_entries():
-            blocks.extend(
-                self.config.block_of(entry.region_id, bit)
-                for bit in iter_set_bits(entry.bitvector)
-            )
+        for ways in self.sets:
+            for entry in ways:
+                if not entry.valid:
+                    continue
+                value = entry.bitvector
+                if not 0 <= value < limit:
+                    blocks.extend(
+                        config.block_of(entry.region_id, bit)
+                        for bit in iter_set_bits(value)
+                    )
+                    continue
+                base = entry.region_id << shift
+                while value:
+                    low = value & -value
+                    blocks.append(base | (low.bit_length() - 1))
+                    value ^= low
         return blocks

@@ -10,6 +10,13 @@ bus. Operates in two phases (paper Table 1, "drain when full" policy [27]):
   FR-FCFS until the buffer reaches the low watermark, then reads resume.
   Reads arriving during a drain wait — this is the write-caused interference
   that DRAM-aware writeback mitigates.
+
+Per-request path: ``enqueue_read``/``enqueue_write`` decode the address,
+update the phase and arm a wake at the current cycle; each wake runs
+:meth:`MemoryController._dispatch`, which makes one FR-FCFS scan per issue
+attempt (:func:`~repro.dram.scheduler.select_fr_fcfs` returns the choice by
+index, or the cycle to wake at when nothing is ready) and issues the chosen
+request inline.
 """
 
 from __future__ import annotations
@@ -36,6 +43,10 @@ class Phase(enum.Enum):
 
 class MemoryController:
     """One memory channel: banks + data bus + read queue + write buffer."""
+
+    #: Bound on first rejected write (class default: images written before
+    #: it existed restore without it).
+    _c_writes_rejected = None
 
     def __init__(
         self,
@@ -73,27 +84,26 @@ class MemoryController:
 
     # ------------------------------------------------------------------ API
 
-    def _decode(self, request: MemoryRequest) -> None:
-        """Cache the request's (bank, row) so scheduling never re-decodes."""
-        addr = request.block_addr
-        request.bank = self.banks[self.mapper.bank_of(addr)]
-        request.row = self.mapper.row_of(addr)
-
     def enqueue_read(self, request: MemoryRequest) -> None:
         """Accept a demand read. Forwards from the write buffer when possible."""
-        request.arrival_time = self.queue.now
+        now = request.arrival_time = self.queue.now
         counter = self._c_reads
         if counter is None:
             counter = self._c_reads = self.stats.counter("reads")
         counter.value += 1
-        if self.write_buffer.contains(request.block_addr):
+        addr = request.block_addr
+        if addr in self.write_buffer._by_addr:
             # Data is newer in the write buffer than in DRAM; forward it.
             self.stats.counter("reads_forwarded_from_write_buffer").increment()
-            self._complete_read(request, self.queue.now + self.config.t_burst)
+            self._complete_read(request, now + self.config.t_burst)
             return
-        self._decode(request)
+        # Cache the (bank, row) decode so scheduling never re-decodes.
+        mapper = self.mapper
+        row_seq = addr >> mapper._row_shift
+        request.bank = self.banks[row_seq & mapper._bank_mask]
+        request.row = row_seq >> mapper._bank_shift
         self.read_queue.append(request)
-        self._kick()
+        self._schedule_wake(now)
 
     def can_accept_write(self) -> bool:
         """Whether a new (non-coalescing) write would fit in the buffer."""
@@ -106,22 +116,39 @@ class MemoryController:
             False if the buffer is full and the write does not coalesce; the
             caller must retry later (back-pressure).
         """
-        request.arrival_time = self.queue.now
-        if self.write_buffer.contains(request.block_addr):
-            self.write_buffer.add(request)  # coalesce
+        now = request.arrival_time = self.queue.now
+        write_buffer = self.write_buffer
+        addr = request.block_addr
+        if addr in write_buffer._by_addr:
+            write_buffer.add(request)  # coalesce
             self.stats.counter("writes_coalesced").increment()
             return True
-        if self.write_buffer.is_full:
-            self.stats.counter("writes_rejected").increment()
+        entries = write_buffer._entries
+        capacity = write_buffer.capacity
+        if len(entries) >= capacity:
+            counter = self._c_writes_rejected
+            if counter is None:
+                counter = self._c_writes_rejected = self.stats.counter(
+                    "writes_rejected"
+                )
+            counter.value += 1
             return False
-        self._decode(request)
-        self.write_buffer.add(request)
+        mapper = self.mapper
+        row_seq = addr >> mapper._row_shift
+        request.bank = self.banks[row_seq & mapper._bank_mask]
+        request.row = row_seq >> mapper._bank_shift
+        write_buffer.add(request)
         counter = self._c_writes
         if counter is None:
             counter = self._c_writes = self.stats.counter("writes")
         counter.value += 1
-        self._update_phase()
-        self._kick()
+        if self.phase is Phase.READ:
+            if len(entries) >= capacity:
+                self.phase = Phase.WRITE_DRAIN
+                self.stats.counter("write_drain_phases").increment()
+        elif len(entries) <= self.config.drain_low_watermark:
+            self.phase = Phase.READ
+        self._schedule_wake(now)
         return True
 
     @property
@@ -138,19 +165,16 @@ class MemoryController:
 
     # ------------------------------------------------------------ scheduling
 
-    def _kick(self) -> None:
-        """Ensure a scheduling pass runs at the current cycle."""
-        # About half of all wakes issue nothing (64,285 of 125,522 on the
-        # benchmark's memory-bound workload), but skipping them is not free:
-        # the wake's position in its cycle's event bucket is observable.
-        # Rescheduling straight to the next-ready cycle changed result
-        # digests (1 of 6 cells when the pending wake was cancelled and
-        # re-appended, 6 of 6 when it was kept), and an O(1) fast path for
-        # empty wakes that keeps the event measured no gain. See
-        # docs/architecture.md §9.
-        self._schedule_wake(self.queue.now)
-
     def _schedule_wake(self, time: int) -> None:
+        # Every enqueue arms a wake at the current cycle. About half of all
+        # wakes issue nothing (64,285 of 125,522 on the benchmark's
+        # memory-bound workload), but skipping them is not free: the wake's
+        # position in its cycle's event bucket is observable. Rescheduling
+        # straight to the next-ready cycle changed result digests (1 of 6
+        # cells when the pending wake was cancelled and re-appended, 6 of 6
+        # when it was kept), and an O(1) fast path for empty wakes that
+        # keeps the event measured no gain. See docs/architecture.md §9.
+        #
         # The one cancellable entry on the queue: a later-arriving earlier
         # wake cancels the pending one, so the wake is an Event.
         wake = self._wake_event
@@ -164,46 +188,24 @@ class MemoryController:
         self._wake_event = None
         self._dispatch()
 
-    def _update_phase(self) -> None:
-        if self.phase is Phase.READ and self.write_buffer.is_full:
-            self.phase = Phase.WRITE_DRAIN
-            self.stats.counter("write_drain_phases").increment()
-        elif (
-            self.phase is Phase.WRITE_DRAIN
-            and len(self.write_buffer) <= self.config.drain_low_watermark
-        ):
-            self.phase = Phase.READ
-
-    def _candidates(self) -> List[MemoryRequest]:
-        """Requests eligible for scheduling in the current phase.
-
-        Returns live internal queues (never mutated while a scheduling scan
-        iterates them) rather than snapshots — the old per-pass
-        ``peek_all()`` copy was pure allocation churn.
-        """
-        if self.phase is Phase.WRITE_DRAIN:
-            return self.write_buffer.entries
-        if self.read_queue:
-            return self.read_queue
-        # Read phase with an empty read queue: drain writes opportunistically.
-        return self.write_buffer.entries
-
     def _dispatch(self) -> None:
         """Issue as many requests as bank availability allows, then re-arm.
 
-        Runs once per controller wake, scanning every pending request per
-        pass — the phase update and candidate selection (`_update_phase` /
-        `_candidates`) are inlined here because the call overhead alone was
-        visible in whole-simulation profiles.
+        Each issue attempt makes one FR-FCFS scan over the current phase's
+        candidates; the chosen request is issued inline and deleted from its
+        queue by index. Only :meth:`_wake` calls this, after emptying the
+        wake slot, so re-arming when nothing more can issue schedules the
+        wake directly.
         """
+        queue = self.queue
+        now = queue.now
         banks = self.banks
-        mapper = self.mapper
+        config = self.config
         write_buffer = self.write_buffer
-        wb_entries = write_buffer.entries
+        wb_entries = write_buffer._entries
         read_queue = self.read_queue
         capacity = write_buffer.capacity
-        low_watermark = self.config.drain_low_watermark
-        now = self.queue.now
+        low_watermark = config.drain_low_watermark
         while True:
             phase = self.phase
             if phase is Phase.READ:
@@ -221,39 +223,97 @@ class MemoryController:
                 candidates = wb_entries
             if not candidates:
                 return
-            request = select_fr_fcfs(candidates, banks, mapper, now)
-            if request is None:
+            index, wake_at = select_fr_fcfs(candidates, now)
+            if index < 0:
+                # The banks we need are blocked: wake when the first
+                # candidate's bank becomes ready (command slot and write
+                # recovery considered).
                 break
-            if request.row != request.bank.open_row:
-                # Row miss: an ACTIVATE is needed; honour tRRD/tFAW.
-                act_ready = self._activate_ready_time()
-                if act_ready > now:
-                    # Wake at the ACT window or when a bank frees (a row
-                    # hit may become issueable first), whichever is sooner.
-                    busy = [b.busy_until for b in banks if b.busy_until > now]
-                    self._schedule_wake(min([act_ready] + busy))
-                    return
-            self._issue(request)
-        # The banks we need are blocked: wake when the first candidate's
-        # bank becomes ready (command slot and write recovery considered).
-        wake_at = None
-        for request in candidates:
+            request = candidates[index]
             bank = request.bank
-            ready = bank.busy_until
-            if request.row != bank.open_row and bank.write_recovery_until > ready:
-                ready = bank.write_recovery_until
-            if ready > now and (wake_at is None or ready < wake_at):
-                wake_at = ready
-        self._schedule_wake(wake_at if wake_at is not None else now + 1)
+            row = request.row
+            row_hit = row == bank.open_row
+            if not row_hit:
+                # Row miss: an ACTIVATE is needed; honour tRRD/tFAW.
+                recent = self._recent_activates
+                if recent:
+                    act_ready = recent[-1] + config.t_rrd
+                    if len(recent) >= 4:
+                        window = recent[-4] + config.t_faw
+                        if window > act_ready:
+                            act_ready = window
+                    if act_ready > now:
+                        # Wake at the ACT window or when a bank frees (a row
+                        # hit may become issueable first), whichever is
+                        # sooner.
+                        wake_at = act_ready
+                        for other in banks:
+                            busy = other.busy_until
+                            if now < busy < wake_at:
+                                wake_at = busy
+                        break
+                self._record_activate(now)
 
-    def _activate_ready_time(self) -> int:
-        """Earliest cycle the next ACTIVATE may issue (tRRD / tFAW)."""
-        ready = 0
-        if self._recent_activates:
-            ready = self._recent_activates[-1] + self.config.t_rrd
-        if len(self._recent_activates) >= 4:
-            ready = max(ready, self._recent_activates[-4] + self.config.t_faw)
-        return ready
+            # Bank-side prep (precharge/activate/CAS) can overlap other
+            # banks' bursts; the burst itself serializes on the shared data
+            # bus, with a turnaround penalty when the bus switches direction.
+            is_write = request.is_write
+            data_ready = bank.perform_access(row, now)
+            burst_start = self.bus_free_time
+            last_was_write = self._last_was_write
+            if last_was_write is not None and last_was_write != is_write:
+                burst_start += config.t_turnaround
+                counter = self._c_bus_turnarounds
+                if counter is None:
+                    counter = self._c_bus_turnarounds = self.stats.counter(
+                        "bus_turnarounds"
+                    )
+                counter.value += 1
+            if data_ready > burst_start:
+                burst_start = data_ready
+            finish = burst_start + config.t_burst
+            self.bus_free_time = finish
+            self._last_was_write = is_write
+            request.issue_time = now
+            request.complete_time = finish
+            del candidates[index]
+            if is_write:
+                # Write recovery: this bank cannot precharge (change rows)
+                # until tWR after the burst; same-row accesses stream
+                # unimpeded.
+                bank.write_recovery_until = finish + config.t_wr
+                del write_buffer._by_addr[request.block_addr]
+                rate = self._r_write_row_hit
+                if rate is None:
+                    rate = self._r_write_row_hit = self.stats.rate(
+                        "write_row_hit_rate"
+                    )
+                rate.total += 1
+                if row_hit:
+                    rate.hits += 1
+                counter = self._c_dram_writes
+                if counter is None:
+                    counter = self._c_dram_writes = self.stats.counter(
+                        "dram_writes_performed"
+                    )
+                counter.value += 1
+            else:
+                rate = self._r_read_row_hit
+                if rate is None:
+                    rate = self._r_read_row_hit = self.stats.rate(
+                        "read_row_hit_rate"
+                    )
+                rate.total += 1
+                if row_hit:
+                    rate.hits += 1
+                counter = self._c_dram_reads
+                if counter is None:
+                    counter = self._c_dram_reads = self.stats.counter(
+                        "dram_reads_performed"
+                    )
+                counter.value += 1
+                self._complete_read(request, finish + config.bus_queue_latency)
+        self._wake_event = queue.schedule(wake_at, Event(wake_at, self._wake))
 
     def _record_activate(self, when: int) -> None:
         self._recent_activates.append(when)
@@ -263,70 +323,6 @@ class MemoryController:
         if counter is None:
             counter = self._c_activates = self.stats.counter("activates")
         counter.value += 1
-
-    def _issue(self, request: MemoryRequest) -> None:
-        now = self.queue.now
-        bank = request.bank
-        row = request.row
-        row_hit = row == bank.open_row
-        if not row_hit:
-            self._record_activate(now)
-
-        # Bank-side prep (precharge/activate/CAS) can overlap other banks'
-        # bursts; the burst itself serializes on the shared data bus, with a
-        # turnaround penalty when the bus switches direction.
-        data_ready = bank.perform_access(row, now)
-        bus_ready = self.bus_free_time
-        if self._last_was_write is not None and (
-            self._last_was_write != request.is_write
-        ):
-            bus_ready += self.config.t_turnaround
-            counter = self._c_bus_turnarounds
-            if counter is None:
-                counter = self._c_bus_turnarounds = self.stats.counter(
-                    "bus_turnarounds"
-                )
-            counter.value += 1
-        burst_start = max(data_ready, bus_ready)
-        finish = burst_start + self.config.t_burst
-        self.bus_free_time = finish
-        self._last_was_write = request.is_write
-        if request.is_write:
-            # Write recovery: this bank cannot precharge (change rows) until
-            # tWR after the burst; same-row accesses stream unimpeded.
-            bank.write_recovery_until = finish + self.config.t_wr
-
-        request.issue_time = now
-        request.complete_time = finish
-        if request.is_write:
-            self.write_buffer.remove(request)
-            rate = self._r_write_row_hit
-            if rate is None:
-                rate = self._r_write_row_hit = self.stats.rate("write_row_hit_rate")
-            rate.total += 1
-            if row_hit:
-                rate.hits += 1
-            counter = self._c_dram_writes
-            if counter is None:
-                counter = self._c_dram_writes = self.stats.counter(
-                    "dram_writes_performed"
-                )
-            counter.value += 1
-        else:
-            self.read_queue.remove(request)
-            rate = self._r_read_row_hit
-            if rate is None:
-                rate = self._r_read_row_hit = self.stats.rate("read_row_hit_rate")
-            rate.total += 1
-            if row_hit:
-                rate.hits += 1
-            counter = self._c_dram_reads
-            if counter is None:
-                counter = self._c_dram_reads = self.stats.counter(
-                    "dram_reads_performed"
-                )
-            counter.value += 1
-            self._complete_read(request, finish + self.config.bus_queue_latency)
 
     def _complete_read(self, request: MemoryRequest, when: int) -> None:
         request.complete_time = when

@@ -21,8 +21,8 @@ class MemoryRequest:
         issue_time / complete_time: filled in by the controller for stats.
 
     Requests compare by identity (``eq=False``): each is a unique in-flight
-    transaction, and the controller's queue removals must not pay a
-    field-by-field comparison per scanned entry.
+    transaction, so a lookup by request never pays a field-by-field
+    comparison per scanned entry.
     """
 
     block_addr: int

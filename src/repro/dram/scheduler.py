@@ -8,56 +8,52 @@ isolation from the event-driven controller.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
-from repro.dram.address import AddressMapper
-from repro.dram.bank import Bank
 from repro.dram.request import MemoryRequest
 
 
 def select_fr_fcfs(
-    candidates: Sequence[MemoryRequest],
-    banks: List[Bank],
-    mapper: AddressMapper,
-    now: int,
-) -> Optional[MemoryRequest]:
-    """Pick the next request to issue, or None if no bank is ready.
+    candidates: Sequence[MemoryRequest], now: int
+) -> Tuple[int, Optional[int]]:
+    """Pick the next request to issue, or the cycle to look again.
 
     Args:
-        candidates: pending requests in arrival (FIFO) order.
-        banks: bank state; a request is schedulable only if its bank is free.
-        mapper: address decode.
+        candidates: pending requests in arrival (FIFO) order, each with its
+            ``bank`` and ``row`` decode filled in (the controller does so on
+            acceptance). A request is schedulable only if its bank is free
+            and, for a row change, out of write recovery.
         now: current cycle.
 
     Returns:
-        The first row-hit request whose bank is free, else the oldest request
-        whose bank is free, else None.
+        ``(index, None)`` where ``index`` is the first row-hit request whose
+        bank is free, else the oldest request whose bank is ready; or
+        ``(-1, wake_at)`` when nothing can issue, ``wake_at`` being the
+        earliest cycle at which a candidate becomes ready (None when there
+        are no candidates).
     """
-    # This scan runs on every controller dispatch pass over every pending
-    # request, so the bank-readiness checks are inlined rather than going
-    # through Bank.is_ready/would_hit, and the (bank, row) decode is cached
-    # on the request (the controller fills it in on acceptance; requests
-    # built directly by tests are decoded here on first sight).
-    oldest_ready: Optional[MemoryRequest] = None
-    for request in candidates:
+    # This is the controller's only scan over its pending requests: one pass
+    # both chooses and, when nothing is ready, finds the wake cycle. The
+    # bank-readiness checks are inlined rather than going through
+    # Bank.ready_time.
+    oldest = -1
+    wake_at = None
+    for index, request in enumerate(candidates):
         bank = request.bank
-        if bank is None:
-            addr = request.block_addr
-            bank = request.bank = banks[mapper.bank_of(addr)]
-            request.row = mapper.row_of(addr)
-        row = request.row
-        if row == bank.open_row:
-            if bank.busy_until <= now:
-                return request  # first-ready row hit wins immediately
-        elif (
-            bank.busy_until <= now
-            and bank.write_recovery_until <= now
-            and oldest_ready is None
-        ):
-            oldest_ready = request
-    return oldest_ready
-
-
-def earliest_bank_free(banks: List[Bank]) -> int:
-    """Earliest cycle at which any bank becomes free (for wake-up scheduling)."""
-    return min(bank.busy_until for bank in banks)
+        ready = bank.busy_until
+        if request.row == bank.open_row:
+            if ready <= now:
+                return index, None  # first-ready row hit wins immediately
+        else:
+            recovery = bank.write_recovery_until
+            if recovery > ready:
+                ready = recovery
+            if ready <= now:
+                if oldest < 0:
+                    oldest = index
+                continue
+        if wake_at is None or ready < wake_at:
+            wake_at = ready
+    if oldest >= 0:
+        return oldest, None
+    return -1, wake_at

@@ -8,6 +8,11 @@ row hits, which is the core performance effect reproduced here.
 
 The buffer also acts as the coherence point for in-flight writes: a read that
 hits a buffered write is forwarded without touching DRAM.
+
+The memory controller, the buffer's only owner, reads ``_entries`` and
+``_by_addr`` directly on its per-request path (its FR-FCFS scan runs over
+the live FIFO list, and it deletes an issued write by its index); every
+other caller goes through the methods.
 """
 
 from __future__ import annotations
@@ -54,16 +59,10 @@ class WriteBuffer:
         if request.block_addr in self._by_addr:
             # Coalesce: the newer data overwrites in place; no new entry.
             return
-        if self.is_full:
+        if len(self._entries) >= self.capacity:
             raise ValueError("write buffer full; caller must check is_full first")
         self._entries.append(request)
         self._by_addr[request.block_addr] = request
-
-    @property
-    def entries(self) -> List[MemoryRequest]:
-        """The live FIFO-ordered entry list. Callers must not mutate it;
-        the controller's scheduling scans use it to avoid per-pass copies."""
-        return self._entries
 
     def peek_all(self) -> List[MemoryRequest]:
         """Snapshot of buffered writes in FIFO order (for the scheduler)."""

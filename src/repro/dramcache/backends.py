@@ -58,7 +58,10 @@ class TagDirtyBackend:
 
     def dirty_blocks(self) -> Set[int]:
         return {
-            block.addr for block in self.tags.iter_valid_blocks() if block.dirty
+            block.addr
+            for ways in self.tags.sets
+            for block in ways
+            if block.valid and block.dirty
         }
 
 

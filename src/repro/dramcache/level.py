@@ -60,6 +60,14 @@ class DramCacheLevel:
     #: Optional CheckEngine tap on off-chip writebacks (full checked mode).
     checker = None
 
+    # Per-fill and per-writeback counters, bound on first increment. Class
+    # defaults, so images written before they existed restore without them.
+    _c_fills = None
+    _c_dirty_evictions = None
+    _c_awb_drains = None
+    _c_dbi_forced_writebacks = None
+    _c_stacked_victim_reads = None
+
     def __init__(
         self,
         queue: EventQueue,
@@ -155,7 +163,10 @@ class DramCacheLevel:
             # flight; the off-chip copy is stale — do not overwrite it.
             self.stats.counter("fills_superseded").increment()
         else:
-            self.stats.counter("fills").increment()
+            counter = self._c_fills
+            if counter is None:
+                counter = self._c_fills = self.stats.counter("fills")
+            counter.value += 1
             self._install(addr, fill.core_id, dirty=False)
             self._send_stacked_write(addr)
         for outer in waiters:
@@ -212,12 +223,23 @@ class DramCacheLevel:
         if victim is not None:
             demand, drains = self.backend.on_evict(victim)
             if demand:
-                self.stats.counter("dirty_evictions").increment()
+                counter = self._c_dirty_evictions
+                if counter is None:
+                    counter = self._c_dirty_evictions = self.stats.counter(
+                        "dirty_evictions"
+                    )
+                counter.value += 1
                 for block in demand:
                     self._writeback_block(block, "evict")
-            for block in drains:
-                self.stats.counter("awb_drains").increment()
-                self._writeback_block(block, "awb-drain")
+            if drains:
+                counter = self._c_awb_drains
+                if counter is None:
+                    counter = self._c_awb_drains = self.stats.counter(
+                        "awb_drains"
+                    )
+                for block in drains:
+                    counter.value += 1
+                    self._writeback_block(block, "awb-drain")
         if dirty and not self.backend.tag_dirty:
             # Marking after the victim is resolved keeps the DBI's
             # cached-blocks-only invariant during the entry displacement.
@@ -225,15 +247,27 @@ class DramCacheLevel:
 
     def _forced_writebacks(self, blocks: List[int]) -> None:
         """A displaced DBI entry's blocks: cleaned in place, data off-chip."""
+        if not blocks:
+            return
+        counter = self._c_dbi_forced_writebacks
+        if counter is None:
+            counter = self._c_dbi_forced_writebacks = self.stats.counter(
+                "dbi_forced_writebacks"
+            )
         for block in blocks:
-            self.stats.counter("dbi_forced_writebacks").increment()
+            counter.value += 1
             self._writeback_block(block, "dbi-displace")
 
     def _writeback_block(self, addr: int, cause: str = "evict") -> None:
         """Move one dirty block's data from the stacked array to off-chip."""
         # The data must be read out of the stacked array first; the read is
         # fire-and-forget (it consumes stacked bandwidth, nothing waits).
-        self.stats.counter("stacked_victim_reads").increment()
+        counter = self._c_stacked_victim_reads
+        if counter is None:
+            counter = self._c_stacked_victim_reads = self.stats.counter(
+                "stacked_victim_reads"
+            )
+        counter.value += 1
         self.stacked.enqueue_read(MemoryRequest(block_addr=addr, is_write=False))
         self._send_offchip_write(addr, cause)
 

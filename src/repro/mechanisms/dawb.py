@@ -20,6 +20,12 @@ class DawbMechanism(LlcMechanism):
 
     name = "dawb"
 
+    # Per-probe counters, bound on first increment. Class defaults, so
+    # images written before they existed restore without them.
+    _c_row_probes = None
+    _c_proactive_writebacks = None
+    _c_wasted_probes = None
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         # Rows with a probe round already queued: a second dirty eviction
@@ -49,13 +55,26 @@ class DawbMechanism(LlcMechanism):
     def _probe_for_writeback(self, addr: int, row: int, last_of_round: bool) -> None:
         """One background tag lookup; write the block back iff dirty."""
         self._count_tag_lookup(-1)
-        self.stats.counter("row_probes").increment()
+        counter = self._c_row_probes
+        if counter is None:
+            counter = self._c_row_probes = self.stats.counter("row_probes")
+        counter.value += 1
         block = self.llc.probe(addr)
         if block is not None and block.dirty:
             self.llc.mark_clean(addr)
-            self.stats.counter("proactive_writebacks").increment()
+            counter = self._c_proactive_writebacks
+            if counter is None:
+                counter = self._c_proactive_writebacks = self.stats.counter(
+                    "proactive_writebacks"
+                )
+            counter.value += 1
             self._send_memory_write(addr, "dawb-probe")
         else:
-            self.stats.counter("wasted_probes").increment()
+            counter = self._c_wasted_probes
+            if counter is None:
+                counter = self._c_wasted_probes = self.stats.counter(
+                    "wasted_probes"
+                )
+            counter.value += 1
         if last_of_round:
             self._rows_in_flight.discard(row)

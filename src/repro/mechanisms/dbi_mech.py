@@ -39,6 +39,14 @@ class DbiMechanism(LlcMechanism):
     name = "dbi"
     uses_tag_dirty_bits = False
 
+    # Per-read and per-writeback counters, bound on first increment. Class
+    # defaults, so images written before they existed restore without them.
+    _c_clb_predicted_misses = None
+    _c_bypassed_lookups = None
+    _c_awb_writebacks = None
+    _c_dbi_evictions = None
+    _c_dbi_eviction_writebacks = None
+
     def __init__(
         self,
         *args,
@@ -73,7 +81,10 @@ class DbiMechanism(LlcMechanism):
     # ------------------------------------------------------------ read path
 
     def read(self, core_id: int, addr: int, on_data: Callable[[int], None]) -> None:
-        self.stats.counter("read_requests").increment()
+        counter = self._c_read_requests
+        if counter is None:
+            counter = self._c_read_requests = self.stats.counter("read_requests")
+        counter.value += 1
         if not self.enable_clb:
             self._lookup_for_read(core_id, addr, on_data)
             return
@@ -83,7 +94,12 @@ class DbiMechanism(LlcMechanism):
             return
         # Predicted miss: consult the DBI (small, fast, off the tag port)
         # before daring to bypass — dirty blocks must be served by the cache.
-        self.stats.counter("clb_predicted_misses").increment()
+        counter = self._c_clb_predicted_misses
+        if counter is None:
+            counter = self._c_clb_predicted_misses = self.stats.counter(
+                "clb_predicted_misses"
+            )
+        counter.value += 1
         self.queue.schedule_after(
             self.dbi.config.latency,
             partial(self._clb_dbi_checked, core_id, addr, on_data),
@@ -106,7 +122,12 @@ class DbiMechanism(LlcMechanism):
         # its reuse signal and set-dueling PSELs keep their (true) miss
         # votes — starving or polluting either silently flips follower sets
         # to the wrong insertion policy.
-        self.stats.counter("bypassed_lookups").increment()
+        counter = self._c_bypassed_lookups
+        if counter is None:
+            counter = self._c_bypassed_lookups = self.stats.counter(
+                "bypassed_lookups"
+            )
+        counter.value += 1
         if self.llc.contains(addr):
             # Bypassed-but-resident: the lookup was skipped but no reload
             # was needed, so this is not an LLC miss. Counted separately so
@@ -158,10 +179,15 @@ class DbiMechanism(LlcMechanism):
         The DBI bit vector names them exactly, so every background lookup
         hits a truly dirty block (Figure 3) — contrast DAWB's full-row scan.
         """
+        counter = self._c_awb_writebacks
         for other in self.dbi.dirty_blocks_in_region(addr):
             # Clear eagerly so overlapping evictions cannot double-write.
             self.dbi.mark_clean(other)
-            self.stats.counter("awb_writebacks").increment()
+            if counter is None:
+                counter = self._c_awb_writebacks = self.stats.counter(
+                    "awb_writebacks"
+                )
+            counter.value += 1
             self.port.request(
                 partial(self._writeback_probe, other, "awb"),
                 PortPriority.BACKGROUND,
@@ -181,10 +207,16 @@ class DbiMechanism(LlcMechanism):
         their bits. Each writeback needs one (background) tag lookup to read
         the data; this is the "free" DRAM-aware writeback of plain DBI.
         """
-        self.stats.counter("dbi_evictions").increment()
-        self.stats.counter("dbi_eviction_writebacks").increment(
-            len(eviction.dirty_blocks)
-        )
+        counter = self._c_dbi_evictions
+        if counter is None:
+            counter = self._c_dbi_evictions = self.stats.counter("dbi_evictions")
+        counter.value += 1
+        counter = self._c_dbi_eviction_writebacks
+        if counter is None:
+            counter = self._c_dbi_eviction_writebacks = self.stats.counter(
+                "dbi_eviction_writebacks"
+            )
+        counter.value += len(eviction.dirty_blocks)
         for block in eviction.dirty_blocks:
             self.port.request(
                 partial(self._writeback_probe, block, "dbi-displace"),

@@ -6,6 +6,7 @@ proving the checks actually discriminate, not merely that they pass on
 healthy state (each class also has a sanity test for the healthy case).
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -52,20 +53,34 @@ def expect(name):
     return pytest.raises(InvariantViolation, match=rf"\[{name}\]")
 
 
+def expect_detail(detail, name="cache-structure"):
+    """Expect ``name`` to fire with ``detail`` in its message."""
+    return pytest.raises(
+        InvariantViolation, match=rf"\[{name}\].*{re.escape(detail)}"
+    )
+
+
 class TestCacheStructure:
+    """Each corruption fails on its own, with the detail that names it.
+
+    The check proves the invariant from the lookup map plus a valid-block
+    count and only scans block by block once that fails, so every test
+    also pins the scan's message.
+    """
+
     def test_consistent_cache_passes(self):
         cache = make_cache()
         for addr in range(40):
             cache.insert(addr * 3)
         check_cache_structure(cache)
 
-    def test_lookup_map_pointing_at_wrong_way_detected(self):
+    def test_block_cached_twice_detected(self):
         cache = make_cache()
-        for addr in range(8):
-            cache.insert(addr)
-        addr = next(iter(cache._where))
-        cache._where[addr] = (cache._where[addr] + 1) % cache.config.associativity
-        with expect("cache-structure"):
+        cache.insert(0)
+        cache.insert(16)  # same set as 0 (16 sets)
+        twin = cache.sets[0][cache._where.pop(16)]
+        twin.addr = 0
+        with expect_detail("block 0x0 cached twice"):
             check_cache_structure(cache)
 
     def test_block_in_wrong_set_detected(self):
@@ -75,21 +90,51 @@ class TestCacheStructure:
         # Teleport the block: its address now hashes to a different set.
         block.addr += 1
         cache._where[block.addr] = cache._where.pop(5)
-        with expect("cache-structure"):
-            check_cache_structure(cache)
-
-    def test_unmapped_valid_block_detected(self):
-        cache = make_cache()
-        cache.insert(9)
-        del cache._where[9]
-        with expect("cache-structure"):
+        with expect_detail("block 0x6 sits in set 5 but hashes to set 6"):
             check_cache_structure(cache)
 
     def test_stale_map_entry_detected(self):
         cache = make_cache()
         cache.insert(9)
         cache._where[1000] = 0
-        with expect("cache-structure"):
+        with expect_detail("lookup map lists absent block 0x3e8"):
+            check_cache_structure(cache)
+
+    def test_lookup_map_pointing_at_wrong_way_detected(self):
+        cache = make_cache()
+        for addr in range(8):
+            cache.insert(addr)
+        addr = next(iter(cache._where))
+        cache._where[addr] = (cache._where[addr] + 1) % cache.config.associativity
+        with expect_detail(f"lookup map places block {addr:#x} in way"):
+            check_cache_structure(cache)
+
+    def test_out_of_range_way_detected(self):
+        cache = make_cache()
+        for addr in (3, 19, 35, 51):  # fill set 3; 51 lands in the last way
+            cache.insert(addr)
+        assert cache._where[51] == 3
+        cache._where[51] = -1  # indexing would alias the last way
+        with expect_detail("lookup map places block 0x33 in way -1"):
+            check_cache_structure(cache)
+        cache._where[51] = 4  # one past the last way
+        with expect_detail("lookup map places block 0x33 in way 4"):
+            check_cache_structure(cache)
+
+    def test_entry_naming_an_invalid_block_detected(self):
+        cache = make_cache()
+        cache.insert(9)
+        cache.insert(25)  # same set, next way
+        cache.sets[9][cache._where[9]].valid = False  # addr left behind
+        del cache._where[25]  # evens the valid count out
+        with expect_detail("lookup map lists absent block 0x9"):
+            check_cache_structure(cache)
+
+    def test_unmapped_valid_block_detected(self):
+        cache = make_cache()
+        cache.insert(9)
+        del cache._where[9]
+        with expect_detail("1 valid blocks but 0 lookup entries"):
             check_cache_structure(cache)
 
 

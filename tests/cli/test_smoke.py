@@ -82,6 +82,22 @@ class TestProfile:
         payload = json.loads(capsys.readouterr().out)
         assert payload["events_processed"] > 0
 
+    def test_profile_dram_cache_gets_its_own_row(self, capsys):
+        assert main(["profile", "lbm", "dbi+awb", "--refs", "1500",
+                     "--dram-cache", "dbi", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dram_cache"] == "dbi"
+        assert payload["components"]["dramcache"]["calls"] > 0
+
+    def test_profile_check_sweeps_get_their_own_row(self, capsys):
+        assert main(["profile", "lbm", "dbi+awb", "--refs", "1500",
+                     "--dram-cache", "tag", "--check", "full",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["check"] == "full"
+        assert payload["components"]["check"]["calls"] > 0
+        assert "dramcache" in payload["components"]
+
 
 class TestReliability:
     def test_reliability(self, capsys):

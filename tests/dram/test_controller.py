@@ -76,6 +76,14 @@ class TestWrites:
         assert controller.pending_writes == 0
         assert controller.stats.counter("dram_writes_performed").value == 1
 
+    def test_read_request_rejected_before_it_is_counted(self, queue, controller):
+        read = MemoryRequest(block_addr=0, is_write=False)
+        with pytest.raises(ValueError, match="only accepts writes"):
+            controller.enqueue_write(read)
+        assert controller.pending_writes == 0
+        assert "dram.writes" not in controller.stats.as_dict()
+        assert len(queue) == 0  # no wake armed for it
+
     def test_buffer_full_triggers_drain_phase(self, queue, controller):
         for addr in range(SMALL.write_buffer_entries):
             assert controller.enqueue_write(

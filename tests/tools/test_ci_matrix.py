@@ -1,6 +1,8 @@
-"""CI plumbing stays consistent: workflows reference real stages and the
-coverage ratchet only ever moves the floor up."""
+"""CI plumbing stays consistent: workflows reference real stages, the
+coverage ratchet only ever moves the floor up, and the perf gate's report
+stays off the committed perf trajectory."""
 
+import importlib.util
 import json
 import os
 import re
@@ -137,3 +139,35 @@ class TestCoverageRatchet:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+
+def load_perf_gate():
+    spec = importlib.util.spec_from_file_location(
+        "perf_gate", os.path.join(REPO, "tools", "perf_gate.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPerfGateReport:
+    """The perf gate's report never lands on a committed trajectory file."""
+
+    def test_report_is_a_gitignored_tools_file(self):
+        report = load_perf_gate().REPORT_PATH
+        relative = os.path.relpath(report, REPO)
+        assert not os.path.basename(relative).startswith("BENCH_")
+        ignored = open(os.path.join(REPO, ".gitignore")).read().splitlines()
+        assert relative in ignored
+
+    def test_workflows_upload_the_report_not_the_trajectory(self):
+        relative = os.path.relpath(load_perf_gate().REPORT_PATH, REPO)
+        uploads = []
+        for path in WORKFLOWS:
+            doc = yaml.safe_load(open(path))
+            for job in doc.get("jobs", {}).values():
+                for step in job.get("steps", []):
+                    if "upload-artifact" in str(step.get("uses", "")):
+                        uploads.append(str(step.get("with", {}).get("path", "")))
+        assert not [path for path in uploads if "BENCH_" in path]
+        assert sum(relative in path for path in uploads) == len(WORKFLOWS)

@@ -12,9 +12,11 @@ hosted CI runners, so it is recorded for the trajectory but never gated on.
 
 The gate:
 
-* writes ``BENCH_<UTC-date>.json`` (events/sec, wall-clock, peak RSS,
-  per-cell breakdown, and the speedup vs the reference commit) next to the
-  baseline, extending the perf trajectory;
+* writes its report (events/sec, wall-clock, peak RSS, per-cell
+  breakdown, and the speedup vs the reference commit) to the gitignored
+  :data:`REPORT_PATH`, which CI uploads as an artifact — never to a
+  ``BENCH_<date>.json``, whose name belongs to the committed perf
+  trajectory (a different schema, written by ``perfbench``);
 * exits 1 if the speedup ratio regressed more than ``--threshold``
   (default 20%) against the ratio pinned in ``BENCH_baseline.json``.
 
@@ -53,6 +55,8 @@ MECHANISMS = ("tadip", "dawb", "dbi+awb")
 REFERENCE_COMMIT = "e6f17ebf719c77747953fdd65a7284c0687b8f94"
 
 BASELINE_PATH = REPO_ROOT / "BENCH_baseline.json"
+#: This run's report (gitignored; uploaded by CI).
+REPORT_PATH = REPO_ROOT / "tools" / "perf_gate_report.json"
 
 #: Stand-alone driver executed inside the reference worktree. The reference
 #: commit predates this tool, so the measurement loop is shipped to it here;
@@ -228,13 +232,12 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
 
-    date = report["recorded_utc"][:10]
-    dated_path = REPO_ROOT / f"BENCH_{date}.json"
-    dated_path.write_text(json.dumps(report, indent=2) + "\n")
+    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(
         f"perf: aggregate {report['events_per_second']:,} ev/s over "
         f"{report['total_events']} events in {report['wall_seconds']}s "
-        f"(peak RSS {report['peak_rss_kib']} KiB) -> {dated_path.name}"
+        f"(peak RSS {report['peak_rss_kib']} KiB) -> "
+        f"{REPORT_PATH.relative_to(REPO_ROOT)}"
     )
     print(
         f"perf: reference {reference['events_per_second']:,} ev/s in "
