@@ -13,8 +13,9 @@ Commands:
     profile     — run one benchmark/mechanism with the per-event time-share
                   profiler attached and report where simulation time goes
                   (component shares and the costliest callback sites);
-                  ``--dram-cache {tag,dbi}`` and ``--check`` profile the
-                  stacked and checked paths.
+                  ``--dram-cache {tag,dbi}``, ``--check`` and
+                  ``--telemetry`` profile the stacked, checked and
+                  sampled paths.
     timeline    — per-epoch telemetry view of one run (or a saved JSONL
                   stream): ASCII sparklines and a table of any stat keys,
                   with the measured warmup boundary marked.
@@ -585,9 +586,16 @@ def _cmd_profile(args) -> int:
             scale, args.dram_cache
         )
     config = scale.system_config(args.mechanism, **overrides)
+    telemetry = None
+    if args.telemetry:
+        from repro.telemetry.sampler import TelemetryConfig
+
+        telemetry = TelemetryConfig(epoch_cycles=args.epoch_cycles)
     profiler = SimProfiler()
     start = time.perf_counter()
-    result = run_system(config, [trace], check=args.check, profiler=profiler)
+    result = run_system(
+        config, [trace], check=args.check, profiler=profiler, telemetry=telemetry
+    )
     wall = time.perf_counter() - start
     if args.json:
         import json
@@ -598,6 +606,7 @@ def _cmd_profile(args) -> int:
             "scale": args.scale,
             "dram_cache": args.dram_cache,
             "check": args.check,
+            "telemetry": args.epoch_cycles if args.telemetry else None,
             "events_processed": result.events_processed,
             "events_per_second": result.events_processed / wall,
         }
@@ -607,7 +616,8 @@ def _cmd_profile(args) -> int:
         print(
             f"benchmark {args.benchmark}  mechanism {args.mechanism}  "
             f"scale {args.scale}  dram-cache {args.dram_cache or 'none'}  "
-            f"check {args.check}"
+            f"check {args.check}  telemetry "
+            + (f"{args.epoch_cycles}-cycle epochs" if args.telemetry else "off")
         )
         print(
             f"{result.events_processed} events in {wall:.3f}s "
@@ -937,6 +947,15 @@ def main(argv=None) -> int:
         "--check", choices=("off", "cheap", "full"), default="off",
         help="runtime invariant checking level (default: off); check "
              "sweeps are charged to the 'check' component",
+    )
+    prof_parser.add_argument(
+        "--telemetry", action="store_true",
+        help="attach the in-memory epoch sampler; its sampling is charged "
+             "to the 'telemetry' component",
+    )
+    prof_parser.add_argument(
+        "--epoch-cycles", type=int, default=5_000, metavar="N",
+        help="telemetry epoch length in cycles (default: 5000)",
     )
     prof_parser.add_argument(
         "--json", action="store_true", help="emit a JSON report"

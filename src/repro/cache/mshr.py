@@ -72,7 +72,14 @@ class MshrFile:
         dist = self._d_occupancy
         if dist is None:
             dist = self._d_occupancy = self.stats.distribution("occupancy")
-        dist.record(len(pending))
+        # Distribution.record, inlined (one allocation per L1 miss).
+        sample = len(pending)
+        dist.count += 1
+        dist.total += sample
+        if dist.minimum is None or sample < dist.minimum:
+            dist.minimum = sample
+        if dist.maximum is None or sample > dist.maximum:
+            dist.maximum = sample
         return True
 
     def complete(self, addr: int) -> int:

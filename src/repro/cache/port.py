@@ -26,6 +26,12 @@ class PortPriority(enum.IntEnum):
     BACKGROUND = 1  # proactive-writeback probes (AWB/DAWB/VWQ/DBI evictions)
 
 
+# Hot-path aliases for callers: a module global loads without going through
+# ``EnumType.__getattr__``, and the members are the same objects.
+DEMAND = PortPriority.DEMAND
+BACKGROUND = PortPriority.BACKGROUND
+
+
 class TagPort:
     """A single non-preemptible port with two priority classes.
 
@@ -61,7 +67,7 @@ class TagPort:
         return len(self._waiting[0]) + len(self._waiting[1])
 
     def request(
-        self, callback: Callable[[], None], priority: PortPriority = PortPriority.DEMAND
+        self, callback: Callable[[], None], priority: PortPriority = DEMAND
     ) -> None:
         """Queue a lookup; ``callback`` runs when the port grants it."""
         counter = self._c_requests[priority]
@@ -118,7 +124,14 @@ class TagPort:
         depth = self._d_queue_depth
         if depth is None:
             depth = self._d_queue_depth = self.stats.distribution("queue_depth")
-        depth.record(len(demand) + len(background))
+        # Distribution.record, inlined (one grant per tag lookup).
+        sample = len(demand) + len(background)
+        depth.count += 1
+        depth.total += sample
+        if depth.minimum is None or sample < depth.minimum:
+            depth.minimum = sample
+        if depth.maximum is None or sample > depth.maximum:
+            depth.maximum = sample
         callback()
         if demand or background:
             self._pump()

@@ -77,15 +77,21 @@ class Bank:
                 f"bank {self.bank_id} busy until {self.busy_until}, "
                 f"access requested at {start_time}"
             )
-        cas_time = start_time + self.prep_latency(row)
-        data_ready = cas_time + self._config.t_cas
-        if row == self.open_row:
+        # prep_latency, inlined: this runs once per DRAM access.
+        config = self._config
+        open_row = self.open_row
+        if row == open_row:
+            cas_time = start_time
             self.row_hits += 1
         else:
+            if open_row is None:
+                cas_time = start_time + config.t_rcd
+            else:
+                cas_time = start_time + config.t_rp + config.t_rcd
             self.row_conflicts += 1
         self.open_row = row
-        self.busy_until = cas_time + self._config.t_burst
-        return data_ready
+        self.busy_until = cas_time + config.t_burst
+        return cas_time + config.t_cas
 
     def precharge(self) -> None:
         """Close the open row (used by tests and idle policies)."""

@@ -16,7 +16,9 @@ update the phase and arm a wake at the current cycle; each wake runs
 :meth:`MemoryController._dispatch`, which makes one FR-FCFS scan per issue
 attempt (:func:`~repro.dram.scheduler.select_fr_fcfs` returns the choice by
 index, or the cycle to wake at when nothing is ready) and issues the chosen
-request inline.
+request inline. A scan that finds nothing ready is remembered (the
+*blocked-until memo*) until the list or the banks change, so a wake on an
+unchanged list skips its scan.
 """
 
 from __future__ import annotations
@@ -41,12 +43,27 @@ class Phase(enum.Enum):
     WRITE_DRAIN = "write_drain"
 
 
+# Hot-path aliases: ``Phase.READ`` is a class-attribute load through
+# ``EnumType.__getattr__``; a module global is not. The members are the same
+# objects, so ``controller.phase`` still holds a ``Phase``.
+_READ = Phase.READ
+_WRITE_DRAIN = Phase.WRITE_DRAIN
+
+
 class MemoryController:
     """One memory channel: banks + data bus + read queue + write buffer."""
 
     #: Bound on first rejected write (class default: images written before
     #: it existed restore without it).
     _c_writes_rejected = None
+    #: Blocked-until memo: the candidate list whose last scan found nothing
+    #: ready, and the cycle its first candidate becomes ready. Class
+    #: defaults, so images written before the memo existed restore without.
+    _blocked_list = None
+    _blocked_until = 0
+    #: The wake Event that last fired, kept for the next wake to reuse
+    #: instead of allocating one (a class default, like the memo).
+    _spare_wake = None
 
     def __init__(
         self,
@@ -62,13 +79,15 @@ class MemoryController:
         ]
         self.read_queue: List[MemoryRequest] = []
         self.write_buffer = WriteBuffer(self.config.write_buffer_entries)
-        self.phase = Phase.READ
+        self.phase = _READ
         self.bus_free_time = 0
         self._last_was_write: Optional[bool] = None
         # Recent ACTIVATE issue times, newest last (tRRD / tFAW windows).
         self._recent_activates: List[int] = []
         self.stats = StatGroup(name)
         self._wake_event: Optional[Event] = None
+        self._blocked_list: Optional[List[MemoryRequest]] = None
+        self._blocked_until = 0
         # Hot-path stats, bound to their Counter/RateStat object on first
         # use (lazily, so the exported stat set stays byte-identical to
         # creation-on-first-increment).
@@ -95,14 +114,25 @@ class MemoryController:
         if addr in self.write_buffer._by_addr:
             # Data is newer in the write buffer than in DRAM; forward it.
             self.stats.counter("reads_forwarded_from_write_buffer").increment()
-            self._complete_read(request, now + self.config.t_burst)
+            when = request.complete_time = now + self.config.t_burst
+            dist = self._d_read_latency
+            if dist is None:
+                dist = self._d_read_latency = self.stats.distribution(
+                    "read_latency"
+                )
+            dist.record(when - now)
+            if request.on_complete is not None:
+                self.queue.schedule(when, request.fire_completion)
             return
         # Cache the (bank, row) decode so scheduling never re-decodes.
         mapper = self.mapper
         row_seq = addr >> mapper._row_shift
         request.bank = self.banks[row_seq & mapper._bank_mask]
         request.row = row_seq >> mapper._bank_shift
-        self.read_queue.append(request)
+        read_queue = self.read_queue
+        read_queue.append(request)
+        if self._blocked_list is read_queue:
+            self._unblock(request)
         self._schedule_wake(now)
 
     def can_accept_write(self) -> bool:
@@ -138,16 +168,18 @@ class MemoryController:
         request.bank = self.banks[row_seq & mapper._bank_mask]
         request.row = row_seq >> mapper._bank_shift
         write_buffer.add(request)
+        if self._blocked_list is entries:
+            self._unblock(request)
         counter = self._c_writes
         if counter is None:
             counter = self._c_writes = self.stats.counter("writes")
         counter.value += 1
-        if self.phase is Phase.READ:
+        if self.phase is _READ:
             if len(entries) >= capacity:
-                self.phase = Phase.WRITE_DRAIN
+                self.phase = _WRITE_DRAIN
                 self.stats.counter("write_drain_phases").increment()
         elif len(entries) <= self.config.drain_low_watermark:
-            self.phase = Phase.READ
+            self.phase = _READ
         self._schedule_wake(now)
         return True
 
@@ -172,8 +204,8 @@ class MemoryController:
         # position in its cycle's event bucket is observable. Rescheduling
         # straight to the next-ready cycle changed result digests (1 of 6
         # cells when the pending wake was cancelled and re-appended, 6 of 6
-        # when it was kept), and an O(1) fast path for empty wakes that
-        # keeps the event measured no gain. See docs/architecture.md §9.
+        # when it was kept). What an empty wake can skip is its scan: see
+        # the blocked-until memo in _dispatch and docs/architecture.md §9.
         #
         # The one cancellable entry on the queue: a later-arriving earlier
         # wake cancels the pending one, so the wake is an Event.
@@ -182,9 +214,36 @@ class MemoryController:
             if wake.time <= time:
                 return  # an earlier-or-equal wake is already pending
             wake.cancel()
-        self._wake_event = self.queue.schedule(time, Event(time, self._wake))
+        wake = self._spare_wake
+        if wake is None:
+            wake = Event(time, self._wake)
+        else:
+            self._spare_wake = None
+            wake.time = time
+        self._wake_event = self.queue.schedule(time, wake)
+
+    def _unblock(self, request: MemoryRequest) -> None:
+        """``request`` joined the memoized blocked list: keep the memo exact.
+
+        A scan of the list would now see one more candidate, ready at the
+        time :func:`~repro.dram.scheduler.select_fr_fcfs` computes for it,
+        so the list's wake cycle is the earlier of the two. A request that
+        is already ready thereby voids the memo: it only applies while
+        ``now`` is before the wake cycle.
+        """
+        bank = request.bank
+        ready = bank.busy_until
+        if request.row != bank.open_row:
+            recovery = bank.write_recovery_until
+            if recovery > ready:
+                ready = recovery
+        if ready < self._blocked_until:
+            self._blocked_until = ready
 
     def _wake(self) -> None:
+        # The firing Event is spent: the queue has moved past its slot and
+        # never looks at it again, so the next wake can reuse it.
+        self._spare_wake = self._wake_event
         self._wake_event = None
         self._dispatch()
 
@@ -196,6 +255,13 @@ class MemoryController:
         queue by index. Only :meth:`_wake` calls this, after emptying the
         wake slot, so re-arming when nothing more can issue schedules the
         wake directly.
+
+        Blocked-until memo: a scan that finds nothing ready records its
+        list and wake cycle. Until the wake cycle, a later attempt on the
+        same list re-arms at it without scanning, because nothing a scan
+        reads has changed: bank timing changes only on issue (which clears
+        the memo), and an enqueue onto the list lowers the wake cycle to
+        the new request's ready time if that is earlier (:meth:`_unblock`).
         """
         queue = self.queue
         now = queue.now
@@ -208,13 +274,13 @@ class MemoryController:
         low_watermark = config.drain_low_watermark
         while True:
             phase = self.phase
-            if phase is Phase.READ:
+            if phase is _READ:
                 if len(wb_entries) >= capacity:
-                    self.phase = phase = Phase.WRITE_DRAIN
+                    self.phase = phase = _WRITE_DRAIN
                     self.stats.counter("write_drain_phases").increment()
             elif len(wb_entries) <= low_watermark:
-                self.phase = phase = Phase.READ
-            if phase is Phase.WRITE_DRAIN:
+                self.phase = phase = _READ
+            if phase is _WRITE_DRAIN:
                 candidates = wb_entries
             elif read_queue:
                 candidates = read_queue
@@ -223,11 +289,16 @@ class MemoryController:
                 candidates = wb_entries
             if not candidates:
                 return
+            if candidates is self._blocked_list and now < self._blocked_until:
+                wake_at = self._blocked_until
+                break
             index, wake_at = select_fr_fcfs(candidates, now)
             if index < 0:
                 # The banks we need are blocked: wake when the first
                 # candidate's bank becomes ready (command slot and write
                 # recovery considered).
+                self._blocked_list = candidates
+                self._blocked_until = wake_at
                 break
             request = candidates[index]
             bank = request.bank
@@ -257,6 +328,7 @@ class MemoryController:
             # Bank-side prep (precharge/activate/CAS) can overlap other
             # banks' bursts; the burst itself serializes on the shared data
             # bus, with a turnaround penalty when the bus switches direction.
+            self._blocked_list = None
             is_write = request.is_write
             data_ready = bank.perform_access(row, now)
             burst_start = self.bus_free_time
@@ -275,12 +347,12 @@ class MemoryController:
             self.bus_free_time = finish
             self._last_was_write = is_write
             request.issue_time = now
-            request.complete_time = finish
             del candidates[index]
             if is_write:
                 # Write recovery: this bank cannot precharge (change rows)
                 # until tWR after the burst; same-row accesses stream
                 # unimpeded.
+                request.complete_time = finish
                 bank.write_recovery_until = finish + config.t_wr
                 del write_buffer._by_addr[request.block_addr]
                 rate = self._r_write_row_hit
@@ -312,8 +384,29 @@ class MemoryController:
                         "dram_reads_performed"
                     )
                 counter.value += 1
-                self._complete_read(request, finish + config.bus_queue_latency)
-        self._wake_event = queue.schedule(wake_at, Event(wake_at, self._wake))
+                # The read's data reaches the requester after the bus queue.
+                when = request.complete_time = finish + config.bus_queue_latency
+                dist = self._d_read_latency
+                if dist is None:
+                    dist = self._d_read_latency = self.stats.distribution(
+                        "read_latency"
+                    )
+                sample = when - request.arrival_time
+                dist.count += 1
+                dist.total += sample
+                if dist.minimum is None or sample < dist.minimum:
+                    dist.minimum = sample
+                if dist.maximum is None or sample > dist.maximum:
+                    dist.maximum = sample
+                if request.on_complete is not None:
+                    queue.schedule(when, request.fire_completion)
+        wake = self._spare_wake
+        if wake is None:
+            wake = Event(wake_at, self._wake)
+        else:
+            self._spare_wake = None
+            wake.time = wake_at
+        self._wake_event = queue.schedule(wake_at, wake)
 
     def _record_activate(self, when: int) -> None:
         self._recent_activates.append(when)
@@ -323,12 +416,3 @@ class MemoryController:
         if counter is None:
             counter = self._c_activates = self.stats.counter("activates")
         counter.value += 1
-
-    def _complete_read(self, request: MemoryRequest, when: int) -> None:
-        request.complete_time = when
-        dist = self._d_read_latency
-        if dist is None:
-            dist = self._d_read_latency = self.stats.distribution("read_latency")
-        dist.record(when - request.arrival_time)
-        if request.on_complete is not None:
-            self.queue.schedule(when, request.fire_completion)

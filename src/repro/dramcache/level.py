@@ -125,10 +125,7 @@ class DramCacheLevel:
             counter.value += 1
             self.stacked.enqueue_read(
                 MemoryRequest(
-                    block_addr=addr,
-                    is_write=False,
-                    core_id=request.core_id,
-                    on_complete=partial(_complete_outer, request),
+                    addr, False, request.core_id, 0, partial(_complete_outer, request)
                 )
             )
             return
@@ -147,17 +144,12 @@ class DramCacheLevel:
             counter = self._c_offchip_reads = self.stats.counter("offchip_reads")
         counter.value += 1
         self.offchip.enqueue_read(
-            MemoryRequest(
-                block_addr=addr,
-                is_write=False,
-                core_id=request.core_id,
-                on_complete=self._fill_arrived,
-            )
+            MemoryRequest(addr, False, request.core_id, 0, self._fill_arrived)
         )
 
     def _fill_arrived(self, fill: MemoryRequest) -> None:
         addr = fill.block_addr
-        waiters = self._pending_reads.pop(addr, [])
+        waiters = self._pending_reads.pop(addr, ())
         if self.tags.contains(addr):
             # A writeback installed (newer) data while the fetch was in
             # flight; the off-chip copy is stale — do not overwrite it.
@@ -268,7 +260,7 @@ class DramCacheLevel:
                 "stacked_victim_reads"
             )
         counter.value += 1
-        self.stacked.enqueue_read(MemoryRequest(block_addr=addr, is_write=False))
+        self.stacked.enqueue_read(MemoryRequest(addr, False))
         self._send_offchip_write(addr, cause)
 
     # ------------------------------------------------------- memory writes
@@ -282,9 +274,7 @@ class DramCacheLevel:
         counter.value += 1
         if self.checker is not None:
             self.checker.on_memory_writeback(addr, cause)
-        accepted = self.offchip.enqueue_write(
-            MemoryRequest(block_addr=addr, is_write=True)
-        )
+        accepted = self.offchip.enqueue_write(MemoryRequest(addr, True))
         if not accepted:
             self._offchip_overflow.append(addr)
             self._schedule_offchip_retry()
@@ -299,18 +289,14 @@ class DramCacheLevel:
         self._offchip_retry_pending = False
         while self._offchip_overflow:
             addr = self._offchip_overflow[0]
-            if self.offchip.enqueue_write(
-                MemoryRequest(block_addr=addr, is_write=True)
-            ):
+            if self.offchip.enqueue_write(MemoryRequest(addr, True)):
                 self._offchip_overflow.popleft()
             else:
                 self._schedule_offchip_retry()
                 return
 
     def _send_stacked_write(self, addr: int) -> None:
-        accepted = self.stacked.enqueue_write(
-            MemoryRequest(block_addr=addr, is_write=True)
-        )
+        accepted = self.stacked.enqueue_write(MemoryRequest(addr, True))
         if not accepted:
             self._stacked_overflow.append(addr)
             self._schedule_stacked_retry()
@@ -325,9 +311,7 @@ class DramCacheLevel:
         self._stacked_retry_pending = False
         while self._stacked_overflow:
             addr = self._stacked_overflow[0]
-            if self.stacked.enqueue_write(
-                MemoryRequest(block_addr=addr, is_write=True)
-            ):
+            if self.stacked.enqueue_write(MemoryRequest(addr, True)):
                 self._stacked_overflow.popleft()
             else:
                 self._schedule_stacked_retry()

@@ -22,7 +22,7 @@ from functools import partial
 from typing import Callable, Deque, Dict, List
 
 from repro.cache.cache import Cache, EvictedBlock
-from repro.cache.port import PortPriority, TagPort
+from repro.cache.port import DEMAND, TagPort
 from repro.dram.address import AddressMapper
 from repro.dram.controller import MemoryController
 from repro.dram.request import MemoryRequest
@@ -31,6 +31,9 @@ from repro.utils.stats import StatGroup
 
 #: Cycles between attempts to re-enqueue a writeback the controller rejected.
 WRITEBACK_RETRY_INTERVAL = 50
+
+#: LLC latencies the mechanism reads from its cache config once.
+_LATENCIES = ("_llc_hit_latency", "_llc_miss_detect_latency")
 
 
 def _invoke(callback: Callable[[int], None], addr: int) -> None:
@@ -63,6 +66,14 @@ class LlcMechanism:
     checker = None
     #: Optional DrainRecorder witness (oracle-v2 differential runs only).
     recorder = None
+    #: True where :meth:`_train_predictor` does something (a miss predictor
+    #: learns from every lookup outcome); the read path skips the call
+    #: otherwise.
+    trains_predictor = False
+    #: Per-core fill continuations, ``partial(self._fill_request_done,
+    #: core_id)``, built on a core's first memory fetch. A class default,
+    #: so images written before it existed restore without it.
+    _fill_done_by_core = None
 
     def __init__(
         self,
@@ -90,6 +101,20 @@ class LlcMechanism:
         self._c_memory_writebacks = None
         self._c_tag_lookups = None
         self._c_tag_lookups_core: Dict[int, object] = {}
+        self._read_latencies()
+
+    def _read_latencies(self) -> None:
+        config = self.llc.config
+        self._llc_hit_latency = config.hit_latency
+        self._llc_miss_detect_latency = config.miss_detect_latency
+
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails: images written before the
+        # latencies were read once lack them.
+        if name in _LATENCIES and "llc" in self.__dict__:
+            self._read_latencies()
+            return self.__dict__[name]
+        raise AttributeError(name)
 
     # ------------------------------------------------------------ read path
 
@@ -99,15 +124,13 @@ class LlcMechanism:
         if counter is None:
             counter = self._c_read_requests = self.stats.counter("read_requests")
         counter.value += 1
-        self._lookup_for_read(core_id, addr, on_data)
+        # _lookup_for_read, inlined: every L2 miss comes through here.
+        self.port.request(partial(self._read_granted, core_id, addr, on_data), DEMAND)
 
     def _lookup_for_read(
         self, core_id: int, addr: int, on_data: Callable[[int], None]
     ) -> None:
-        self.port.request(
-            partial(self._read_granted, core_id, addr, on_data),
-            PortPriority.DEMAND,
-        )
+        self.port.request(partial(self._read_granted, core_id, addr, on_data), DEMAND)
 
     def _read_granted(
         self, core_id: int, addr: int, on_data: Callable[[int], None]
@@ -118,20 +141,20 @@ class LlcMechanism:
             if counter is None:
                 counter = self._c_read_hits = self.stats.counter("read_hits")
             counter.value += 1
-            self._train_predictor(core_id, addr, hit=True)
+            if self.trains_predictor:
+                self._train_predictor(core_id, addr, True)
             queue = self.queue
-            queue.schedule(
-                queue.now + self.llc.config.hit_latency, partial(on_data, addr)
-            )
+            queue.schedule(queue.now + self._llc_hit_latency, partial(on_data, addr))
             return
         counter = self._c_read_misses
         if counter is None:
             counter = self._c_read_misses = self.stats.counter("read_misses")
         counter.value += 1
-        self._train_predictor(core_id, addr, hit=False)
+        if self.trains_predictor:
+            self._train_predictor(core_id, addr, False)
         queue = self.queue
         queue.schedule(
-            queue.now + self.llc.config.miss_detect_latency,
+            queue.now + self._llc_miss_detect_latency,
             partial(self._fetch_block, core_id, addr, on_data),
         )
 
@@ -147,19 +170,19 @@ class LlcMechanism:
         self._pending_fills[addr] = [on_data]
         if self.recorder is not None:
             self.recorder.on_memory_fetch(addr)
-        self.memory.enqueue_read(
-            MemoryRequest(
-                block_addr=addr,
-                is_write=False,
-                core_id=core_id,
-                on_complete=partial(self._fill_request_done, core_id),
-            )
-        )
+        by_core = self._fill_done_by_core
+        if by_core is None:
+            by_core = self._fill_done_by_core = {}
+        fill_done = by_core.get(core_id)
+        if fill_done is None:
+            fill_done = by_core[core_id] = partial(self._fill_request_done, core_id)
+        # Positional: block_addr, is_write, core_id, arrival_time, on_complete.
+        self.memory.enqueue_read(MemoryRequest(addr, False, core_id, 0, fill_done))
 
     def _fill_request_done(self, core_id: int, request: MemoryRequest) -> None:
         """The memory read for an LLC fill returned: install, wake waiters."""
         addr = request.block_addr
-        waiters = self._pending_fills.pop(addr, [])
+        waiters = self._pending_fills.pop(addr, ())
         evicted = self.llc.insert(addr, core_id=core_id, dirty=False)
         if evicted is not None:
             self._handle_cache_eviction(evicted)
@@ -173,12 +196,7 @@ class LlcMechanism:
         if self.recorder is not None:
             self.recorder.on_memory_fetch(addr)
         self.memory.enqueue_read(
-            MemoryRequest(
-                block_addr=addr,
-                is_write=False,
-                core_id=core_id,
-                on_complete=partial(_deliver_block, on_data),
-            )
+            MemoryRequest(addr, False, core_id, 0, partial(_deliver_block, on_data))
         )
 
     # ------------------------------------------------------- writeback path
@@ -191,9 +209,7 @@ class LlcMechanism:
                 "writeback_requests"
             )
         counter.value += 1
-        self.port.request(
-            partial(self._writeback_granted, core_id, addr), PortPriority.DEMAND
-        )
+        self.port.request(partial(self._writeback_granted, core_id, addr), DEMAND)
 
     def _writeback_granted(self, core_id: int, addr: int) -> None:
         self._count_tag_lookup(core_id)
@@ -225,7 +241,10 @@ class LlcMechanism:
         """Hook for proactive row writeback (DAWB/VWQ/AWB). Default: none."""
 
     def _train_predictor(self, core_id: int, addr: int, hit: bool) -> None:
-        """Hook for miss-predictor training (Skip Cache / CLB)."""
+        """Hook for miss-predictor training (Skip Cache / CLB).
+
+        Called only when :attr:`trains_predictor` is set.
+        """
 
     # ------------------------------------------------------- memory writes
 
@@ -246,9 +265,7 @@ class LlcMechanism:
             self.checker.on_memory_writeback(addr, cause)
         if self.recorder is not None:
             self.recorder.on_memory_writeback(addr, cause)
-        accepted = self.memory.enqueue_write(
-            MemoryRequest(block_addr=addr, is_write=True)
-        )
+        accepted = self.memory.enqueue_write(MemoryRequest(addr, True))
         if not accepted:
             self._writeback_overflow.append(addr)
             self._schedule_writeback_retry()
@@ -263,7 +280,7 @@ class LlcMechanism:
         self._retry_pending = False
         while self._writeback_overflow:
             addr = self._writeback_overflow[0]
-            if self.memory.enqueue_write(MemoryRequest(block_addr=addr, is_write=True)):
+            if self.memory.enqueue_write(MemoryRequest(addr, True)):
                 self._writeback_overflow.popleft()
             else:
                 self._schedule_writeback_retry()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.cache.port import PortPriority
+from repro.cache.port import BACKGROUND
 from repro.mechanisms.base import LlcMechanism
 
 
@@ -49,7 +49,7 @@ class DawbMechanism(LlcMechanism):
         for other in span:
             self.port.request(
                 partial(self._probe_for_writeback, other, row, other == last),
-                PortPriority.BACKGROUND,
+                BACKGROUND,
             )
 
     def _probe_for_writeback(self, addr: int, row: int, last_of_round: bool) -> None:

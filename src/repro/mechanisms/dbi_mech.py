@@ -27,7 +27,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from repro.cache.cache import EvictedBlock
-from repro.cache.port import PortPriority
+from repro.cache.port import BACKGROUND
 from repro.core.dbi import DbiEviction, DirtyBlockIndex
 from repro.mechanisms.base import LlcMechanism
 from repro.mechanisms.misspredictor import MissPredictor
@@ -38,6 +38,9 @@ class DbiMechanism(LlcMechanism):
 
     name = "dbi"
     uses_tag_dirty_bits = False
+    #: True on the class so images written before the flag existed keep
+    #: training; an instance without a predictor clears it in ``__init__``.
+    trains_predictor = True
 
     # Per-read and per-writeback counters, bound on first increment. Class
     # defaults, so images written before they existed restore without them.
@@ -61,6 +64,7 @@ class DbiMechanism(LlcMechanism):
         self.enable_awb = enable_awb
         self.enable_clb = enable_clb
         self.predictor = predictor
+        self.trains_predictor = predictor is not None
         if enable_clb and predictor is None:
             raise ValueError("CLB requires a miss predictor")
         parts = ["dbi"]
@@ -190,7 +194,7 @@ class DbiMechanism(LlcMechanism):
             counter.value += 1
             self.port.request(
                 partial(self._writeback_probe, other, "awb"),
-                PortPriority.BACKGROUND,
+                BACKGROUND,
             )
 
     def _writeback_probe(self, addr: int, cause: str) -> None:
@@ -220,7 +224,7 @@ class DbiMechanism(LlcMechanism):
         for block in eviction.dirty_blocks:
             self.port.request(
                 partial(self._writeback_probe, block, "dbi-displace"),
-                PortPriority.BACKGROUND,
+                BACKGROUND,
             )
 
     # ------------------------------------------------- invariant inspection

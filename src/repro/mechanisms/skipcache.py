@@ -26,6 +26,7 @@ class SkipCacheMechanism(LlcMechanism):
 
     name = "skipcache"
     write_through = True
+    trains_predictor = True
 
     def __init__(self, *args, predictor: MissPredictor, **kwargs) -> None:
         super().__init__(*args, **kwargs)

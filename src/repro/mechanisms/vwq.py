@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.cache.port import PortPriority
+from repro.cache.port import BACKGROUND
 from repro.mechanisms.base import LlcMechanism
 
 
@@ -66,7 +66,7 @@ class VwqMechanism(LlcMechanism):
         for other in probes:
             self.port.request(
                 partial(self._probe_lru_ways, other, row, other == last),
-                PortPriority.BACKGROUND,
+                BACKGROUND,
             )
 
     def _probe_lru_ways(self, addr: int, row: int, last_of_round: bool) -> None:

@@ -218,7 +218,14 @@ class OooCore:
                 dist = self._d_load_latency = self.stats.distribution(
                     "load_latency"
                 )
-            dist.record(self.queue.now - issue_cycle)
+            # Distribution.record, inlined (one per completed load).
+            sample = self.queue.now - issue_cycle
+            dist.count += 1
+            dist.total += sample
+            if dist.minimum is None or sample < dist.minimum:
+                dist.minimum = sample
+            if dist.maximum is None or sample > dist.maximum:
+                dist.maximum = sample
         if self.measured_ipc is None and self._instr_count >= self.instruction_limit:
             self._maybe_record()
         if self._waiting and not self.finished:

@@ -31,14 +31,19 @@ from repro.utils.events import EventQueue
 from repro.utils.stats import StatGroup
 
 
-#: Per-access latencies the hierarchy reads from its configs once.
-_LATENCIES = ("_l1_miss_detect", "_l2_hit", "_l2_miss_detect")
+#: Per-access values the hierarchy derives once: latencies read from its
+#: configs and each core's fill continuations.
+_DERIVED = (
+    "_l1_miss_detect", "_l2_hit", "_l2_miss_detect", "_llc_data_of", "_store_fill_of",
+)
 
 
 class Hierarchy:
     """Private L1/L2 levels in front of a shared, mechanism-driven LLC.
 
-    The per-access paths are flattened: latencies are read once, per-core
+    The per-access paths are flattened: latencies are read once, each
+    core's fill continuations (``partial(self._llc_data, core_id)`` and
+    ``partial(self._store_fill, core_id)``) are built once, per-core
     counters are bound inline (lazily, so the exported stat set stays
     byte-identical to creation-on-first-increment), and every delay goes to
     ``EventQueue.schedule`` as an absolute time.
@@ -70,20 +75,23 @@ class Hierarchy:
             self.core_stats.append(StatGroup(f"hier_core{core}"))
         self._l1_config = l1_config
         self._l2_config = l2_config
-        self._read_latencies()
+        self._derive()
         # Per-(core, stat) counters, bound on first use.
         self._bound: List[dict] = [{} for _ in range(num_cores)]
 
-    def _read_latencies(self) -> None:
+    def _derive(self) -> None:
         self._l1_miss_detect = self._l1_config.miss_detect_latency
         self._l2_hit = self._l2_config.hit_latency
         self._l2_miss_detect = self._l2_config.miss_detect_latency
+        cores = range(self.num_cores)
+        self._llc_data_of = [partial(self._llc_data, core) for core in cores]
+        self._store_fill_of = [partial(self._store_fill, core) for core in cores]
 
     def __getattr__(self, name: str):
-        # Only reached when normal lookup fails: images written before the
-        # latencies were read once lack them.
-        if name in _LATENCIES and "_l2_config" in self.__dict__:
-            self._read_latencies()
+        # Only reached when normal lookup fails: images written before these
+        # values were derived once lack them.
+        if name in _DERIVED and "_l2_config" in self.__dict__:
+            self._derive()
             return self.__dict__[name]
         raise AttributeError(name)
 
@@ -148,7 +156,7 @@ class Hierarchy:
             bound["llc_reads"].value += 1
         except KeyError:
             self._count(core_id, "llc_reads")
-        self.mechanism.read(core_id, addr, partial(self._llc_data, core_id))
+        self.mechanism.read(core_id, addr, self._llc_data_of[core_id])
 
     # -------------------------------------------------------------- fills
 
@@ -200,7 +208,7 @@ class Hierarchy:
             bound["store_misses"].value += 1
         except KeyError:
             self._count(core_id, "store_misses")
-        if self.l1_mshrs[core_id].allocate(addr, partial(self._store_fill, core_id)):
+        if self.l1_mshrs[core_id].allocate(addr, self._store_fill_of[core_id]):
             queue = self.queue
             queue.schedule(
                 queue.now + self._l1_miss_detect,

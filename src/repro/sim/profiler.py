@@ -37,6 +37,7 @@ _COMPONENT_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.dram", "dram"),
     ("repro.core", "dbi"),
     ("repro.check", "check"),
+    ("repro.telemetry", "telemetry"),
     ("repro.sim", "sim"),
 )
 
@@ -103,16 +104,35 @@ class SimProfiler:
         try:
             callback()
         finally:
-            elapsed = _time.perf_counter() - t0
-            key = callback_site(callback)
-            site = self._sites.get(key)
-            if site is None:
-                self._sites[key] = [1, elapsed]
-            else:
-                site[0] += 1
-                site[1] += elapsed
-            self.calls += 1
-            self.seconds += elapsed
+            self._charge(callback_site(callback), _time.perf_counter() - t0)
+
+    def _charge(self, key: Tuple[str, str], elapsed: float) -> None:
+        site = self._sites.get(key)
+        if site is None:
+            self._sites[key] = [1, elapsed]
+        else:
+            site[0] += 1
+            site[1] += elapsed
+        self.calls += 1
+        self.seconds += elapsed
+
+    def timed(self, fn: Callable) -> Callable:
+        """``fn`` wrapped so that each call is charged like a callback.
+
+        For work the kernel runs outside its callbacks: it calls the
+        telemetry sampler directly before a bucket fires, so ``System``
+        wraps the sampler's ``sample`` with this when both are attached.
+        """
+        key = callback_site(fn)
+
+        def run(*args, **kwargs):
+            t0 = _time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._charge(key, _time.perf_counter() - t0)
+
+        return run
 
     # ------------------------------------------------------------ reporting
 

@@ -307,6 +307,9 @@ class System:
                 gauges=self._telemetry_gauges(),
             )
             self.queue.telemetry = self.telemetry
+            if profiler is not None:
+                # The kernel calls the sampler outside any callback.
+                self.telemetry.sample = profiler.timed(self.telemetry.sample)
 
     def _telemetry_counters(self):
         """Cumulative-integer probes outside the stat groups.

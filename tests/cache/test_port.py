@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.port import PortPriority, TagPort
+from repro.cache.port import BACKGROUND, DEMAND, PortPriority, TagPort
 from repro.utils.events import EventQueue
 
 
@@ -77,6 +77,19 @@ class TestAccounting:
         assert flat["llc_port.requests_demand"] == 1
         assert flat["llc_port.requests_background"] == 1
         assert flat["llc_port.grants"] == 2
+
+    def test_module_aliases_are_the_members(self, queue):
+        """Callers pass the module-level aliases; the per-priority stats
+        keep their public names."""
+        assert DEMAND is PortPriority.DEMAND
+        assert BACKGROUND is PortPriority.BACKGROUND
+        port = make_port(queue)
+        port.request(lambda: None, DEMAND)
+        port.request(lambda: None, BACKGROUND)
+        queue.run()
+        flat = port.stats.as_dict()
+        assert flat["llc_port.requests_demand"] == 1
+        assert flat["llc_port.requests_background"] == 1
 
     def test_queued_property(self, queue):
         port = make_port(queue)

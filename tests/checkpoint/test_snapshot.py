@@ -287,6 +287,73 @@ class TestPreCallableImages:
         assert core._load_done_cb == core._load_done
 
 
+def controllers(system):
+    """Every memory controller: off-chip, plus the stacked array's."""
+    level = system.dram_cache
+    return [system.memory] + ([level.stacked] if level is not None else [])
+
+
+def as_pre_memo_image(system):
+    """Rewrite a live system into the layout of images written before the
+    blocked-until memo, the once-built fill continuations and the
+    mechanism's once-read latencies and predictor flag: none of those
+    attributes exist on the instances."""
+    for controller in controllers(system):
+        del controller._blocked_list, controller._blocked_until
+    hierarchy = system.hierarchy
+    del hierarchy._llc_data_of, hierarchy._store_fill_of
+    mechanism = system.mechanism
+    vars(mechanism).pop("_fill_done_by_core", None)
+    vars(mechanism).pop("trains_predictor", None)
+    del mechanism._llc_hit_latency, mechanism._llc_miss_detect_latency
+
+
+class TestPreMemoImages:
+    """Images written before the per-miss allocations were cut restore, in
+    either container format, and finish like an uninterrupted run."""
+
+    @pytest.mark.parametrize("container", ["format1", "format2"])
+    @pytest.mark.parametrize("dram_cache", [None, "dbi"])
+    @pytest.mark.parametrize("mechanism", ["dawb", "dbi+awb+clb"])
+    def test_restores_and_finishes_like_an_uninterrupted_run(
+        self, mechanism, dram_cache, container
+    ):
+        benchmark = "lbm" if dram_cache else "mcf"
+        expected = make_system(
+            mechanism, benchmark=benchmark, dram_cache=dram_cache
+        ).run()
+        system = make_system(mechanism, benchmark=benchmark, dram_cache=dram_cache)
+        for core in system.cores:
+            core.start()
+        system.queue.run(max_events=SPLIT_EVENTS)
+
+        # Stop with reads in flight, writes buffered and a live memo, so
+        # the restored run must rebuild what the image lacks mid-stream.
+        def mid_stream():
+            found = controllers(system)
+            return (
+                any(c.read_queue for c in found)
+                and any(c.write_buffer._entries for c in found)
+                and any(c._blocked_list is not None for c in found)
+            )
+
+        while not mid_stream():
+            assert system.queue.step()
+        as_pre_memo_image(system)
+        image = (
+            format1_container(system)
+            if container == "format1"
+            else snapshot_system(system)
+        )
+        restored = restore_system(image)
+        for controller in controllers(restored):
+            assert "_blocked_list" not in vars(controller)
+        assert "_llc_data_of" not in vars(restored.hierarchy)
+        actual = restored.resume()
+        assert actual.to_dict() == expected.to_dict()
+        assert actual.events_processed == expected.events_processed
+
+
 class TestStateSetter:
     """Simulator objects restore through the state setter, not BUILD."""
 

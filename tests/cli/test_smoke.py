@@ -98,6 +98,13 @@ class TestProfile:
         assert payload["components"]["check"]["calls"] > 0
         assert "dramcache" in payload["components"]
 
+    def test_profile_telemetry_sampling_gets_its_own_row(self, capsys):
+        assert main(["profile", "lbm", "dbi+awb", "--refs", "1500",
+                     "--telemetry", "--epoch-cycles", "2000", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["telemetry"] == 2000
+        assert payload["components"]["telemetry"]["calls"] > 0
+
 
 class TestReliability:
     def test_reliability(self, capsys):

@@ -1,10 +1,17 @@
 """Integration-style tests for the memory controller."""
 
-import pytest
+from functools import partial
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.dram.controller as controller_module
+from repro.dram.bank import Bank
 from repro.dram.config import DramConfig
 from repro.dram.controller import MemoryController, Phase
 from repro.dram.request import MemoryRequest
+from repro.dram.scheduler import select_fr_fcfs
 from repro.utils.events import EventQueue
 
 SMALL = DramConfig(num_banks=4, row_buffer_blocks=16, write_buffer_entries=4)
@@ -85,6 +92,7 @@ class TestWrites:
         assert len(queue) == 0  # no wake armed for it
 
     def test_buffer_full_triggers_drain_phase(self, queue, controller):
+        assert controller.phase is Phase.READ
         for addr in range(SMALL.write_buffer_entries):
             assert controller.enqueue_write(
                 MemoryRequest(block_addr=addr * 16, is_write=True)
@@ -159,3 +167,187 @@ class TestInterference:
         assert not controller.is_idle()
         queue.run()
         assert controller.is_idle()
+
+
+class TestPhaseMembers:
+    def test_fill_and_drain_cycle_holds_the_public_members(self, queue, controller):
+        """The hot path compares against module aliases, but ``phase`` must
+        still hold the ``Phase`` members themselves."""
+        seen = [controller.phase]
+        for addr in range(SMALL.write_buffer_entries):
+            controller.enqueue_write(MemoryRequest(addr * 16, True))
+        seen.append(controller.phase)
+        queue.run()
+        seen.append(controller.phase)
+        expected = (Phase.READ, Phase.WRITE_DRAIN, Phase.READ)
+        assert len(seen) == 3
+        assert all(member is want for member, want in zip(seen, expected))
+
+
+# ----------------------------------------------------- blocked-until memo
+
+#: Few banks, short rows and a small buffer, so random traffic keeps
+#: finding busy banks, row conflicts, write recovery and drain phases.
+MEMO = DramConfig(
+    num_banks=2, row_buffer_blocks=4, write_buffer_entries=4,
+    drain_low_watermark=1,
+)
+
+
+def assert_memo_exact(controller):
+    """A live memo must be what a scan of its list would return now."""
+    blocked = controller._blocked_list
+    now = controller.queue.now
+    if blocked is not None and now < controller._blocked_until:
+        assert select_fr_fcfs(blocked, now) == (-1, controller._blocked_until)
+
+
+def drive(ops):
+    """Run ``ops`` — (delay, is_write, addr) arrivals — on a bare controller.
+
+    Returns each arrival's issue and completion cycles, the wake cycles, the
+    write rejections and the events processed.
+    """
+    queue = EventQueue()
+    controller = MemoryController(queue, MEMO)
+    requests, rejected = [], []
+
+    def arrive(request):
+        assert_memo_exact(controller)
+        if request.is_write:
+            if not controller.enqueue_write(request):
+                rejected.append((queue.now, request.block_addr))
+                return
+        else:
+            controller.enqueue_read(request)
+        requests.append(request)
+        assert_memo_exact(controller)
+
+    time = 0
+    for delay, is_write, addr in ops:
+        time += delay
+        queue.schedule(time, partial(arrive, MemoryRequest(addr, is_write)))
+    queue.run()
+    timing = [(r.issue_time, r.complete_time) for r in requests]
+    return timing, controller.wakes, rejected, queue.events_processed
+
+
+class _Recording:
+    """Class-level wrappers that log bank accesses (the issue order) and
+    wakes, and check the memo around every dispatch."""
+
+    def __init__(self, clear_memo: bool) -> None:
+        self.clear_memo = clear_memo
+        self.accesses = []
+
+    def install(self, monkeypatch) -> None:
+        wake = MemoryController._wake
+        dispatch = MemoryController._dispatch
+        clear_memo = self.clear_memo
+
+        perform_access = Bank.perform_access
+
+        def logged_access(bank, row, start):
+            self.accesses.append((bank.bank_id, row, start))
+            return perform_access(bank, row, start)
+
+        def logged_wake(controller):
+            controller.__dict__.setdefault("wakes", []).append(controller.queue.now)
+            wake(controller)
+
+        def checked_dispatch(controller):
+            if clear_memo:
+                controller._blocked_list = None
+            assert_memo_exact(controller)
+            dispatch(controller)
+            assert_memo_exact(controller)
+
+        monkeypatch.setattr(Bank, "perform_access", logged_access)
+        monkeypatch.setattr(MemoryController, "_wake", logged_wake)
+        monkeypatch.setattr(MemoryController, "_dispatch", checked_dispatch)
+
+
+def run_both(ops):
+    runs = []
+    for clear_memo in (False, True):
+        recording = _Recording(clear_memo)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            recording.install(monkeypatch)
+            runs.append((recording.accesses,) + drive(ops))
+    return runs
+
+
+arrivals = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=60),
+        st.booleans(),
+        st.integers(min_value=0, max_value=31),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestBlockedUntilMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=arrivals)
+    def test_memo_is_exact_and_changes_nothing(self, ops):
+        """Skipped scans would have found nothing ready until the memo's
+        wake cycle, and issue order and wake times match a run that
+        clears the memo before every dispatch."""
+        memo, reference = run_both(ops)
+        assert memo == reference
+
+    def test_unchanged_list_skips_its_scan(self, monkeypatch):
+        scans = []
+
+        def counting_select(candidates, now):
+            scans.append(now)
+            return select_fr_fcfs(candidates, now)
+
+        monkeypatch.setattr(controller_module, "select_fr_fcfs", counting_select)
+        queue = EventQueue()
+        controller = MemoryController(queue, SMALL)
+        # Bank 0, rows 0, 4 and 8 (4 banks of 16-block rows): the first read
+        # opens row 0, the later ones wait on the busy bank.
+        for time, addr in ((0, 0), (1, 4 * 16), (2, 8 * 16)):
+            queue.schedule(
+                time, partial(controller.enqueue_read, MemoryRequest(addr, False))
+            )
+        queue.run(until=2)
+        # t=0 issues the first read; t=1 scans and finds the bank busy; the
+        # wake at t=2 finds the same list blocked and does not scan.
+        assert scans == [0, 1]
+        assert controller._blocked_list is controller.read_queue
+        assert controller._blocked_until == controller.banks[0].busy_until
+        queue.run()
+        assert controller.is_idle()
+        assert controller._blocked_list is None
+
+    def test_a_fired_wake_is_reused_and_fires_once(self):
+        queue = EventQueue()
+        controller = MemoryController(queue, SMALL)
+        first = MemoryRequest(0, False)
+        controller.enqueue_read(first)
+        wake = controller._wake_event
+        queue.run(until=0)  # the wake fires and issues; nothing is left
+        assert controller._wake_event is None
+        second = MemoryRequest(4 * 16, False)  # bank 0, another row: blocked
+        controller.enqueue_read(second)
+        assert controller._wake_event is wake
+        queue.run()
+        assert first.issue_time == 0 and second.issue_time > 0
+        # The first wake, its reuse at t=0 and the re-arm at the bank's ready
+        # cycle: the reused Event fired once per scheduling.
+        assert queue.events_processed == 3
+
+    def test_ready_arrival_voids_the_memo(self):
+        queue = EventQueue()
+        controller = MemoryController(queue, SMALL)
+        controller.enqueue_read(MemoryRequest(0, False))
+        queue.run(until=0)
+        controller.enqueue_read(MemoryRequest(4 * 16, False))  # bank 0: busy
+        queue.run(until=0)
+        assert controller._blocked_list is controller.read_queue
+        controller.enqueue_read(MemoryRequest(16, False))  # bank 1: free
+        assert controller._blocked_until <= queue.now  # the memo no longer applies

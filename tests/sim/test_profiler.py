@@ -10,7 +10,8 @@ import functools
 from repro.analysis.scaling import SCALES
 from repro.mechanisms.base import _invoke
 from repro.sim.profiler import SimProfiler, callback_site, component_of
-from repro.sim.system import run_system
+from repro.sim.system import System, run_system
+from repro.telemetry.sampler import TelemetryConfig
 from repro.utils.events import EventQueue
 
 
@@ -25,6 +26,22 @@ class TestZeroPerturbation:
         profiled = run_system(config, [trace], profiler=profiler)
         assert plain.to_dict() == profiled.to_dict()
         assert profiler.calls > 0
+
+    def test_profiled_telemetry_is_byte_identical(self):
+        """Timing the sampler changes neither results nor epoch records."""
+        scale = SCALES["quick"]
+        trace = scale.benchmark_trace("mcf", refs=2000)
+        config = scale.system_config("dbi+awb")
+        telemetry = TelemetryConfig(epoch_cycles=2000)
+        plain = System(config, [trace], telemetry=telemetry)
+        plain_result = plain.run()
+        profiler = SimProfiler()
+        profiled = System(config, [trace], profiler=profiler, telemetry=telemetry)
+        assert profiled.run().to_dict() == plain_result.to_dict()
+        assert [r.to_dict() for r in profiled.telemetry.records] == [
+            r.to_dict() for r in plain.telemetry.records
+        ]
+        assert profiler.component_shares()["telemetry"][0] > 0
 
     def test_disabled_hook_is_the_default(self):
         queue = EventQueue()
