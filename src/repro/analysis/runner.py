@@ -19,11 +19,12 @@ Job identity
 
 Cache layout
     One JSON file per job under ``cache_dir``, named ``<sha256>.json``,
-    holding a format version, the key, a human-readable label and the full
-    result. Files are written atomically (temp file + ``os.replace``), so a
-    killed sweep never leaves a truncated entry; rerunning it skips every
-    job that finished. Entries that fail to parse or whose embedded key
-    disagrees with their filename are *quarantined* (renamed to
+    holding a format version, the model version, the key, a human-readable
+    label and the full result. Files are written atomically (temp file +
+    ``os.replace``), so a killed sweep never leaves a truncated entry;
+    rerunning it skips every job that finished. Entries that fail to parse,
+    or whose format, model version or embedded key disagree with this
+    simulator and their filename, are *quarantined* (renamed to
     ``<key>.json.corrupt``) and counted in ``cache_corrupt``, so repeated
     corruption shows up in :meth:`SweepRunner.summary` instead of being an
     invisible performance cliff.
@@ -101,7 +102,12 @@ from typing import (
 )
 
 from repro.analysis.chaos import ChaosConfig, FaultInjector, chaos_from_env
-from repro.sim.system import SimulationResult, SystemConfig, run_system
+from repro.sim.system import (
+    MODEL_VERSION,
+    SimulationResult,
+    SystemConfig,
+    run_system,
+)
 from repro.sim.trace import Trace
 from repro.telemetry.sampler import TelemetryConfig
 from repro.utils.atomic import atomic_write_json, publish_file
@@ -212,6 +218,25 @@ def _finish_key(
     if shard is not None:
         hasher.update(f"|shard:{shard}".encode())
     return hasher.hexdigest()
+
+
+def _entry_result(payload, key: str) -> Optional[Dict]:
+    """The result dict of a cache entry valid for ``key``, else None.
+
+    Valid means this cache format, this key and this
+    :data:`~repro.sim.system.MODEL_VERSION`. Serving an entry and checking
+    a retry against one apply the same rule: an entry from another model
+    version is as foreign as one for another key.
+    """
+    if (
+        not isinstance(payload, dict)
+        or payload.get("format") != CACHE_FORMAT
+        or payload.get("model") != MODEL_VERSION
+        or payload.get("key") != key
+    ):
+        return None
+    result = payload.get("result")
+    return result if isinstance(result, dict) else None
 
 
 @dataclass(frozen=True)
@@ -741,7 +766,7 @@ class SweepRunner:
         self.pool_deaths = 0  # pools torn down after a crash or hang
         self.degraded_inline = False  # too many pool deaths: running inline
         self.warm_images_built = 0  # fork groups whose image was produced
-        self.checkpoints_quarantined = 0  # corrupt warm images set aside
+        self.checkpoints_quarantined = 0  # corrupt or stale images set aside
         self.failures: List[JobFailure] = []
         self.warm_locks_reclaimed = 0  # stale build locks displaced
         self._warm_lock = threading.Lock()
@@ -950,7 +975,7 @@ class SweepRunner:
             extra += f", {self.warm_images_built} warm image(s) built"
         if self.checkpoints_quarantined:
             extra += (
-                f", {self.checkpoints_quarantined} corrupt warm image(s) "
+                f", {self.checkpoints_quarantined} corrupt or stale image(s) "
                 "quarantined"
             )
         if self.degraded_inline:
@@ -992,8 +1017,8 @@ class SweepRunner:
         :func:`~repro.checkpoint.warm.warm_config_for`) — so every cell of a
         (traces, shared-config) group resolves to the same file and the
         0.4 × run warmup cost is paid once per group. Pre-existing files are
-        digest-verified before reuse; a corrupt image is quarantined to
-        ``.ckpt.corrupt`` and rebuilt.
+        verified before reuse; a corrupt image, or one written by another
+        model version, is quarantined to ``.ckpt.corrupt`` and rebuilt.
 
         Builds are serialized by a crash-reclaimable ``warm-<key>.ckpt.lock``
         (pid + heartbeat, see :class:`~repro.utils.locks.FileLock`): campaign
@@ -1055,7 +1080,7 @@ class SweepRunner:
         return warm_config.mechanism, path
 
     def _quarantine_checkpoint(self, path: str) -> None:
-        """Set a corrupt warm image aside (evidence kept) and count it."""
+        """Set a corrupt or stale image aside (evidence kept) and count it."""
         with self._lock:
             self.checkpoints_quarantined += 1
         try:
@@ -1088,7 +1113,7 @@ class SweepRunner:
         image: str,
     ) -> Optional[SweepFuture]:
         """The warm job that writes ``image``, or None if a verified image
-        is already on disk (a corrupt one is quarantined first)."""
+        is already on disk (a corrupt or stale one is quarantined first)."""
         from repro.checkpoint import CheckpointError, verify_snapshot
 
         if os.path.exists(image):
@@ -1401,10 +1426,11 @@ class SweepRunner:
             return None  # a missing entry is a normal cache miss
         except ValueError:
             return self._quarantine(key, path)
-        if payload.get("format") != CACHE_FORMAT or payload.get("key") != key:
+        result = _entry_result(payload, key)
+        if result is None:
             return self._quarantine(key, path)
         try:
-            return SimulationResult.from_dict(payload["result"])
+            return SimulationResult.from_dict(result)
         except (KeyError, TypeError):
             return self._quarantine(key, path)
 
@@ -1428,7 +1454,11 @@ class SweepRunner:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
         path = self._cache_path(key)
-        existing = self._read_result_dict(path)
+        try:
+            with open(path) as handle:
+                existing = _entry_result(json.load(handle), key)
+        except (OSError, ValueError):
+            existing = None
         if existing is not None:
             # A retried (or concurrently executed) job must reproduce the
             # stored result exactly — the simulator is deterministic, so a
@@ -1438,6 +1468,7 @@ class SweepRunner:
             check_retry_consistency(label, existing, result.to_dict())
         payload = {
             "format": CACHE_FORMAT,
+            "model": MODEL_VERSION,
             "key": key,
             "label": label,
             "result": result.to_dict(),
@@ -1448,13 +1479,3 @@ class SweepRunner:
             # Caching is an optimization; a read-only disk must not kill a
             # sweep whose simulations are succeeding.
             pass
-
-    def _read_result_dict(self, path: str) -> Optional[Dict]:
-        """The stored result dict at ``path``, or None if absent/unreadable."""
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        result = payload.get("result")
-        return result if isinstance(result, dict) else None

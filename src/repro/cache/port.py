@@ -85,15 +85,6 @@ class TagPort:
             busy_until = self.busy_until
             queue.schedule(busy_until if busy_until > now else now, self._grant)
 
-    def __getattr__(self, name: str):
-        # Only reached when normal lookup fails: images written before the
-        # flag existed hold the pending grant as ``_grant_event`` (an Event
-        # or None) instead.
-        if name == "_grant_pending" and "_grant_event" in self.__dict__:
-            self._grant_pending = self.__dict__.pop("_grant_event") is not None
-            return self._grant_pending
-        raise AttributeError(name)
-
     def _pump(self) -> None:
         if self._grant_pending:
             return  # a grant pass is already pending

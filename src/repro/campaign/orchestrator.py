@@ -72,6 +72,7 @@ from repro.campaign.watchdog import (
     reap_dead_beacons,
     scan_heartbeats,
 )
+from repro.sim.system import MODEL_VERSION
 from repro.utils.atomic import atomic_write_json, atomic_write_text
 from repro.utils.heartbeat import write_heartbeat
 from repro.utils.locks import FileLock, LockHeldError
@@ -360,6 +361,7 @@ class Campaign:
             journal.append(
                 "header",
                 format=1,
+                model_version=MODEL_VERSION,
                 config=config.to_dict(),
                 fingerprint=plan_fingerprint(config.plan_identity(), cells),
                 cell_count=len(cells),
@@ -378,7 +380,8 @@ class Campaign:
     @classmethod
     def open(cls, directory: str) -> "Campaign":
         """Recover an existing campaign: quarantine any torn journal tail,
-        rebuild done/pending state, verify the plan fingerprint."""
+        refuse a journal from another model version, rebuild done/pending
+        state, verify the plan fingerprint."""
         path = journal_path(directory)
         if not os.path.exists(path):
             raise CampaignError(
@@ -388,6 +391,14 @@ class Campaign:
         try:
             scan, torn_path = recover_journal(path)
             header = scan.header
+            version = header.get("model_version")
+            if version != MODEL_VERSION:
+                raise CampaignError(
+                    f"{directory}: journal was written by model version "
+                    f"{version}, this simulator is model version "
+                    f"{MODEL_VERSION}; its cells would mix models, so "
+                    "re-plan the campaign in a fresh directory"
+                )
             config = CampaignConfig.from_dict(header["config"])
             cells: List[CampaignCell] = []
             done: Dict[str, Dict] = {}

@@ -15,8 +15,13 @@ instance ``__dict__``. BUILD materializes that dict, which takes every
 restored object off CPython's inline-attribute fast path: a restored System
 used to run ~1.25x slower than a freshly built one. The setter restores one
 ``object.__setattr__`` per attribute, so restored objects keep inline
-storage and run at fresh speed. Format-1 images (default BUILD) still load;
-they just restore onto the slower path.
+storage and run at fresh speed.
+
+Images are never migrated. The header records the container format and the
+:data:`~repro.sim.system.MODEL_VERSION` that wrote it, and a reader refuses
+any other format or version with a :class:`CheckpointError` naming both, so
+an image written before a model change (renamed attributes, re-pinned
+results) is rebuilt instead of restored.
 
 Two attachments are handled specially because they hold unpicklable state:
 
@@ -35,11 +40,11 @@ On-disk container (``.ckpt``)::
     DBICKPT\\0 | u32 header length | header JSON | zlib(pickle payload)
 
 The header records the payload's SHA-256; :func:`load_snapshot` refuses any
-container whose digest, magic or format does not check out by raising
-:class:`CheckpointError` (a ``ValueError``, so sweep-cache-style quarantine
-handling applies). Unpickling is restricted to this package's own modules
-plus a small stdlib allowlist — a snapshot cannot smuggle in arbitrary
-globals.
+container whose digest, magic, format or model version does not check out
+by raising :class:`CheckpointError` (a ``ValueError``, so sweep-cache-style
+quarantine handling applies). Unpickling is restricted to this package's
+own modules plus a small stdlib allowlist — a snapshot cannot smuggle in
+arbitrary globals.
 """
 
 from __future__ import annotations
@@ -53,11 +58,12 @@ import zlib
 from collections import deque
 from typing import Dict, Optional
 
+from repro.sim.system import MODEL_VERSION
 from repro.utils.atomic import atomic_write_bytes
 
-#: Bump when the payload layout changes; readers reject newer formats.
-#: Format 2 restores simulator objects through :func:`_set_state`; format 1
-#: (default pickle BUILD) is still readable.
+#: Bump when the container or payload layout changes; readers accept only
+#: this format. Format 2 restores simulator objects through
+#: :func:`_set_state`.
 SNAPSHOT_FORMAT = 2
 
 MAGIC = b"DBICKPT\x00"
@@ -226,6 +232,7 @@ def snapshot_system(system) -> bytes:
     compressed = zlib.compress(payload, level=6)
     header = {
         "format": SNAPSHOT_FORMAT,
+        "model_version": MODEL_VERSION,
         "payload_sha256": hashlib.sha256(compressed).hexdigest(),
         "payload_bytes": len(compressed),
         "pickle_bytes": len(payload),
@@ -253,10 +260,19 @@ def _split_container(data: bytes, source: str) -> tuple:
         header = json.loads(data[offset : offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{source}: corrupt checkpoint header") from exc
-    if header.get("format", 0) > SNAPSHOT_FORMAT:
+    fmt = header.get("format", 0)
+    if fmt != SNAPSHOT_FORMAT:
+        newer = isinstance(fmt, int) and fmt > SNAPSHOT_FORMAT
+        age = "newer" if newer else "older"
         raise CheckpointError(
-            f"{source}: snapshot format {header.get('format')} is newer than "
-            f"supported ({SNAPSHOT_FORMAT})"
+            f"{source}: snapshot format {fmt} is {age} than the supported "
+            f"format {SNAPSHOT_FORMAT}"
+        )
+    version = header.get("model_version")
+    if version != MODEL_VERSION:
+        raise CheckpointError(
+            f"{source}: image was written by model version {version}, this "
+            f"simulator is model version {MODEL_VERSION}"
         )
     payload = data[offset + header_len :]
     if len(payload) != header.get("payload_bytes"):

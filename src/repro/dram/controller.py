@@ -53,18 +53,6 @@ _WRITE_DRAIN = Phase.WRITE_DRAIN
 class MemoryController:
     """One memory channel: banks + data bus + read queue + write buffer."""
 
-    #: Bound on first rejected write (class default: images written before
-    #: it existed restore without it).
-    _c_writes_rejected = None
-    #: Blocked-until memo: the candidate list whose last scan found nothing
-    #: ready, and the cycle its first candidate becomes ready. Class
-    #: defaults, so images written before the memo existed restore without.
-    _blocked_list = None
-    _blocked_until = 0
-    #: The wake Event that last fired, kept for the next wake to reuse
-    #: instead of allocating one (a class default, like the memo).
-    _spare_wake = None
-
     def __init__(
         self,
         queue: EventQueue,
@@ -86,6 +74,11 @@ class MemoryController:
         self._recent_activates: List[int] = []
         self.stats = StatGroup(name)
         self._wake_event: Optional[Event] = None
+        # The wake Event that last fired, kept for the next wake to reuse
+        # instead of allocating one.
+        self._spare_wake: Optional[Event] = None
+        # Blocked-until memo: the candidate list whose last scan found
+        # nothing ready, and the cycle its first candidate becomes ready.
         self._blocked_list: Optional[List[MemoryRequest]] = None
         self._blocked_until = 0
         # Hot-path stats, bound to their Counter/RateStat object on first
@@ -100,6 +93,7 @@ class MemoryController:
         self._r_write_row_hit = None
         self._r_read_row_hit = None
         self._d_read_latency = None
+        self._c_writes_rejected = None
 
     # ------------------------------------------------------------------ API
 

@@ -60,14 +60,6 @@ class DramCacheLevel:
     #: Optional CheckEngine tap on off-chip writebacks (full checked mode).
     checker = None
 
-    # Per-fill and per-writeback counters, bound on first increment. Class
-    # defaults, so images written before they existed restore without them.
-    _c_fills = None
-    _c_dirty_evictions = None
-    _c_awb_drains = None
-    _c_dbi_forced_writebacks = None
-    _c_stacked_victim_reads = None
-
     def __init__(
         self,
         queue: EventQueue,
@@ -101,6 +93,11 @@ class DramCacheLevel:
         self._c_write_fills = None
         self._c_offchip_reads = None
         self._c_offchip_writes = None
+        self._c_fills = None
+        self._c_dirty_evictions = None
+        self._c_awb_drains = None
+        self._c_dbi_forced_writebacks = None
+        self._c_stacked_victim_reads = None
 
     # ------------------------------------------------------------ read path
 

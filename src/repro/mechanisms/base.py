@@ -32,18 +32,13 @@ from repro.utils.stats import StatGroup
 #: Cycles between attempts to re-enqueue a writeback the controller rejected.
 WRITEBACK_RETRY_INTERVAL = 50
 
-#: LLC latencies the mechanism reads from its cache config once.
-_LATENCIES = ("_llc_hit_latency", "_llc_miss_detect_latency")
-
 
 def _invoke(callback: Callable[[int], None], addr: int) -> None:
-    """Module-level trampoline so deferred data deliveries pickle.
+    """Call ``callback(addr)``: the trampoline ``perfbench/tests/test_tracer.py``
+    builds its hand-made event graph from.
 
-    ``partial(_invoke, on_data, addr)`` replaced ``lambda: on_data(addr)``:
-    the event graph must contain no closures or a checkpoint cannot
-    serialize it (see :mod:`repro.checkpoint`). Deliveries are now
-    scheduled as ``partial(on_data, addr)``, one frame fewer; this stays
-    for snapshot images that still hold ``_invoke`` partials.
+    The simulator itself schedules deliveries as ``partial(on_data, addr)``
+    and never queues this; it goes when that test stops importing it.
     """
     callback(addr)
 
@@ -70,10 +65,6 @@ class LlcMechanism:
     #: learns from every lookup outcome); the read path skips the call
     #: otherwise.
     trains_predictor = False
-    #: Per-core fill continuations, ``partial(self._fill_request_done,
-    #: core_id)``, built on a core's first memory fetch. A class default,
-    #: so images written before it existed restore without it.
-    _fill_done_by_core = None
 
     def __init__(
         self,
@@ -101,20 +92,11 @@ class LlcMechanism:
         self._c_memory_writebacks = None
         self._c_tag_lookups = None
         self._c_tag_lookups_core: Dict[int, object] = {}
-        self._read_latencies()
-
-    def _read_latencies(self) -> None:
-        config = self.llc.config
-        self._llc_hit_latency = config.hit_latency
-        self._llc_miss_detect_latency = config.miss_detect_latency
-
-    def __getattr__(self, name: str):
-        # Only reached when normal lookup fails: images written before the
-        # latencies were read once lack them.
-        if name in _LATENCIES and "llc" in self.__dict__:
-            self._read_latencies()
-            return self.__dict__[name]
-        raise AttributeError(name)
+        self._llc_hit_latency = llc.config.hit_latency
+        self._llc_miss_detect_latency = llc.config.miss_detect_latency
+        # Per-core fill continuations, ``partial(self._fill_request_done,
+        # core_id)``, built on a core's first memory fetch.
+        self._fill_done_by_core: Dict[int, Callable] = {}
 
     # ------------------------------------------------------------ read path
 
@@ -171,8 +153,6 @@ class LlcMechanism:
         if self.recorder is not None:
             self.recorder.on_memory_fetch(addr)
         by_core = self._fill_done_by_core
-        if by_core is None:
-            by_core = self._fill_done_by_core = {}
         fill_done = by_core.get(core_id)
         if fill_done is None:
             fill_done = by_core[core_id] = partial(self._fill_request_done, core_id)

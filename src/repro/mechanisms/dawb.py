@@ -20,18 +20,16 @@ class DawbMechanism(LlcMechanism):
 
     name = "dawb"
 
-    # Per-probe counters, bound on first increment. Class defaults, so
-    # images written before they existed restore without them.
-    _c_row_probes = None
-    _c_proactive_writebacks = None
-    _c_wasted_probes = None
-
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         # Rows with a probe round already queued: a second dirty eviction
         # from the same row adds nothing until the first round completes
         # (the writeback-queue coalescing of [27]).
         self._rows_in_flight = set()
+        # Per-probe counters, bound on first increment.
+        self._c_row_probes = None
+        self._c_proactive_writebacks = None
+        self._c_wasted_probes = None
 
     def telemetry_gauges(self):
         gauges = super().telemetry_gauges()

@@ -38,17 +38,6 @@ class DbiMechanism(LlcMechanism):
 
     name = "dbi"
     uses_tag_dirty_bits = False
-    #: True on the class so images written before the flag existed keep
-    #: training; an instance without a predictor clears it in ``__init__``.
-    trains_predictor = True
-
-    # Per-read and per-writeback counters, bound on first increment. Class
-    # defaults, so images written before they existed restore without them.
-    _c_clb_predicted_misses = None
-    _c_bypassed_lookups = None
-    _c_awb_writebacks = None
-    _c_dbi_evictions = None
-    _c_dbi_eviction_writebacks = None
 
     def __init__(
         self,
@@ -65,6 +54,12 @@ class DbiMechanism(LlcMechanism):
         self.enable_clb = enable_clb
         self.predictor = predictor
         self.trains_predictor = predictor is not None
+        # Per-read and per-writeback counters, bound on first increment.
+        self._c_clb_predicted_misses = None
+        self._c_bypassed_lookups = None
+        self._c_awb_writebacks = None
+        self._c_dbi_evictions = None
+        self._c_dbi_eviction_writebacks = None
         if enable_clb and predictor is None:
             raise ValueError("CLB requires a miss predictor")
         parts = ["dbi"]

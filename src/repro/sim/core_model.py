@@ -203,10 +203,6 @@ class OooCore:
                 if self.finished:
                     return
 
-    #: The advance event's name in images written before ``_advance`` was
-    #: merged into it.
-    _advance_event = _advance
-
     # --------------------------------------------------------- completions
 
     def _load_done(self, instr_index: int, _addr: int = -1) -> None:
@@ -231,10 +227,6 @@ class OooCore:
         if self._waiting and not self.finished:
             self._waiting = False
             self._schedule_advance()
-
-    #: The fill callback's name in images written before it was merged
-    #: into ``_load_done``.
-    _load_done_cb = _load_done
 
     def _maybe_record(self) -> None:
         """Record IPC once every pre-limit instruction has retired.

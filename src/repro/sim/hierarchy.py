@@ -31,13 +31,6 @@ from repro.utils.events import EventQueue
 from repro.utils.stats import StatGroup
 
 
-#: Per-access values the hierarchy derives once: latencies read from its
-#: configs and each core's fill continuations.
-_DERIVED = (
-    "_l1_miss_detect", "_l2_hit", "_l2_miss_detect", "_llc_data_of", "_store_fill_of",
-)
-
-
 class Hierarchy:
     """Private L1/L2 levels in front of a shared, mechanism-driven LLC.
 
@@ -73,27 +66,14 @@ class Hierarchy:
             # (max_outstanding_loads), keeping the two coupled but deadlock-free.
             self.l1_mshrs.append(MshrFile(capacity=0, name=f"l1mshr{core}"))
             self.core_stats.append(StatGroup(f"hier_core{core}"))
-        self._l1_config = l1_config
-        self._l2_config = l2_config
-        self._derive()
-        # Per-(core, stat) counters, bound on first use.
-        self._bound: List[dict] = [{} for _ in range(num_cores)]
-
-    def _derive(self) -> None:
-        self._l1_miss_detect = self._l1_config.miss_detect_latency
-        self._l2_hit = self._l2_config.hit_latency
-        self._l2_miss_detect = self._l2_config.miss_detect_latency
-        cores = range(self.num_cores)
+        self._l1_miss_detect = l1_config.miss_detect_latency
+        self._l2_hit = l2_config.hit_latency
+        self._l2_miss_detect = l2_config.miss_detect_latency
+        cores = range(num_cores)
         self._llc_data_of = [partial(self._llc_data, core) for core in cores]
         self._store_fill_of = [partial(self._store_fill, core) for core in cores]
-
-    def __getattr__(self, name: str):
-        # Only reached when normal lookup fails: images written before these
-        # values were derived once lack them.
-        if name in _DERIVED and "_l2_config" in self.__dict__:
-            self._derive()
-            return self.__dict__[name]
-        raise AttributeError(name)
+        # Per-(core, stat) counters, bound on first use.
+        self._bound: List[dict] = [{} for _ in range(num_cores)]
 
     def _count(self, core_id: int, name: str) -> None:
         """Bump a per-core counter, binding it on first use.

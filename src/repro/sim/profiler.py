@@ -6,7 +6,7 @@ profiler wall-clocks each callback and attributes the time to the component
 that owns it (core front-end, hierarchy plumbing, LLC mechanism, tag port,
 DRAM controller, …), derived from the module of the function that runs: a
 callback is first unwrapped through ``functools.partial`` objects, bound
-methods, the mechanism trampolines (``_invoke``, ``_deliver_block``) and
+methods, the mechanism trampoline ``_deliver_block`` and
 ``MemoryRequest.fire_completion`` (which runs its ``on_complete``), so every
 partial of one method shares one site row.
 
@@ -42,9 +42,7 @@ _COMPONENT_PREFIXES: Tuple[Tuple[str, str], ...] = (
 )
 
 #: Partial targets whose first argument is the code that runs.
-_TRAMPOLINES = frozenset(
-    {("repro.mechanisms.base", "_invoke"), ("repro.mechanisms.base", "_deliver_block")}
-)
+_TRAMPOLINES = frozenset({("repro.mechanisms.base", "_deliver_block")})
 #: Bound methods that run ``self.on_complete``.
 _FORWARDERS = frozenset({("repro.dram.request", "MemoryRequest.fire_completion")})
 

@@ -31,6 +31,16 @@ from repro.sim.trace import Trace
 from repro.utils.events import EventQueue
 from repro.utils.rng import DeterministicRng
 
+#: Version of the simulated model. Every artifact that outlives a process —
+#: result-cache entries, snapshot images, campaign journals and the golden
+#: fixtures — records it, and one written under another version is never
+#: served: a cache entry is re-simulated, an image is rebuilt, a journal is
+#: refused. Bump it whenever a change alters any simulated result (a
+#: ``SimulationResult`` field, a stat, an event count, a telemetry record)
+#: or the attributes a snapshot image captures. It is deliberately not part
+#: of ``job_key``: keys, and the files named after them, stay stable.
+MODEL_VERSION = 1
+
 
 @dataclass(frozen=True)
 class SystemConfig:

@@ -17,9 +17,10 @@ appends the callable and allocates nothing per event. An :class:`Event`
 entry is used only where a callable is not enough — a wake its owner may
 cancel (the memory controller's) and audit callbacks (check-engine sweeps,
 ECC ticks), which fire without being accounted. The loop tells the two
-apart with ``entry.__class__ is Event``, so buckets holding only ``Event``
-entries (every snapshot image written before bare-callable entries) still
-run as before. Together with the flattened core → L1/L2 → LLC path
+apart with ``entry.__class__ is Event``. Snapshot images of the queue are
+never migrated across a change like this one: an image written under
+another :data:`~repro.sim.system.MODEL_VERSION` is rebuilt, not restored.
+Together with the flattened core → L1/L2 → LLC path
 (docs/architecture.md §9) this took the benchmark's ``cache-resident``
 workload from 118.1 to 77.7 Python-level calls per memory reference, and
 raised its ``sim_refs_per_s`` by 12–14% (ten alternating parent/change

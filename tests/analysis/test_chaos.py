@@ -22,11 +22,14 @@ from repro.analysis.chaos import (
     parse_chaos_spec,
 )
 from repro.analysis.runner import (
+    CACHE_FORMAT,
     RetryPolicy,
     SweepJobError,
     SweepRunner,
     job_key,
 )
+from repro.check.errors import InvariantViolation
+from repro.sim.system import MODEL_VERSION
 from tests.analysis.test_runner import tiny_job
 
 #: Fast backoff so retry tests don't sleep for real.
@@ -301,6 +304,59 @@ class TestCacheCorruption:
         assert rerun.cache_corrupt == 1
         assert rerun.jobs_executed == 1
         assert os.path.exists(f"{path}.corrupt")
+
+    def test_other_model_version_is_not_served(self, tmp_path):
+        """An entry with the right key and format but another model
+        version is quarantined and re-simulated, even though it parses."""
+        cache = str(tmp_path / "cache")
+        config, traces = tiny_job()
+        truth = SweepRunner(workers=0, cache_dir=cache).run(config, traces)
+        (entry,) = os.listdir(cache)
+        path = os.path.join(cache, entry)
+        with open(path) as handle:
+            payload = json.load(handle)
+        assert payload["model"] == MODEL_VERSION
+        payload["model"] = MODEL_VERSION + 1
+        payload["result"]["ipc"] = [ipc * 2 for ipc in truth.ipc]
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        rerun = SweepRunner(workers=0, cache_dir=cache)
+        assert rerun.run(config, traces).to_json() == truth.to_json()
+        assert rerun.cache_hits == 0 and rerun.jobs_executed == 1
+        assert rerun.cache_corrupt == 1
+        with open(path) as handle:
+            stored = json.load(handle)
+        assert stored["model"] == MODEL_VERSION
+        assert stored["result"] == truth.to_dict()
+
+    @pytest.mark.parametrize("field", ["format", "key", "model", None])
+    def test_retry_check_uses_the_serving_rule(self, tmp_path, field):
+        """The retry-consistency read accepts exactly the entries a load
+        would serve: an invalid entry with another result is overwritten,
+        not reported as a divergence; a valid one still is."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        config, traces = tiny_job()
+        result = SweepRunner(workers=0, cache_dir=None).run(config, traces)
+        key = job_key(config, traces)
+        planted = {
+            "format": CACHE_FORMAT,
+            "model": MODEL_VERSION,
+            "key": key,
+            "label": "planted",
+            "result": dict(result.to_dict(), ipc=[0.5]),
+        }
+        if field is not None:
+            planted[field] = "other"
+        path = cache / f"{key}.json"
+        path.write_text(json.dumps(planted))
+        runner = SweepRunner(workers=0, cache_dir=str(cache))
+        if field is None:
+            with pytest.raises(InvariantViolation, match="retry-consistency"):
+                runner._store_cached(key, "tiny", result)
+            return
+        runner._store_cached(key, "tiny", result)
+        assert json.loads(path.read_text())["result"] == result.to_dict()
 
 
 class TestShutdown:

@@ -30,6 +30,7 @@ from repro.campaign.orchestrator import (
     report_path,
     results_path,
 )
+from repro.sim.system import MODEL_VERSION
 
 REFS = 300
 
@@ -156,6 +157,42 @@ class TestShardedCampaign:
         assert calls == {"traces": 1, "encodings": 1, "warm-ups": 2}
         assert not glob.glob(os.path.join(directory, "cache", "*.ckpt"))
 
+    def test_stale_cell_images_are_rebuilt(self, tmp_path):
+        from repro.analysis.runner import job_key
+        from repro.analysis.scaling import SCALES
+        from repro.campaign.plan import cell_config, cell_traces
+        from repro.checkpoint import snapshot_system
+        from repro.checkpoint.shard import warm_cell
+        from tests.checkpoint.conftest import restamp
+
+        config = make_config(shards=2, refs=800)
+        reference = str(tmp_path / "reference")
+        run_campaign(reference, config)
+        directory = str(tmp_path / "stale")
+        campaign = Campaign.create(directory, config)
+        # Plant each cell's image as another model version's image of the
+        # other mechanism's cell: restoring one would swap the results.
+        scale = SCALES["quick"]
+        (first, second) = campaign.cells
+        cache = os.path.join(directory, "cache")
+        os.makedirs(cache)
+        for cell, other in ((first, second), (second, first)):
+            traces = cell_traces(scale, cell, refs=config.refs)
+            image = os.path.join(
+                cache, f"cell-{job_key(cell_config(scale, cell), traces)}.ckpt"
+            )
+            stale = snapshot_system(warm_cell(cell_config(scale, other), traces))
+            with open(image, "wb") as handle:
+                handle.write(restamp(stale, MODEL_VERSION + 1))
+        with campaign:
+            outcome = campaign.run(progress=None)
+        assert outcome.status == "complete"
+        assert "2 corrupt or stale image(s) quarantined" in outcome.sweep_summary
+        assert len(glob.glob(os.path.join(cache, "*.ckpt.corrupt"))) == 2
+        assert filecmp.cmp(
+            results_path(reference), results_path(directory), shallow=False
+        )
+
 
 class TestRecovery:
     def test_resume_after_torn_tail_is_byte_identical(self, tmp_path):
@@ -206,6 +243,35 @@ class TestRecovery:
         with open(journal, "w") as handle:
             handle.writelines(rewritten)
         with pytest.raises(CampaignError, match="fingerprint"):
+            Campaign.open(directory)
+
+    @pytest.mark.parametrize("stamp", ["other", None])
+    def test_journal_from_another_model_version_refused(self, tmp_path, stamp):
+        directory = str(tmp_path / "camp")
+        config = make_config()
+        Campaign.create(directory, config).close()
+        journal = os.path.join(directory, "journal.jsonl")
+        scan = scan_journal(journal)
+        header = dict(scan.header)
+        assert header["model_version"] == MODEL_VERSION
+        # The version rides beside the plan identity, not inside it.
+        assert "model_version" not in json.dumps(config.plan_identity())
+        header.pop("sum")
+        header.pop("model_version")
+        if stamp is not None:
+            header["model_version"] = stamp
+        rewritten = [encode_record(header) + "\n"]
+        for record in scan.records[1:]:
+            body = dict(record)
+            body.pop("sum")
+            rewritten.append(encode_record(body) + "\n")
+        with open(journal, "w") as handle:
+            handle.writelines(rewritten)
+        with pytest.raises(
+            CampaignError,
+            match=f"model version {stamp}, this simulator is model version "
+            f"{MODEL_VERSION}",
+        ):
             Campaign.open(directory)
 
 

@@ -6,7 +6,10 @@ import pytest
 
 from repro.analysis.runner import SweepRunner, job_key
 from repro.analysis.scaling import QUICK_SCALE
+from repro.checkpoint import make_warm_system, snapshot_system, warm_config_for
 from repro.checkpoint.sampled import SampledConfig
+from repro.sim.system import MODEL_VERSION
+from tests.checkpoint.conftest import restamp
 
 REFS = 3_000
 
@@ -137,6 +140,30 @@ class TestForkSweep:
         assert second.warm_images_built == 1
         assert os.path.exists(f"{path}.corrupt")
         assert os.path.exists(path), "image must be rebuilt after quarantine"
+        assert replay.to_dict() == expected.to_dict()
+
+    def test_stale_warm_image_quarantined_and_rebuilt(self, tmp_path, trace):
+        ckpt = str(tmp_path / "ckpt")
+        config = quick_config("tadip")
+        with make_runner(tmp_path, checkpoint_dir=ckpt) as first:
+            expected = first.run(config, [trace])
+        (image,) = [f for f in os.listdir(ckpt) if f.endswith(".ckpt")]
+        path = os.path.join(ckpt, image)
+        # Another model version's image, warmed on another workload: were it
+        # restored, the forked cell would report that workload's results.
+        other = QUICK_SCALE.benchmark_trace("lbm", refs=REFS)
+        stale = snapshot_system(make_warm_system(warm_config_for(config), [other]))
+        with open(path, "wb") as handle:
+            handle.write(restamp(stale, MODEL_VERSION + 1))
+        with make_runner(
+            tmp_path,
+            checkpoint_dir=ckpt,
+            cache_dir=str(tmp_path / "cache2"),
+        ) as second:
+            replay = second.run(config, [trace])
+        assert second.checkpoints_quarantined == 1
+        assert second.warm_images_built == 1
+        assert os.path.exists(f"{path}.corrupt")
         assert replay.to_dict() == expected.to_dict()
 
 

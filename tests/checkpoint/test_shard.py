@@ -16,8 +16,9 @@ from repro.checkpoint.shard import (
     stitch_shards,
     warm_cell,
 )
-from repro.sim.system import SimulationResult, System
+from repro.sim.system import MODEL_VERSION, SimulationResult, System
 from repro.telemetry.sampler import TelemetryConfig
+from tests.checkpoint.conftest import restamp
 
 QUICK = SCALES["quick"]
 
@@ -265,6 +266,28 @@ class TestRunnerSharding:
             b"DBICKPT\x00torn-image"
         )
         assert warm_calls() == 1
+
+    def test_stale_cell_image_quarantined_and_rebuilt(
+        self, tmp_path, warm_calls
+    ):
+        from repro.checkpoint import snapshot_system
+
+        config, trace = _config(), _trace()
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        image = cache / f"cell-{job_key(config, [trace])}.ckpt"
+        # Another model version's image of another mechanism's cell: were it
+        # restored, the segments would report that mechanism's results.
+        stale = snapshot_system(warm_cell(_config("baseline"), [trace]))
+        image.write_bytes(restamp(stale, MODEL_VERSION + 1))
+        runner = SweepRunner(workers=0, cache_dir=str(cache))
+        future = runner.submit_sharded(config, [trace], 3)
+        assert _result_sha(future.result()) == PINNED_RESULT_SHA
+        assert future.job.key == PINNED_STITCHED_KEY
+        assert runner.checkpoints_quarantined == 1
+        assert runner.warm_images_built == 1
+        assert (cache / f"{image.name}.corrupt").exists()
+        assert warm_calls() == 2  # the planted image's, then the rebuild
 
     def test_existing_image_is_reused(self, tmp_path, warm_calls):
         from repro.checkpoint import save_snapshot

@@ -20,6 +20,7 @@ import pytest
 
 from repro.analysis.scaling import QUICK_SCALE
 from repro.checkpoint import (
+    SNAPSHOT_FORMAT,
     CheckpointError,
     load_snapshot,
     restore_system,
@@ -31,8 +32,9 @@ from repro.checkpoint.shard import ShardSpec
 from repro.checkpoint.snapshot import MAGIC, _dumps, _RestrictedUnpickler
 from repro.dram.controller import Phase
 from repro.dram.request import MemoryRequest
-from repro.sim.system import System
+from repro.sim.system import MODEL_VERSION, System
 from repro.utils.events import Event
+from tests.checkpoint.conftest import restamp
 
 REFS = 3_000
 SPLIT_EVENTS = 20_000
@@ -197,161 +199,28 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="newer"):
             restore_system(data)
 
+    def test_older_format_rejected(self):
+        header = json.dumps({"format": 1}).encode()
+        data = MAGIC + struct.pack("<I", len(header)) + header
+        with pytest.raises(CheckpointError, match="older"):
+            restore_system(data)
+
+    @pytest.mark.parametrize("stamp", [MODEL_VERSION + 1, None])
+    def test_other_model_version_rejected(self, tmp_path, stamp):
+        path = tmp_path / "stale.ckpt"
+        path.write_bytes(restamp(split_run(make_system("baseline")), stamp))
+        with pytest.raises(
+            CheckpointError,
+            match=f"model version {stamp}, this simulator is model version "
+            f"{MODEL_VERSION}",
+        ):
+            load_snapshot(str(path))
+        with pytest.raises(CheckpointError, match="model version"):
+            verify_snapshot(str(path))
+
     def test_errors_are_value_errors(self):
         # Sweep-cache-style quarantine handling catches ValueError.
         assert issubclass(CheckpointError, ValueError)
-
-
-def format1_container(system) -> bytes:
-    """A container as format 1 wrote it: plain pickle, default BUILD."""
-    payload = zlib.compress(
-        pickle.dumps(
-            {"format": 1, "system": system, "telemetry": None},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-    )
-    header = json.dumps(
-        {
-            "format": 1,
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-            "payload_bytes": len(payload),
-        },
-        sort_keys=True,
-    ).encode()
-    return MAGIC + struct.pack("<I", len(header)) + header + payload
-
-
-def as_pre_callable_image(system):
-    """Rewrite a live system into the layout of images written before queue
-    entries became bare callables: every bucket entry an ``Event``, the tag
-    port's pending grant held as ``_grant_event``, and no hierarchy latencies
-    read ahead of time."""
-    queue = system.queue
-    for time, bucket in queue._buckets.items():
-        bucket[:] = [
-            entry if isinstance(entry, Event) else Event(time, entry)
-            for entry in bucket
-        ]
-    port = system.port
-    grant = None
-    if port._grant_pending:
-        # The pending grant pass, skipping the head bucket's fired prefix.
-        (grant,) = [
-            entry
-            for time, bucket in queue._buckets.items()
-            for entry in bucket[queue._pos if time == queue._pos_time else 0 :]
-            if entry.callback == port._grant
-        ]
-    del port._grant_pending
-    port._grant_event = grant
-    for name in ("_l1_miss_detect", "_l2_hit", "_l2_miss_detect"):
-        delattr(system.hierarchy, name)
-
-
-class TestPreCallableImages:
-    """Images whose queue buckets hold only ``Event`` entries — every image
-    written before bare-callable entries — restore without a format bump."""
-
-    @pytest.mark.parametrize("dram_cache", [None, "dbi"])
-    @pytest.mark.parametrize("mechanism", ["tadip", "dbi+awb+clb"])
-    def test_restores_and_finishes_like_an_uninterrupted_run(
-        self, mechanism, dram_cache
-    ):
-        benchmark = "lbm" if dram_cache else "mcf"
-        expected = make_system(
-            mechanism, benchmark=benchmark, dram_cache=dram_cache
-        ).run()
-        system = make_system(mechanism, benchmark=benchmark, dram_cache=dram_cache)
-        for core in system.cores:
-            core.start()
-        system.queue.run(max_events=SPLIT_EVENTS)
-        # Stop where a tag-port grant pass is queued, so the image carries
-        # a legacy ``_grant_event``.
-        while not system.port._grant_pending:
-            assert system.queue.step()
-        as_pre_callable_image(system)
-        assert system.port._grant_event is not None
-        restored = restore_system(snapshot_system(system))
-        buckets = restored.queue._buckets.values()
-        assert buckets and all(
-            isinstance(entry, Event) for bucket in buckets for entry in bucket
-        )
-        assert "_grant_pending" not in vars(restored.port)
-        actual = restored.resume()
-        assert actual.to_dict() == expected.to_dict()
-        assert actual.events_processed == expected.events_processed
-
-    def test_pre_merge_callback_names_still_resolve(self):
-        core = make_system("baseline").cores[0]
-        assert core._advance_event == core._advance
-        assert core._load_done_cb == core._load_done
-
-
-def controllers(system):
-    """Every memory controller: off-chip, plus the stacked array's."""
-    level = system.dram_cache
-    return [system.memory] + ([level.stacked] if level is not None else [])
-
-
-def as_pre_memo_image(system):
-    """Rewrite a live system into the layout of images written before the
-    blocked-until memo, the once-built fill continuations and the
-    mechanism's once-read latencies and predictor flag: none of those
-    attributes exist on the instances."""
-    for controller in controllers(system):
-        del controller._blocked_list, controller._blocked_until
-    hierarchy = system.hierarchy
-    del hierarchy._llc_data_of, hierarchy._store_fill_of
-    mechanism = system.mechanism
-    vars(mechanism).pop("_fill_done_by_core", None)
-    vars(mechanism).pop("trains_predictor", None)
-    del mechanism._llc_hit_latency, mechanism._llc_miss_detect_latency
-
-
-class TestPreMemoImages:
-    """Images written before the per-miss allocations were cut restore, in
-    either container format, and finish like an uninterrupted run."""
-
-    @pytest.mark.parametrize("container", ["format1", "format2"])
-    @pytest.mark.parametrize("dram_cache", [None, "dbi"])
-    @pytest.mark.parametrize("mechanism", ["dawb", "dbi+awb+clb"])
-    def test_restores_and_finishes_like_an_uninterrupted_run(
-        self, mechanism, dram_cache, container
-    ):
-        benchmark = "lbm" if dram_cache else "mcf"
-        expected = make_system(
-            mechanism, benchmark=benchmark, dram_cache=dram_cache
-        ).run()
-        system = make_system(mechanism, benchmark=benchmark, dram_cache=dram_cache)
-        for core in system.cores:
-            core.start()
-        system.queue.run(max_events=SPLIT_EVENTS)
-
-        # Stop with reads in flight, writes buffered and a live memo, so
-        # the restored run must rebuild what the image lacks mid-stream.
-        def mid_stream():
-            found = controllers(system)
-            return (
-                any(c.read_queue for c in found)
-                and any(c.write_buffer._entries for c in found)
-                and any(c._blocked_list is not None for c in found)
-            )
-
-        while not mid_stream():
-            assert system.queue.step()
-        as_pre_memo_image(system)
-        image = (
-            format1_container(system)
-            if container == "format1"
-            else snapshot_system(system)
-        )
-        restored = restore_system(image)
-        for controller in controllers(restored):
-            assert "_blocked_list" not in vars(controller)
-        assert "_llc_data_of" not in vars(restored.hierarchy)
-        actual = restored.resume()
-        assert actual.to_dict() == expected.to_dict()
-        assert actual.events_processed == expected.events_processed
 
 
 class TestStateSetter:
@@ -406,21 +275,14 @@ class TestStateSetter:
         assert restored.func.__self__.busy_until == 30
         assert [restored(now) for now in (29, 30)] == [False, True]
 
-    def test_format1_container_still_loads(self):
-        system = make_system("dbi+awb+clb", dram_cache="dbi")
-        split_run(system)
-        restored = restore_system(format1_container(system))
-        assert restored.resume().to_dict() == system.resume().to_dict()
-
 
 class TestRestrictedUnpickle:
     def _container(self, payload_pickle: bytes) -> bytes:
         compressed = zlib.compress(payload_pickle)
-        import hashlib
-
         header = json.dumps(
             {
-                "format": 1,
+                "format": SNAPSHOT_FORMAT,
+                "model_version": MODEL_VERSION,
                 "payload_sha256": hashlib.sha256(compressed).hexdigest(),
                 "payload_bytes": len(compressed),
             }

@@ -8,11 +8,16 @@ here; an intended one is re-pinned with::
 
     pytest tests/integration/test_golden.py --update-golden
 
+``golden/MODEL_VERSION.json`` pins the fixtures (these and the golden
+telemetry stream) to :data:`~repro.sim.system.MODEL_VERSION`, so a re-pin
+is accepted only together with a version bump.
+
 The simulator is deterministic by construction, so these are exact-equality
 comparisons, not tolerances.
 """
 
 import dataclasses
+import hashlib
 import json
 import pathlib
 from fractions import Fraction
@@ -22,10 +27,12 @@ import pytest
 from repro.cache.config import CacheConfig
 from repro.dram.config import DramConfig
 from repro.dramcache.config import DramCacheConfig, stacked_dram_config
-from repro.sim.system import SystemConfig, run_system
+from repro.sim.system import MODEL_VERSION, SystemConfig, run_system
 from repro.sim.trace import Trace
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+TESTS_DIR = GOLDEN_DIR.parents[1]
+MANIFEST_PATH = GOLDEN_DIR / "MODEL_VERSION.json"
 
 GOLDEN_L1 = CacheConfig(
     name="l1", num_blocks=16, associativity=2, tag_latency=2, data_latency=2,
@@ -195,3 +202,37 @@ def test_checked_dramcache_run_matches_golden():
         (GOLDEN_DIR / "expected" / f"{case_id}.json").read_text()
     )
     assert checked == expected
+
+
+def fixture_digest():
+    """SHA-256 over every golden fixture's path and bytes: the result
+    fixtures here plus the golden telemetry stream."""
+    paths = sorted((GOLDEN_DIR / "expected").glob("*.json")) + [
+        TESTS_DIR / "telemetry" / "golden" / "lbm-dbi-awb.telemetry.jsonl"
+    ]
+    hasher = hashlib.sha256()
+    for path in paths:
+        hasher.update(f"{path.relative_to(TESTS_DIR).as_posix()}\0".encode())
+        hasher.update(path.read_bytes())
+        hasher.update(b"\0")
+    return hasher.hexdigest()
+
+
+def test_golden_manifest(request):
+    """The fixtures are the ones recorded for this model version.
+
+    Under ``--update-golden`` (run last, after the fixtures are rewritten)
+    the manifest is re-recorded only when ``MODEL_VERSION`` moved: changed
+    fixtures under an unchanged version fail instead.
+    """
+    recorded = json.loads(MANIFEST_PATH.read_text())
+    current = {"model_version": MODEL_VERSION, "sha256": fixture_digest()}
+    if request.config.getoption("--update-golden") and recorded != current:
+        if recorded.get("model_version") == MODEL_VERSION:
+            pytest.fail("fixtures changed: bump MODEL_VERSION")
+        MANIFEST_PATH.write_text(json.dumps(current, indent=2) + "\n")
+        recorded = current
+    assert recorded == current, (
+        "golden fixtures or MODEL_VERSION changed without the other; re-pin "
+        "with --update-golden after bumping MODEL_VERSION"
+    )

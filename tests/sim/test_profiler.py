@@ -8,7 +8,7 @@ behaves exactly as before.
 import functools
 
 from repro.analysis.scaling import SCALES
-from repro.mechanisms.base import _invoke
+from repro.mechanisms.base import _deliver_block
 from repro.sim.profiler import SimProfiler, callback_site, component_of
 from repro.sim.system import System, run_system
 from repro.telemetry.sampler import TelemetryConfig
@@ -130,7 +130,7 @@ class TestAttribution:
         here = (__name__, Owner.method.__qualname__)
         assert callback_site(owner.method) == here
         assert callback_site(functools.partial(owner.method, 1, 2)) == here
-        assert callback_site(functools.partial(_invoke, owner.method, 1)) == here
+        assert callback_site(functools.partial(_deliver_block, owner.method)) == here
 
     def test_sites_are_callback_functions_not_instances(self):
         """Thousands of partials over a handful of methods: one row per

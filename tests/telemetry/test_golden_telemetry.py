@@ -6,9 +6,12 @@ totals but redistributes work across the run — a warmup shift, an eviction
 storm moving earlier, a gauge going wrong mid-run — still shows up.
 
 The simulator and trace generator are seeded and deterministic, so the
-comparison is exact text equality. Intended changes are re-pinned with::
+comparison is exact text equality. The stream is part of the golden
+manifest (``tests/integration/golden/MODEL_VERSION.json``), so intended
+changes are re-pinned after a ``MODEL_VERSION`` bump, with::
 
-    pytest tests/telemetry/test_golden_telemetry.py --update-golden
+    pytest tests/integration/test_golden.py \
+        tests/telemetry/test_golden_telemetry.py --update-golden
 """
 
 import json

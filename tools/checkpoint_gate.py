@@ -8,8 +8,9 @@ Three checks, each of which must pass:
    the uninterrupted run. This is the checkpoint subsystem's load-bearing
    guarantee; the gate re-proves it on every CI run, not just in the test
    suite.
-2. **Corrupt-snapshot quarantine** — a warm image whose payload has been
-   flipped must be quarantined to ``.ckpt.corrupt`` (evidence preserved),
+2. **Corrupt- and stale-snapshot quarantine** — a warm image whose payload
+   has been flipped, and one whose header claims another ``MODEL_VERSION``,
+   must each be quarantined to ``.ckpt.corrupt`` (evidence preserved),
    rebuilt, and the rebuilt sweep must reproduce the original results.
 3. **Fork+sampled speedup** — a quick-scale Figure 6 mechanism sweep run
    via fork-from-warm + sampled windows must beat the cold full-run sweep
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import struct
 import sys
 import tempfile
 import time
@@ -64,37 +66,64 @@ def check_restore_equivalence(benchmark: str) -> str:
     return "restore-equivalence: restored run byte-identical under --check full"
 
 
+def corrupt_payload(blob: bytes) -> bytes:
+    """Flip one payload byte: the digest no longer checks out."""
+    damaged = bytearray(blob)
+    damaged[-10] ^= 0xFF
+    return bytes(damaged)
+
+
+def stale_stamp(blob: bytes) -> bytes:
+    """Re-frame the image as written by another model version (payload and
+    digest intact, so only the version check can refuse it)."""
+    from repro.checkpoint.snapshot import MAGIC
+    from repro.sim.system import MODEL_VERSION
+
+    offset = len(MAGIC) + 4
+    (length,) = struct.unpack_from("<I", blob, len(MAGIC))
+    header = json.loads(blob[offset : offset + length])
+    header["model_version"] = MODEL_VERSION + 1
+    text = json.dumps(header, sort_keys=True).encode()
+    return MAGIC + struct.pack("<I", len(text)) + text + blob[offset + length :]
+
+
 def check_quarantine(tmp: str, benchmark: str) -> str:
     from repro.analysis.runner import SweepRunner
     from repro.analysis.scaling import QUICK_SCALE
 
-    ckpt = os.path.join(tmp, "quarantine-ckpt")
     trace = QUICK_SCALE.benchmark_trace(benchmark, refs=4_000)
     config = QUICK_SCALE.system_config("tadip")
-    with SweepRunner(
-        workers=0, use_cache=False, progress=None, checkpoint_dir=ckpt
-    ) as first:
-        expected = result_bytes(first.run(config, [trace]))
-    (image,) = [f for f in os.listdir(ckpt) if f.endswith(".ckpt")]
-    path = os.path.join(ckpt, image)
-    with open(path, "rb") as handle:
-        blob = bytearray(handle.read())
-    blob[-10] ^= 0xFF
-    with open(path, "wb") as handle:
-        handle.write(bytes(blob))
-    with SweepRunner(
-        workers=0, use_cache=False, progress=None, checkpoint_dir=ckpt
-    ) as second:
-        replay = result_bytes(second.run(config, [trace]))
-    if second.checkpoints_quarantined != 1:
-        raise AssertionError("corrupt warm image was not quarantined")
-    if not os.path.exists(f"{path}.corrupt"):
-        raise AssertionError("quarantine left no .corrupt evidence file")
-    if not os.path.exists(path):
-        raise AssertionError("warm image was not rebuilt after quarantine")
-    if replay != expected:
-        raise AssertionError("rebuilt warm image produced different results")
-    return "quarantine: corrupt warm image quarantined, rebuilt, reproduced"
+    for kind, damage in (("corrupt", corrupt_payload), ("stale", stale_stamp)):
+        ckpt = os.path.join(tmp, f"quarantine-{kind}-ckpt")
+        with SweepRunner(
+            workers=0, use_cache=False, progress=None, checkpoint_dir=ckpt
+        ) as first:
+            expected = result_bytes(first.run(config, [trace]))
+        (image,) = [f for f in os.listdir(ckpt) if f.endswith(".ckpt")]
+        path = os.path.join(ckpt, image)
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(damage(blob))
+        with SweepRunner(
+            workers=0, use_cache=False, progress=None, checkpoint_dir=ckpt
+        ) as second:
+            replay = result_bytes(second.run(config, [trace]))
+        if second.checkpoints_quarantined != 1:
+            raise AssertionError(f"{kind} warm image was not quarantined")
+        if not os.path.exists(f"{path}.corrupt"):
+            raise AssertionError(f"{kind} image left no .corrupt evidence file")
+        if not os.path.exists(path):
+            raise AssertionError(f"{kind} warm image was not rebuilt")
+        if replay != expected:
+            raise AssertionError(
+                f"warm image rebuilt after a {kind} one produced different "
+                "results"
+            )
+    return (
+        "quarantine: corrupt and stale warm images quarantined, rebuilt, "
+        "reproduced"
+    )
 
 
 def measure_speedup(tmp: str, benchmark: str, threshold: float) -> str:
