@@ -12,7 +12,6 @@ within noise of the tag side).
 from benchmarks.conftest import show
 from repro.analysis.experiments import (
     DRAMCACHE_TRADEOFF_BENCHMARKS,
-    _dramcache_level_config,
     run_dramcache,
 )
 
@@ -36,7 +35,7 @@ def test_checked_level_run_is_byte_identical(benchmark, scale):
     from repro.sim.system import run_system
 
     config = scale.system_config(
-        "dbi+awb", dram_cache=_dramcache_level_config(scale, "dbi")
+        "dbi+awb", dram_cache=scale.dram_cache_study_config("dbi")
     )
     trace = scale.benchmark_trace("lbm", refs=8_000)
 

@@ -12,8 +12,9 @@ Run:  python examples/multicore_interference.py [--cores 4] [--mixes 3]
 
 import argparse
 
-from repro.analysis.experiments import AloneIpcCache, _mix_speedups
+from repro.analysis.experiments import mix_grid
 from repro.analysis.report import format_table
+from repro.analysis.runner import SweepRunner
 from repro.analysis.scaling import SCALES
 
 
@@ -31,16 +32,17 @@ def main() -> None:
     scale = SCALES[args.scale]
     mechanisms = [m.strip() for m in args.mechanisms.split(",")]
     mixes = scale.mixes(args.cores, count=args.mixes)
-    alone = AloneIpcCache(scale)
-
-    rows = []
     for mix in mixes:
-        print(f"running {mix.name}: {', '.join(mix.benchmark_names)}")
-        cells = [mix.name]
-        for mechanism in mechanisms:
-            metrics = _mix_speedups(scale, mechanism, mix, alone)
-            cells.append(metrics["weighted_speedup"])
-        rows.append(cells)
+        print(f"{mix.name}: {', '.join(mix.benchmark_names)}")
+    grid = mix_grid(
+        SweepRunner(workers=0, cache_dir=None), scale, {args.cores: mixes},
+        mechanisms,
+    )
+
+    rows = [
+        [name] + [point[mech]["weighted_speedup"] for mech in mechanisms]
+        for name, point in grid[args.cores].items()
+    ]
 
     averages = ["average"] + [
         sum(row[i] for row in rows) / len(rows)

@@ -112,11 +112,7 @@ def _cmd_run(args) -> int:
     trace = scale.benchmark_trace(args.benchmark, refs=args.refs)
     overrides = {}
     if args.dram_cache is not None:
-        from repro.analysis.experiments import _dramcache_level_config
-
-        overrides["dram_cache"] = _dramcache_level_config(
-            scale, args.dram_cache
-        )
+        overrides["dram_cache"] = scale.dram_cache_study_config(args.dram_cache)
     config = scale.system_config(args.mechanism, **overrides)
     if args.sampled is not None:
         return _cmd_run_sampled(args, config, trace)
@@ -580,11 +576,7 @@ def _cmd_profile(args) -> int:
     trace = scale.benchmark_trace(args.benchmark, refs=args.refs)
     overrides = {}
     if args.dram_cache is not None:
-        from repro.analysis.experiments import _dramcache_level_config
-
-        overrides["dram_cache"] = _dramcache_level_config(
-            scale, args.dram_cache
-        )
+        overrides["dram_cache"] = scale.dram_cache_study_config(args.dram_cache)
     config = scale.system_config(args.mechanism, **overrides)
     telemetry = None
     if args.telemetry:
@@ -820,7 +812,7 @@ def main(argv=None) -> int:
     )
     exp_parser.add_argument(
         "--benchmarks", default=None,
-        help="comma-separated benchmark subset (fig6 only)",
+        help="comma-separated benchmark subset (fig6 and dramcache only)",
     )
     exp_parser.add_argument(
         "--quiet", action="store_true",

@@ -4,7 +4,12 @@
   Python simulator cannot run 500M-instruction SPEC traces, so the hierarchy
   and footprints scale down together, keeping every ratio of Table 1).
 * :mod:`repro.analysis.experiments` — ``run_figure6``, ``run_figure7``, ...
-  each reproducing one evaluation artifact.
+  each reproducing one evaluation artifact. The multi-core artifacts
+  (Figures 7/8, Tables 3/7, the DRRIP and case studies) are views of one
+  ``mix_grid``: the Section 5 metrics per (mix, mechanism), each core
+  normalized by the alone run of its own trace.
+* :mod:`repro.analysis.surfaces` — the same figures folded from a finished
+  campaign's cells, with confidence intervals.
 * :mod:`repro.analysis.runner` — the parallel, disk-cached sweep engine the
   experiment runners submit their independent simulations to.
 * :mod:`repro.analysis.report` — plain-text table/CSV rendering.

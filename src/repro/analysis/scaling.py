@@ -104,6 +104,33 @@ class ScaleProfile:
             ),
         )
 
+    def dram_cache_study_config(
+        self, dirty_backend: str, bandwidth_divisor: int = 1
+    ) -> DramCacheConfig:
+        """The stacked level of the dirty-tracking trade-off study and of
+        the campaign's stacked-bandwidth sensitivity sweep.
+
+        The level shrinks further than the capacity ratio alone (÷8 on top
+        of the profile divisor) so short traces actually pressure it:
+        without evictions neither backend ever writes off-chip and the study
+        measures nothing. ``bandwidth_divisor`` stretches the stacked
+        channel's burst occupancy — half the pin bandwidth doubles
+        ``t_burst``, which is exactly how the TDRAM/Gemini
+        hit-latency-vs-bandwidth curves are swept.
+        """
+        if bandwidth_divisor is None or bandwidth_divisor < 1:
+            raise ValueError(
+                f"bandwidth divisor must be >= 1, got {bandwidth_divisor!r}"
+            )
+        config = self.dram_cache_config(dirty_backend=dirty_backend)
+        config = dataclasses.replace(
+            config, num_blocks=max(256, (1 << 17) // (self.divisor * 8))
+        )
+        stacked = dataclasses.replace(
+            config.stacked, t_burst=config.stacked.t_burst * bandwidth_divisor
+        )
+        return dataclasses.replace(config, stacked=stacked)
+
     def system_config(
         self,
         mechanism: str,

@@ -26,7 +26,11 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.experiments import ExperimentResult
+from repro.analysis.experiments import (
+    FIGURE6_PANELS,
+    FIGURE8_MECHANISMS,
+    ExperimentResult,
+)
 from repro.analysis.scaling import SCALES
 from repro.checkpoint.sampled import MetricEstimate, _estimate
 from repro.sim.metrics import geometric_mean, weighted_speedup
@@ -37,20 +41,6 @@ from repro.utils.atomic import atomic_write_json, atomic_write_text
 SURFACES_DIRNAME = "surfaces"
 #: Machine-readable form of every surface, one JSON document.
 SURFACES_JSON = "surfaces.json"
-
-#: Figure 6 panels: surface id -> (title, metric extractor).
-FIG6_PANELS = (
-    ("fig6a", "Instructions per cycle", lambda r: r.ipc[0]),
-    ("fig6b", "Write row hit rate", lambda r: r.write_row_hit_rate),
-    ("fig6c", "LLC tag lookups per kilo-instruction",
-     lambda r: r.tag_lookups_pki),
-    ("fig6d", "Memory writes per kilo-instruction",
-     lambda r: r.memory_wpki),
-    ("fig6e", "Read row hit rate", lambda r: r.read_row_hit_rate),
-)
-
-#: Mechanisms the paper plots in Figure 8 (intersected with the campaign's).
-FIG8_PREFERRED = ("dawb", "dbi+awb+clb")
 
 
 def _fmt_ci(estimate: Optional[MetricEstimate]) -> Optional[str]:
@@ -98,7 +88,7 @@ def _figure6(
         lookup[(workload, cell.mechanism)] = results.get(cell.cell_id)
 
     out: Dict[str, ExperimentResult] = {}
-    for exp_id, title, extract in FIG6_PANELS:
+    for exp_id, title, extract in FIGURE6_PANELS:
         rows: List[List] = []
         columns: List[List[float]] = [[] for _ in mechanisms]
         for workload in workloads:
@@ -207,7 +197,8 @@ def _figure8(config, cells, results) -> ExperimentResult:
     core_counts = sorted(
         {cell.num_cores for cell in cells if cell.category == "mix"}
     )
-    plotted = [m for m in FIG8_PREFERRED if m in mechanisms]
+    # The paper's Figure 8 lineup, intersected with the campaign's.
+    plotted = [m for m in FIGURE8_MECHANISMS if m in mechanisms]
     if not plotted:
         plotted = [m for m in mechanisms if m != "baseline"]
 
@@ -297,10 +288,6 @@ def _sensitivity(config, cells, results) -> Optional[ExperimentResult]:
     sens_cells = [cell for cell in cells if cell.category == "sens"]
     if not sens_cells:
         return None
-    # Deferred: plan imports stay out of module scope so the orchestrator's
-    # lazy import of this module cannot cycle back through campaign.plan.
-    from repro.campaign.plan import sensitivity_cache_config
-
     scale = SCALES[config.scale]
     points = []  # (bandwidth, backend) in plan order
     for cell in sens_cells:
@@ -310,7 +297,7 @@ def _sensitivity(config, cells, results) -> Optional[ExperimentResult]:
 
     rows: List[List] = []
     for bandwidth, backend in points:
-        cache = sensitivity_cache_config(scale, backend, bandwidth)
+        cache = scale.dram_cache_study_config(backend, bandwidth)
         group = [
             results[cell.cell_id]
             for cell in sens_cells

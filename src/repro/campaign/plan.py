@@ -16,12 +16,12 @@ between plan and resume is caught rather than silently swapping traces.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.experiments import FIGURE7_MECHANISMS
 from repro.analysis.scaling import ScaleProfile
 from repro.sim.system import SystemConfig
 from repro.sim.trace import Trace
@@ -29,9 +29,7 @@ from repro.workloads.mix import paper_mix_count
 
 #: Default campaign mechanisms: the paper's Figure 7 lineup (baseline
 #: included, so speedups are computable straight from the results file).
-DEFAULT_MECHANISMS = (
-    "baseline", "tadip", "dawb", "dbi", "dbi+awb", "dbi+clb", "dbi+awb+clb",
-)
+DEFAULT_MECHANISMS = FIGURE7_MECHANISMS
 
 #: Dirty-tracking backends the stacked-bandwidth sensitivity sweep compares.
 SENSITIVITY_BACKENDS = ("tag", "dbi")
@@ -299,31 +297,6 @@ def cell_traces(
     return list(mix.traces)
 
 
-def sensitivity_cache_config(
-    scale: ScaleProfile, backend: str, bandwidth_divisor: int
-):
-    """The stacked level for one bandwidth point of the sensitivity sweep.
-
-    Starts from the trade-off study's shrunken level (÷8 on top of the
-    profile divisor, so short traces actually pressure it) and stretches
-    the stacked channel's burst occupancy by ``bandwidth_divisor`` — half
-    the pin bandwidth doubles ``t_burst``, which is exactly how the
-    TDRAM/Gemini hit-latency-vs-bandwidth curves are swept.
-    """
-    if bandwidth_divisor is None or bandwidth_divisor < 1:
-        raise ValueError(
-            f"bandwidth divisor must be >= 1, got {bandwidth_divisor!r}"
-        )
-    config = scale.dram_cache_config(dirty_backend=backend)
-    config = dataclasses.replace(
-        config, num_blocks=max(256, (1 << 17) // (scale.divisor * 8))
-    )
-    stacked = dataclasses.replace(
-        config.stacked, t_burst=config.stacked.t_burst * bandwidth_divisor
-    )
-    return dataclasses.replace(config, stacked=stacked)
-
-
 def cell_config(scale: ScaleProfile, cell: CampaignCell) -> SystemConfig:
     """The cell's system configuration at this scale."""
     category = cell.category
@@ -337,8 +310,8 @@ def cell_config(scale: ScaleProfile, cell: CampaignCell) -> SystemConfig:
         return scale.system_config(
             cell.mechanism,
             num_cores=1,
-            dram_cache=sensitivity_cache_config(
-                scale, cell.backend, cell.bandwidth
+            dram_cache=scale.dram_cache_study_config(
+                cell.backend, cell.bandwidth
             ),
         )
     return scale.system_config(cell.mechanism, num_cores=cell.num_cores)

@@ -164,6 +164,9 @@ class TestExperimentIntegration:
         run_figure7(TINY, core_counts=(2,), mechanisms=("baseline", "dbi"),
                     mixes_per_system=2, runner=runner)
         executed_after_fig7 = runner.jobs_executed
+        # Two mixes x two mechanisms, plus one alone run per core trace;
+        # repeated alone requests (one per mechanism) coalesce.
+        assert executed_after_fig7 == 2 * 2 + 2 * 2
         # Table 3 re-requests the same baseline mixes and alone-mode runs;
         # only its dbi+awb+clb shared runs are new simulations.
         run_table3(TINY, core_counts=(2,), mechanism="dbi+awb+clb",

@@ -33,9 +33,10 @@
 #                  random config/op-schedule trials through the differential
 #                  and the invariant engine, run twice; zero findings and a
 #                  byte-identical coverage map are required.
-#   sweep        — one figure runner through the SweepRunner with 2 workers
-#                  and a fresh cache, twice; the second pass must be answered
-#                  from the cache, byte-identically.
+#   sweep        — two figure runners (fig6 on two benchmarks; fig8, whose
+#                  4-core mixes repeat benchmarks) through the SweepRunner
+#                  with 2 workers and a fresh cache, twice; the second pass
+#                  must be answered from the cache, byte-identically.
 #   chaos        — the same sweep under seeded worker crashes, hangs and
 #                  cache corruption at p=0.3 with --keep-going; the recovered
 #                  output must be byte-identical to the fault-free run.
@@ -161,9 +162,18 @@ stage_conformance() {
     echo "ci: ok (24 trials, 0 findings, $keys coverage keys, map byte-stable)"
 }
 
-sweep() {
+# The sweep artifacts into cache dir $1; further arguments go to both runs.
+sweep_into() {
+    local cache=$1
+    shift
     python -m repro experiment fig6 --scale quick \
-        --benchmarks mcf,bzip2 --workers 2 --cache-dir "$tmp/cache" --quiet
+        --benchmarks mcf,bzip2 --workers 2 --cache-dir "$cache" --quiet "$@"
+    python -m repro experiment fig8 --scale quick \
+        --workers 2 --cache-dir "$cache" --quiet "$@"
+}
+
+sweep() {
+    sweep_into "$tmp/cache"
 }
 
 # The chaos stage diffs against the fault-free sweep output; produce it here
@@ -191,9 +201,8 @@ stage_chaos() {
     # hang_seconds must exceed --job-timeout for hangs to trigger recovery,
     # and the generous attempt budget lets every fault be retried through;
     # recovery must repair execution without touching data.
-    python -m repro experiment fig6 --scale quick \
-        --benchmarks mcf,bzip2 --workers 2 --cache-dir "$tmp/chaos-cache" \
-        --quiet --keep-going --max-attempts 6 --job-timeout 10 \
+    sweep_into "$tmp/chaos-cache" \
+        --keep-going --max-attempts 6 --job-timeout 10 \
         --chaos "seed=7,crash=0.3,hang=0.3,corrupt=0.3,hang_seconds=20" \
         > "$tmp/chaos.txt"
     if ! cmp -s "$tmp/cold.txt" "$tmp/chaos.txt"; then
