@@ -10,9 +10,9 @@ Commands:
                   DBI-tracked and untracked protection domains.
     check-diff  — differentially validate every mechanism against the
                   untimed golden reference model (see repro.check).
-    profile     — run one benchmark/mechanism with the per-event time-share
-                  profiler attached and report where simulation time goes
-                  (component shares and the costliest callback sites);
+    profile     — run one benchmark/mechanism under cProfile and report
+                  where simulation time goes (exclusive time per layer,
+                  summing to wall time, and the costliest functions);
                   ``--dram-cache {tag,dbi}``, ``--check`` and
                   ``--telemetry`` profile the stacked, checked and
                   sampled paths.
@@ -566,11 +566,9 @@ def _cmd_reliability(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    import time
-
     from repro.analysis.scaling import SCALES
-    from repro.sim.profiler import SimProfiler
-    from repro.sim.system import run_system
+    from repro.sim.profiler import profile_system
+    from repro.sim.system import System
 
     scale = SCALES[args.scale]
     trace = scale.benchmark_trace(args.benchmark, refs=args.refs)
@@ -583,12 +581,11 @@ def _cmd_profile(args) -> int:
         from repro.telemetry.sampler import TelemetryConfig
 
         telemetry = TelemetryConfig(epoch_cycles=args.epoch_cycles)
-    profiler = SimProfiler()
-    start = time.perf_counter()
-    result = run_system(
-        config, [trace], check=args.check, profiler=profiler, telemetry=telemetry
+    profile = profile_system(
+        System(config, [trace], check=args.check, telemetry=telemetry)
     )
-    wall = time.perf_counter() - start
+    events = profile.result.events_processed
+    wall = profile.wall_seconds
     if args.json:
         import json
 
@@ -599,10 +596,10 @@ def _cmd_profile(args) -> int:
             "dram_cache": args.dram_cache,
             "check": args.check,
             "telemetry": args.epoch_cycles if args.telemetry else None,
-            "events_processed": result.events_processed,
-            "events_per_second": result.events_processed / wall,
+            "events_processed": events,
+            "events_per_second": events / wall,
         }
-        payload.update(profiler.to_dict(wall_seconds=wall))
+        payload.update(profile.to_dict())
         print(json.dumps(payload, indent=2))
     else:
         print(
@@ -612,11 +609,11 @@ def _cmd_profile(args) -> int:
             + (f"{args.epoch_cycles}-cycle epochs" if args.telemetry else "off")
         )
         print(
-            f"{result.events_processed} events in {wall:.3f}s "
-            f"({result.events_processed / wall:,.0f} events/s)"
+            f"{events} events in {wall:.3f}s profiled "
+            f"({events / wall:,.0f} events/s under cProfile)"
         )
         print()
-        print(profiler.to_text(wall_seconds=wall))
+        print(profile.to_text())
     return 0
 
 
@@ -921,7 +918,7 @@ def main(argv=None) -> int:
 
     prof_parser = sub.add_parser(
         "profile",
-        help="time-share profile of one simulation (per-component breakdown)",
+        help="exclusive time per layer of one simulation (cProfile)",
     )
     prof_parser.add_argument("benchmark")
     prof_parser.add_argument("mechanism")
@@ -938,12 +935,12 @@ def main(argv=None) -> int:
     prof_parser.add_argument(
         "--check", choices=("off", "cheap", "full"), default="off",
         help="runtime invariant checking level (default: off); check "
-             "sweeps are charged to the 'check' component",
+             "sweeps are charged to the 'check' layer",
     )
     prof_parser.add_argument(
         "--telemetry", action="store_true",
         help="attach the in-memory epoch sampler; its sampling is charged "
-             "to the 'telemetry' component",
+             "to the 'telemetry' layer",
     )
     prof_parser.add_argument(
         "--epoch-cycles", type=int, default=5_000, metavar="N",

@@ -25,8 +25,10 @@ results) is rebuilt instead of restored.
 
 Two attachments are handled specially because they hold unpicklable state:
 
-* the profiler (``queue.profiler``) times wall-clock, which is meaningless
-  across a restore; it is detached for the snapshot and *not* restored.
+* the per-event hook (``queue.profiler``), whose only user is the
+  benchmark's tracer (``perfbench/tracer.py``), times wall-clock, which is
+  meaningless across a restore; it is detached for the snapshot and *not*
+  restored.
 * the telemetry sampler holds a file handle and probe lambdas; its plain
   counters (epoch cursor, previous-snapshot dict, emitted records) are
   captured separately and a fresh sampler is rebuilt around them on restore,

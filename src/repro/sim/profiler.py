@@ -1,203 +1,168 @@
-"""Per-component time-share profiling of the event loop.
+"""Exclusive time per layer of one simulation, from ``cProfile``.
 
-The event kernel exposes one hook — ``EventQueue.profiler`` — that, when set,
-runs every callback through the profiler instead of calling it directly. The
-profiler wall-clocks each callback and attributes the time to the component
-that owns it (core front-end, hierarchy plumbing, LLC mechanism, tag port,
-DRAM controller, …), derived from the module of the function that runs: a
-callback is first unwrapped through ``functools.partial`` objects, bound
-methods, the mechanism trampoline ``_deliver_block`` and
-``MemoryRequest.fire_completion`` (which runs its ``on_complete``), so every
-partial of one method shares one site row.
+:func:`profile_system` runs a built :class:`~repro.sim.system.System` under
+``cProfile.Profile(builtins=False)``, which charges the time of builtins
+(``list.append``, ``heapq.heappush``, calling a ``functools.partial``) to
+the Python function that called them. Each profiled function's ``tottime``
+and primitive calls are summed into the layer that owns its module, by
+:data:`LAYER_PREFIXES`; code outside every layer (``repro.sim.system``, the
+telemetry probes it defines) and the profiler's own bookkeeping fall in the
+``unattributed`` row, which is wall time minus every layer, so the rows sum
+to the profiled wall time exactly.
 
-Profiling is strictly observational: it never touches the queue's clock,
-event accounting or any simulator state, so a profiled run produces results
-byte-identical to an unprofiled one (``tests/sim/test_profiler.py`` pins
-this). When the hook is unset — the default — the kernel pays a single
-``is None`` attribute test per event.
+The layer names are the ones the benchmark's tracer (``perfbench/tracer.py``)
+reports, so ``repro profile`` and a traced benchmark run answer "where did
+the time go?" with the same rows. ``tests/sim/test_profiler.py`` checks that
+the two tables agree.
 
-Used by the ``repro profile`` CLI subcommand and ``tools/perf_gate.py``.
+Profiling only observes: a profiled run's results and telemetry records are
+byte-identical to an unprofiled one's.
+
+Used by the ``repro profile`` CLI subcommand.
 """
 
 from __future__ import annotations
 
-import functools
-import time as _time
-import types
-from typing import Callable, Dict, List, Optional, Tuple
+import cProfile
+import os
+import pstats
+import time
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-#: Module-prefix → component label, most specific first.
-_COMPONENT_PREFIXES: Tuple[Tuple[str, str], ...] = (
+#: Module prefix -> layer row, most specific first. The same table as
+#: ``perfbench/tracer.py``'s.
+LAYER_PREFIXES: Tuple[Tuple[str, str], ...] = (
+    ("repro.utils.events", "kernel"),
     ("repro.sim.core_model", "core"),
     ("repro.sim.hierarchy", "hierarchy"),
-    ("repro.cache.port", "llc-port"),
+    ("repro.cache.port", "port"),
     ("repro.cache", "cache"),
     ("repro.mechanisms", "mechanism"),
-    ("repro.dramcache", "dramcache"),
+    ("repro.core.dbi", "dbi"),
     ("repro.dram", "dram"),
-    ("repro.core", "dbi"),
+    ("repro.dramcache", "dramcache"),
     ("repro.check", "check"),
     ("repro.telemetry", "telemetry"),
-    ("repro.sim", "sim"),
+    ("repro.analysis.runner", "runner"),
+    ("repro.checkpoint", "checkpoint"),
+    ("repro.campaign", "campaign"),
+    ("repro.workloads", "workloads"),
 )
 
-#: Partial targets whose first argument is the code that runs.
-_TRAMPOLINES = frozenset({("repro.mechanisms.base", "_deliver_block")})
-#: Bound methods that run ``self.on_complete``.
-_FORWARDERS = frozenset({("repro.dram.request", "MemoryRequest.fire_completion")})
+UNATTRIBUTED = "unattributed"
+
+#: Every row of the table, in report order.
+LAYERS: Tuple[str, ...] = tuple(
+    dict.fromkeys(layer for _, layer in LAYER_PREFIXES)
+) + (UNATTRIBUTED,)
+
+#: Rows of the report's costliest-functions list.
+TOP_FUNCTIONS = 10
+
+#: Directory holding the ``repro`` package, as code objects name it.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def component_of(module: str) -> str:
-    """Map a callback's defining module to a component label."""
-    for prefix, label in _COMPONENT_PREFIXES:
+def layer_of(module: Optional[str]) -> Optional[str]:
+    """The layer that owns ``module``, or None outside every layer."""
+    if not module:
+        return None
+    for prefix, layer in LAYER_PREFIXES:
         if module == prefix or module.startswith(prefix + "."):
-            return label
-    return "other"
+            return layer
+    return None
 
 
-def _site(fn) -> Tuple[str, str]:
-    return (
-        getattr(fn, "__module__", None) or "?",
-        getattr(fn, "__qualname__", None) or type(fn).__qualname__,
-    )
+def _module_of(filename: str) -> Optional[str]:
+    """The ``repro.*`` module defined in ``filename``, or None."""
+    path = os.path.abspath(filename)
+    if not path.startswith(_PACKAGE_DIR + os.sep) or not path.endswith(".py"):
+        return None
+    parts = ["repro"] + os.path.relpath(path, _PACKAGE_DIR)[:-3].split(os.sep)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
 
 
-def callback_site(callback: Callable) -> Tuple[str, str]:
-    """``(module, qualname)`` of the function a queued callback runs."""
-    fn = callback
-    while True:
-        if isinstance(fn, functools.partial):
-            fn = fn.args[0] if _site(fn.func) in _TRAMPOLINES else fn.func
-        elif isinstance(fn, types.MethodType):
-            if _site(fn.__func__) in _FORWARDERS:
-                fn = fn.__self__.on_complete
-            else:
-                fn = fn.__func__
-        else:
-            return _site(fn)
+@dataclass
+class LayerProfile:
+    """One profiled run: its result and where its wall time went."""
 
+    result: object
+    wall_seconds: float
+    #: ``{layer: (primitive calls, self seconds)}`` for every layer that ran,
+    #: plus :data:`UNATTRIBUTED`.
+    layers: Dict[str, Tuple[int, float]]
+    #: The costliest functions by self time: ``(function, calls, seconds)``.
+    top_functions: List[Tuple[str, int, float]]
 
-class SimProfiler:
-    """Aggregates per-callback-site wall time; attach via ``queue.profiler``.
+    def rows(self) -> List[Tuple[str, int, float]]:
+        """``(layer, calls, seconds)``, costliest first, unattributed last."""
+        ranked = sorted(
+            (item for item in self.layers.items() if item[0] != UNATTRIBUTED),
+            key=lambda item: (-item[1][1], item[0]),
+        )
+        ranked.append((UNATTRIBUTED, self.layers[UNATTRIBUTED]))
+        return [(layer, calls, seconds) for layer, (calls, seconds) in ranked]
 
-    Example:
-        >>> from repro.utils.events import EventQueue
-        >>> queue = EventQueue()
-        >>> profiler = SimProfiler()
-        >>> queue.profiler = profiler
-        >>> _ = queue.schedule(1, lambda: None)
-        >>> queue.run()
-        >>> profiler.calls
-        1
-    """
-
-    def __init__(self) -> None:
-        # (module, qualname) -> [calls, seconds]
-        self._sites: Dict[Tuple[str, str], List[float]] = {}
-        self.calls = 0
-        self.seconds = 0.0
-
-    def __call__(self, callback: Callable[[], None]) -> None:
-        t0 = _time.perf_counter()
-        try:
-            callback()
-        finally:
-            self._charge(callback_site(callback), _time.perf_counter() - t0)
-
-    def _charge(self, key: Tuple[str, str], elapsed: float) -> None:
-        site = self._sites.get(key)
-        if site is None:
-            self._sites[key] = [1, elapsed]
-        else:
-            site[0] += 1
-            site[1] += elapsed
-        self.calls += 1
-        self.seconds += elapsed
-
-    def timed(self, fn: Callable) -> Callable:
-        """``fn`` wrapped so that each call is charged like a callback.
-
-        For work the kernel runs outside its callbacks: it calls the
-        telemetry sampler directly before a bucket fires, so ``System``
-        wraps the sampler's ``sample`` with this when both are attached.
-        """
-        key = callback_site(fn)
-
-        def run(*args, **kwargs):
-            t0 = _time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self._charge(key, _time.perf_counter() - t0)
-
-        return run
-
-    # ------------------------------------------------------------ reporting
-
-    def component_shares(self) -> Dict[str, Tuple[int, float]]:
-        """``{component: (calls, seconds)}`` aggregated over callback sites."""
-        shares: Dict[str, List[float]] = {}
-        for (module, _qualname), (calls, seconds) in self._sites.items():
-            label = component_of(module)
-            entry = shares.setdefault(label, [0, 0.0])
-            entry[0] += calls
-            entry[1] += seconds
-        return {
-            label: (int(calls), seconds)
-            for label, (calls, seconds) in shares.items()
-        }
-
-    def top_sites(self, limit: int = 10) -> List[Tuple[str, int, float]]:
-        """The costliest callback sites: ``(site, calls, seconds)``."""
-        rows = [
-            (f"{module}:{qualname}", int(calls), seconds)
-            for (module, qualname), (calls, seconds) in self._sites.items()
-        ]
-        rows.sort(key=lambda row: (-row[2], row[0]))
-        return rows[:limit]
-
-    def to_dict(self, wall_seconds: Optional[float] = None) -> Dict:
+    def to_dict(self) -> Dict:
         """Plain-data report (the ``repro profile --json`` payload)."""
-        total = self.seconds or 1e-12
+        wall = self.wall_seconds or 1e-12
         return {
-            "events_profiled": self.calls,
-            "callback_seconds": self.seconds,
-            "wall_seconds": wall_seconds,
-            "components": {
-                label: {
-                    "calls": calls,
-                    "seconds": seconds,
-                    "share": seconds / total,
-                }
-                for label, (calls, seconds) in sorted(
-                    self.component_shares().items(),
-                    key=lambda item: -item[1][1],
-                )
+            "wall_seconds": self.wall_seconds,
+            "layers": {
+                layer: {"calls": calls, "self_s": seconds, "share": seconds / wall}
+                for layer, calls, seconds in self.rows()
             },
-            "top_sites": [
-                {"site": site, "calls": calls, "seconds": seconds}
-                for site, calls, seconds in self.top_sites()
+            "top_functions": [
+                {"function": name, "calls": calls, "self_s": seconds}
+                for name, calls, seconds in self.top_functions
             ],
         }
 
-    def to_text(self, wall_seconds: Optional[float] = None) -> str:
-        """Human-readable time-share table."""
-        lines = []
-        total = self.seconds or 1e-12
-        lines.append(
-            f"profiled {self.calls} callbacks, "
-            f"{self.seconds:.3f}s inside callbacks"
-            + (f" ({wall_seconds:.3f}s wall)" if wall_seconds is not None else "")
-        )
-        lines.append(f"{'component':<12} {'calls':>10} {'seconds':>9} {'share':>7}")
-        for label, (calls, seconds) in sorted(
-            self.component_shares().items(), key=lambda item: -item[1][1]
-        ):
+    def to_text(self) -> str:
+        """Human-readable self-time table."""
+        wall = self.wall_seconds or 1e-12
+        lines = [
+            f"{'layer':<13} {'calls':>10} {'self_s':>9} {'share':>7}",
+        ]
+        for layer, calls, seconds in self.rows():
             lines.append(
-                f"{label:<12} {calls:>10} {seconds:>9.3f} {seconds / total:>6.1%}"
+                f"{layer:<13} {calls:>10} {seconds:>9.3f} {seconds / wall:>6.1%}"
             )
+        lines.append(f"{'sum':<13} {'':>10} {self.wall_seconds:>9.3f}")
         lines.append("")
-        lines.append("top callback sites:")
-        for site, calls, seconds in self.top_sites():
-            lines.append(f"  {seconds:>8.3f}s {calls:>9} calls  {site}")
+        lines.append("top functions by self time:")
+        for name, calls, seconds in self.top_functions:
+            lines.append(f"  {seconds:>8.3f}s {calls:>9} calls  {name}")
         return "\n".join(lines)
+
+
+def profile_system(system) -> LayerProfile:
+    """Run ``system`` to completion under cProfile and tabulate its layers."""
+    profile = cProfile.Profile(builtins=False)
+    start = time.perf_counter()
+    profile.enable()
+    try:
+        result = system.run()
+    finally:
+        profile.disable()
+        wall = time.perf_counter() - start
+    layers: Dict[str, List[float]] = {}
+    functions = []
+    for (filename, line, name), stat in pstats.Stats(profile).stats.items():
+        calls, seconds = stat[0], stat[2]
+        module = _module_of(filename)
+        entry = layers.setdefault(layer_of(module) or UNATTRIBUTED, [0, 0.0])
+        entry[0] += calls
+        entry[1] += seconds
+        functions.append((f"{module or filename}:{line}({name})", calls, seconds))
+    functions.sort(key=lambda row: (-row[2], row[0]))
+    unattributed_calls = layers.pop(UNATTRIBUTED, [0])[0]
+    table = {layer: (int(calls), seconds) for layer, (calls, seconds) in layers.items()}
+    table[UNATTRIBUTED] = (
+        int(unattributed_calls),
+        wall - sum(seconds for _, seconds in table.values()),
+    )
+    return LayerProfile(result, wall, table, functions[:TOP_FUNCTIONS])

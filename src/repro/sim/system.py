@@ -196,11 +196,10 @@ class System:
     :mod:`repro.check`). ``soft_errors`` attaches a seeded
     :class:`~repro.core.ecc.SoftErrorInjector` that upsets resident LLC
     blocks during the run (the ``repro reliability`` experiment).
-    ``profiler`` attaches a per-event time-share hook (see
-    :mod:`repro.sim.profiler`). ``telemetry`` attaches an epoch sampler
-    (see :mod:`repro.telemetry`) that snapshots stat deltas and gauges
-    every ``epoch_cycles``; the sampler object is exposed as
-    ``self.telemetry`` after construction. All four are deliberately *not*
+    ``telemetry`` attaches an epoch sampler (see :mod:`repro.telemetry`)
+    that snapshots stat deltas and gauges every ``epoch_cycles``; the
+    sampler object is exposed as ``self.telemetry`` after construction.
+    All three are deliberately *not*
     part of :class:`SystemConfig`: they only observe — results are
     byte-identical either way — so sweep-cache keys (derived from the
     config) must not depend on them.
@@ -212,7 +211,6 @@ class System:
         traces: Sequence[Trace],
         check: str = "off",
         soft_errors: Optional["SoftErrorConfig"] = None,
-        profiler: Optional["SimProfiler"] = None,
         telemetry: Optional["TelemetryConfig"] = None,
     ) -> None:
         if len(traces) != config.num_cores:
@@ -302,9 +300,6 @@ class System:
             self.soft_errors = SoftErrorInjector(self, soft_errors)
             self.soft_errors.attach()
 
-        if profiler is not None:
-            self.queue.profiler = profiler
-
         self.telemetry = None
         if telemetry is not None:
             # Imported here so telemetry-free runs never touch the package.
@@ -317,9 +312,6 @@ class System:
                 gauges=self._telemetry_gauges(),
             )
             self.queue.telemetry = self.telemetry
-            if profiler is not None:
-                # The kernel calls the sampler outside any callback.
-                self.telemetry.sample = profiler.timed(self.telemetry.sample)
 
     def _telemetry_counters(self):
         """Cumulative-integer probes outside the stat groups.
@@ -479,7 +471,6 @@ def run_system(
     max_events: Optional[int] = None,
     check: str = "off",
     soft_errors: Optional["SoftErrorConfig"] = None,
-    profiler: Optional["SimProfiler"] = None,
     telemetry: Optional["TelemetryConfig"] = None,
 ) -> SimulationResult:
     """Convenience one-shot: build a System and run it."""
@@ -488,7 +479,6 @@ def run_system(
         traces,
         check=check,
         soft_errors=soft_errors,
-        profiler=profiler,
         telemetry=telemetry,
     )
     return system.run(max_events=max_events)

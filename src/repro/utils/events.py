@@ -99,9 +99,11 @@ class EventQueue:
         self._pos_time: Optional[int] = None
         self.now = 0
         self._events_processed = 0
-        #: Optional per-event timing hook (see :mod:`repro.sim.profiler`).
-        #: When set, every callback runs as ``profiler(callback)`` instead of
-        #: ``callback()``; run() reads it once per bucket.
+        #: Optional per-event hook. When set, every callback runs as
+        #: ``profiler(callback)`` instead of ``callback()``; run() reads it
+        #: once per bucket. Its only user is the benchmark's tracer
+        #: (``perfbench/tracer.py``), which charges each callback to the
+        #: layer that defines it; ``repro profile`` uses cProfile instead.
         self.profiler: Optional[Callable[[Callable[[], None]], None]] = None
         #: Optional epoch sampler (see :mod:`repro.telemetry`). Consulted
         #: once per *distinct timestamp*, not per event: when the clock is

@@ -11,6 +11,8 @@ wires end to end.
 import json
 import os
 
+import pytest
+
 from repro.__main__ import main
 
 
@@ -81,13 +83,18 @@ class TestProfile:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["events_processed"] > 0
+        layers = payload["layers"]
+        assert list(layers)[-1] == "unattributed"
+        assert sum(row["self_s"] for row in layers.values()) == pytest.approx(
+            payload["wall_seconds"], rel=1e-9
+        )
 
     def test_profile_dram_cache_gets_its_own_row(self, capsys):
         assert main(["profile", "lbm", "dbi+awb", "--refs", "1500",
                      "--dram-cache", "dbi", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["dram_cache"] == "dbi"
-        assert payload["components"]["dramcache"]["calls"] > 0
+        assert payload["layers"]["dramcache"]["calls"] > 0
 
     def test_profile_check_sweeps_get_their_own_row(self, capsys):
         assert main(["profile", "lbm", "dbi+awb", "--refs", "1500",
@@ -95,15 +102,15 @@ class TestProfile:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["check"] == "full"
-        assert payload["components"]["check"]["calls"] > 0
-        assert "dramcache" in payload["components"]
+        assert payload["layers"]["check"]["calls"] > 0
+        assert "dramcache" in payload["layers"]
 
     def test_profile_telemetry_sampling_gets_its_own_row(self, capsys):
         assert main(["profile", "lbm", "dbi+awb", "--refs", "1500",
                      "--telemetry", "--epoch-cycles", "2000", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["telemetry"] == 2000
-        assert payload["components"]["telemetry"]["calls"] > 0
+        assert payload["layers"]["telemetry"]["calls"] > 0
 
 
 class TestReliability:

@@ -1,6 +1,7 @@
 """CI plumbing stays consistent: workflows reference real stages, the
-coverage ratchet only ever moves the floor up, and the perf gate's report
-stays off the committed perf trajectory."""
+coverage ratchet only ever moves the floor up, the perf gate's report
+stays off the committed perf trajectory, and the gate decides on the
+ratio of the two sides' perfbench result lines."""
 
 import importlib.util
 import json
@@ -171,3 +172,74 @@ class TestPerfGateReport:
                         uploads.append(str(step.get("with", {}).get("path", "")))
         assert not [path for path in uploads if "BENCH_" in path]
         assert sum(relative in path for path in uploads) == len(WORKFLOWS)
+
+
+def perfbench_line(refs_per_s, failed=0):
+    """The last line of a ``perfbench/run.py`` run, as the gate reads it."""
+    return json.dumps({
+        "correct": failed == 0,
+        "attempted": 6,
+        "failed": failed,
+        "metrics": {
+            "sim_refs_per_s": {"value": refs_per_s, "unit": "refs/s"},
+            "peak_rss_mib": {"value": 40.0, "unit": "MiB"},
+        },
+    })
+
+
+class TestPerfGateDecision:
+    """The gate's verdict from hand-written result lines, no subprocess."""
+
+    PINNED = 1.25
+    REFERENCE = 20_000.0
+
+    def verdict(self, head_refs_per_s, head_failed=0, reference_failed=0):
+        gate = load_perf_gate()
+        head = gate.parse_result(
+            "sim_refs_per_s 1 refs/s\n" + perfbench_line(head_refs_per_s, head_failed)
+        )
+        reference = gate.parse_result(perfbench_line(self.REFERENCE, reference_failed))
+        report = gate.make_report({"memory-bound": gate.compare(head, reference)})
+        baseline = {
+            "schema": gate.SCHEMA,
+            "workloads": {"memory-bound": {"ratio": self.PINNED}},
+        }
+        return gate.check(report, baseline, threshold=0.20)
+
+    def test_passes_at_the_pinned_ratio(self):
+        assert self.verdict(self.PINNED * self.REFERENCE) == []
+
+    def test_passes_just_above_the_floor(self):
+        assert self.verdict(0.81 * self.PINNED * self.REFERENCE) == []
+
+    def test_fails_below_the_floor(self):
+        failures = self.verdict(0.79 * self.PINNED * self.REFERENCE)
+        assert len(failures) == 1
+        assert "memory-bound" in failures[0] and "20%" in failures[0]
+
+    def test_fails_when_either_side_failed_a_cell(self):
+        refs_per_s = self.PINNED * self.REFERENCE
+        head = self.verdict(refs_per_s, head_failed=1)
+        reference = self.verdict(refs_per_s, reference_failed=1)
+        assert [failure.split(":")[1].split()[0] for failure in head + reference] == [
+            "head", "reference",
+        ]
+
+    def test_fails_on_a_baseline_of_another_schema(self):
+        gate = load_perf_gate()
+        row = gate.compare(
+            gate.parse_result(perfbench_line(self.REFERENCE)),
+            gate.parse_result(perfbench_line(self.REFERENCE)),
+        )
+        report = gate.make_report({"memory-bound": row})
+        failures = gate.check(
+            report, {"workloads": {"memory-bound": {"ratio": 1.0}}}, 0.20
+        )
+        assert len(failures) == 1 and "schema" in failures[0]
+
+    def test_report_and_committed_baseline_carry_the_schema(self):
+        gate = load_perf_gate()
+        assert gate.make_report({})["schema"] == gate.SCHEMA
+        baseline = json.loads(open(gate.BASELINE_PATH).read())
+        assert baseline["schema"] == gate.SCHEMA
+        assert set(baseline["workloads"]) == set(gate.WORKLOADS)

@@ -70,11 +70,13 @@
 #                  every cell digest — and for campaign-slice results.json
 #                  (stitched keys included) and the surfaces — matches the
 #                  pins in perfbench/digests.json.
-#   perf         — tools/perf_gate.py measures quick-scale fig6 cells on HEAD
-#                  and on a pinned pre-overhaul reference commit (same
-#                  machine), and fails if the speedup ratio regresses >20%
-#                  vs the ratio pinned in BENCH_baseline.json. Ratios are
-#                  hardware-independent; absolute ev/s is recorded only.
+#   perf         — tools/perf_gate.py runs perfbench/run.py (memory-bound and
+#                  cache-resident, seed 1, --seconds 10) on HEAD and on a
+#                  pinned reference commit (same machine), and fails on a
+#                  failed cell or if a workload's HEAD/reference
+#                  sim_refs_per_s ratio drops >20% below the ratio pinned in
+#                  BENCH_baseline.json. Ratios are hardware-independent;
+#                  absolute refs/s is recorded only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
