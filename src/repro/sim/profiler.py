@@ -5,8 +5,9 @@
 (``list.append``, ``heapq.heappush``, calling a ``functools.partial``) to
 the Python function that called them. Each profiled function's ``tottime``
 and primitive calls are summed into the layer that owns its module, by
-:data:`LAYER_PREFIXES`; code outside every layer (``repro.sim.system``, the
-telemetry probes it defines) and the profiler's own bookkeeping fall in the
+:data:`LAYER_PREFIXES`. Code outside every layer (``repro.sim.system`` and
+the telemetry probes it defines, ``repro.core.config``,
+``repro.utils.stats``) and the profiler's own bookkeeping fall in the
 ``unattributed`` row, which is wall time minus every layer, so the rows sum
 to the profiled wall time exactly.
 
@@ -52,7 +53,7 @@ LAYER_PREFIXES: Tuple[Tuple[str, str], ...] = (
 
 UNATTRIBUTED = "unattributed"
 
-#: Every row of the table, in report order.
+#: Every row name, in table order.
 LAYERS: Tuple[str, ...] = tuple(
     dict.fromkeys(layer for _, layer in LAYER_PREFIXES)
 ) + (UNATTRIBUTED,)
@@ -92,28 +93,22 @@ class LayerProfile:
     result: object
     wall_seconds: float
     #: ``{layer: (primitive calls, self seconds)}`` for every layer that ran,
-    #: plus :data:`UNATTRIBUTED`.
+    #: costliest first, then :data:`UNATTRIBUTED`.
     layers: Dict[str, Tuple[int, float]]
     #: The costliest functions by self time: ``(function, calls, seconds)``.
     top_functions: List[Tuple[str, int, float]]
 
-    def rows(self) -> List[Tuple[str, int, float]]:
-        """``(layer, calls, seconds)``, costliest first, unattributed last."""
-        ranked = sorted(
-            (item for item in self.layers.items() if item[0] != UNATTRIBUTED),
-            key=lambda item: (-item[1][1], item[0]),
-        )
-        ranked.append((UNATTRIBUTED, self.layers[UNATTRIBUTED]))
-        return [(layer, calls, seconds) for layer, (calls, seconds) in ranked]
-
     def to_dict(self) -> Dict:
         """Plain-data report (the ``repro profile --json`` payload)."""
-        wall = self.wall_seconds or 1e-12
         return {
             "wall_seconds": self.wall_seconds,
             "layers": {
-                layer: {"calls": calls, "self_s": seconds, "share": seconds / wall}
-                for layer, calls, seconds in self.rows()
+                layer: {
+                    "calls": calls,
+                    "self_s": seconds,
+                    "share": seconds / self.wall_seconds,
+                }
+                for layer, (calls, seconds) in self.layers.items()
             },
             "top_functions": [
                 {"function": name, "calls": calls, "self_s": seconds}
@@ -123,13 +118,11 @@ class LayerProfile:
 
     def to_text(self) -> str:
         """Human-readable self-time table."""
-        wall = self.wall_seconds or 1e-12
-        lines = [
-            f"{'layer':<13} {'calls':>10} {'self_s':>9} {'share':>7}",
-        ]
-        for layer, calls, seconds in self.rows():
+        lines = [f"{'layer':<13} {'calls':>10} {'self_s':>9} {'share':>7}"]
+        for layer, (calls, seconds) in self.layers.items():
             lines.append(
-                f"{layer:<13} {calls:>10} {seconds:>9.3f} {seconds / wall:>6.1%}"
+                f"{layer:<13} {calls:>10} {seconds:>9.3f} "
+                f"{seconds / self.wall_seconds:>6.1%}"
             )
         lines.append(f"{'sum':<13} {'':>10} {self.wall_seconds:>9.3f}")
         lines.append("")
@@ -149,20 +142,25 @@ def profile_system(system) -> LayerProfile:
     finally:
         profile.disable()
         wall = time.perf_counter() - start
-    layers: Dict[str, List[float]] = {}
+    sums: Dict[str, List[float]] = {}
     functions = []
     for (filename, line, name), stat in pstats.Stats(profile).stats.items():
         calls, seconds = stat[0], stat[2]
         module = _module_of(filename)
-        entry = layers.setdefault(layer_of(module) or UNATTRIBUTED, [0, 0.0])
+        entry = sums.setdefault(layer_of(module) or UNATTRIBUTED, [0, 0.0])
         entry[0] += calls
         entry[1] += seconds
         functions.append((f"{module or filename}:{line}({name})", calls, seconds))
     functions.sort(key=lambda row: (-row[2], row[0]))
-    unattributed_calls = layers.pop(UNATTRIBUTED, [0])[0]
-    table = {layer: (int(calls), seconds) for layer, (calls, seconds) in layers.items()}
-    table[UNATTRIBUTED] = (
+    unattributed_calls = sums.pop(UNATTRIBUTED, [0])[0]
+    layers = {
+        layer: (int(calls), seconds)
+        for layer, (calls, seconds) in sorted(
+            sums.items(), key=lambda item: (-item[1][1], item[0])
+        )
+    }
+    layers[UNATTRIBUTED] = (
         int(unattributed_calls),
-        wall - sum(seconds for _, seconds in table.values()),
+        wall - sum(seconds for _, seconds in layers.values()),
     )
-    return LayerProfile(result, wall, table, functions[:TOP_FUNCTIONS])
+    return LayerProfile(result, wall, layers, functions[:TOP_FUNCTIONS])

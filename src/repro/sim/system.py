@@ -199,10 +199,9 @@ class System:
     ``telemetry`` attaches an epoch sampler (see :mod:`repro.telemetry`)
     that snapshots stat deltas and gauges every ``epoch_cycles``; the
     sampler object is exposed as ``self.telemetry`` after construction.
-    All three are deliberately *not*
-    part of :class:`SystemConfig`: they only observe — results are
-    byte-identical either way — so sweep-cache keys (derived from the
-    config) must not depend on them.
+    All three are deliberately *not* part of :class:`SystemConfig`: they
+    only observe — results are byte-identical either way — so sweep-cache
+    keys (derived from the config) must not depend on them.
     """
 
     def __init__(

@@ -127,8 +127,11 @@ class TestLayerTable:
         total = sum(seconds for _calls, seconds in profile.layers.values())
         assert total == pytest.approx(profile.wall_seconds, rel=1e-9)
         assert profile.layers["hierarchy"][0] > 0
+        rows = list(profile.layers)
+        assert rows[-1] == UNATTRIBUTED
+        costs = [profile.layers[layer][1] for layer in rows[:-1]]
+        assert costs == sorted(costs, reverse=True)
         report = profile.to_dict()
-        assert list(report["layers"]) == [layer for layer, _, _ in profile.rows()]
-        assert list(report["layers"])[-1] == UNATTRIBUTED
+        assert list(report["layers"]) == rows
         assert len(report["top_functions"]) == 10
         assert "unattributed" in profile.to_text()

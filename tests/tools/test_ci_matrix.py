@@ -219,10 +219,11 @@ class TestPerfGateDecision:
 
     def test_fails_when_either_side_failed_a_cell(self):
         refs_per_s = self.PINNED * self.REFERENCE
-        head = self.verdict(refs_per_s, head_failed=1)
-        reference = self.verdict(refs_per_s, reference_failed=1)
-        assert [failure.split(":")[1].split()[0] for failure in head + reference] == [
-            "head", "reference",
+        assert self.verdict(refs_per_s, head_failed=1) == [
+            "memory-bound: head failed 1 of 6 cells"
+        ]
+        assert self.verdict(refs_per_s, reference_failed=1) == [
+            "memory-bound: reference failed 1 of 6 cells"
         ]
 
     def test_fails_on_a_baseline_of_another_schema(self):
