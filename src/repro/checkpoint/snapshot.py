@@ -17,6 +17,14 @@ used to run ~1.25x slower than a freshly built one. The setter restores one
 ``object.__setattr__`` per attribute, so restored objects keep inline
 storage and run at fresh speed.
 
+Format 3 keeps the setter but takes the tag stores out of it:
+:class:`~repro.cache.cache.Cache` has its own ``__getstate__`` and
+``__setstate__``, which store ``sets`` as four flat per-field lists (addr,
+valid, dirty, owner_core) and rebuild the ``CacheBlock`` objects in one
+loop. Pickled one by one, the blocks were nearly all of an image's objects
+(4,672 of the 4,861 a quick 2-core system sends through the setter, 299,008
+of 300,171 at full scale 8-core), each costing a Python-level call.
+
 Images are never migrated. The header records the container format and the
 :data:`~repro.sim.system.MODEL_VERSION` that wrote it, and a reader refuses
 any other format or version with a :class:`CheckpointError` naming both, so
@@ -41,6 +49,12 @@ On-disk container (``.ckpt``)::
 
     DBICKPT\\0 | u32 header length | header JSON | zlib(pickle payload)
 
+The payload is compressed at zlib level 1 (:data:`COMPRESSION_LEVEL`).
+On the 18 warmed images of perfbench's ``campaign-slice``, level 6 made the
+payloads 8% smaller (0.91 MB against 0.98 MB) and took 3.7x as long to
+compress them (0.18 s against 0.05 s); an image is written once and read
+only a few times.
+
 The header records the payload's SHA-256; :func:`load_snapshot` refuses any
 container whose digest, magic, format or model version does not check out
 by raising :class:`CheckpointError` (a ``ValueError``, so sweep-cache-style
@@ -64,9 +78,13 @@ from repro.sim.system import MODEL_VERSION
 from repro.utils.atomic import atomic_write_bytes
 
 #: Bump when the container or payload layout changes; readers accept only
-#: this format. Format 2 restores simulator objects through
-#: :func:`_set_state`.
-SNAPSHOT_FORMAT = 2
+#: this format. Format 2 restored simulator objects through
+#: :func:`_set_state`; format 3 also stores each cache's tag store as flat
+#: per-field lists (``Cache.__getstate__``).
+SNAPSHOT_FORMAT = 3
+
+#: zlib level of the payload (see the module docstring).
+COMPRESSION_LEVEL = 1
 
 MAGIC = b"DBICKPT\x00"
 
@@ -231,7 +249,7 @@ def snapshot_system(system) -> bytes:
             system.telemetry = sampler
             system.queue.telemetry = sampler
 
-    compressed = zlib.compress(payload, level=6)
+    compressed = zlib.compress(payload, level=COMPRESSION_LEVEL)
     header = {
         "format": SNAPSHOT_FORMAT,
         "model_version": MODEL_VERSION,

@@ -9,7 +9,7 @@ from repro.analysis.scaling import QUICK_SCALE
 from repro.checkpoint import make_warm_system, snapshot_system, warm_config_for
 from repro.checkpoint.sampled import SampledConfig
 from repro.sim.system import MODEL_VERSION
-from tests.checkpoint.conftest import restamp
+from tests.checkpoint.conftest import reformat, restamp
 
 REFS = 3_000
 
@@ -149,22 +149,26 @@ class TestForkSweep:
             expected = first.run(config, [trace])
         (image,) = [f for f in os.listdir(ckpt) if f.endswith(".ckpt")]
         path = os.path.join(ckpt, image)
-        # Another model version's image, warmed on another workload: were it
-        # restored, the forked cell would report that workload's results.
+        # An image warmed on another workload: were it restored, the forked
+        # cell would report that workload's results. It is planted once
+        # stamped by another model version and once by the retired format 2.
         other = QUICK_SCALE.benchmark_trace("lbm", refs=REFS)
         stale = snapshot_system(make_warm_system(warm_config_for(config), [other]))
-        with open(path, "wb") as handle:
-            handle.write(restamp(stale, MODEL_VERSION + 1))
-        with make_runner(
-            tmp_path,
-            checkpoint_dir=ckpt,
-            cache_dir=str(tmp_path / "cache2"),
-        ) as second:
-            replay = second.run(config, [trace])
-        assert second.checkpoints_quarantined == 1
-        assert second.warm_images_built == 1
-        assert os.path.exists(f"{path}.corrupt")
-        assert replay.to_dict() == expected.to_dict()
+        planted = (restamp(stale, MODEL_VERSION + 1), reformat(stale, 2))
+        for attempt, blob in enumerate(planted, start=1):
+            with open(path, "wb") as handle:
+                handle.write(blob)
+            with make_runner(
+                tmp_path,
+                checkpoint_dir=ckpt,
+                cache_dir=str(tmp_path / f"cache-{attempt}"),
+            ) as second:
+                replay = second.run(config, [trace])
+            assert second.checkpoints_quarantined == 1
+            assert second.warm_images_built == 1
+            assert os.path.exists(f"{path}.corrupt")
+            os.remove(f"{path}.corrupt")
+            assert replay.to_dict() == expected.to_dict()
 
 
 class TestSampledSweep:

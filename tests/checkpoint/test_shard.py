@@ -18,7 +18,7 @@ from repro.checkpoint.shard import (
 )
 from repro.sim.system import MODEL_VERSION, SimulationResult, System
 from repro.telemetry.sampler import TelemetryConfig
-from tests.checkpoint.conftest import restamp
+from tests.checkpoint.conftest import reformat, restamp
 
 QUICK = SCALES["quick"]
 
@@ -273,21 +273,25 @@ class TestRunnerSharding:
         from repro.checkpoint import snapshot_system
 
         config, trace = _config(), _trace()
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        image = cache / f"cell-{job_key(config, [trace])}.ckpt"
-        # Another model version's image of another mechanism's cell: were it
-        # restored, the segments would report that mechanism's results.
+        # Another mechanism's cell image: were it restored, the segments
+        # would report that mechanism's results. It is planted once stamped
+        # by another model version and once by the retired format 2.
         stale = snapshot_system(warm_cell(_config("baseline"), [trace]))
-        image.write_bytes(restamp(stale, MODEL_VERSION + 1))
-        runner = SweepRunner(workers=0, cache_dir=str(cache))
-        future = runner.submit_sharded(config, [trace], 3)
-        assert _result_sha(future.result()) == PINNED_RESULT_SHA
-        assert future.job.key == PINNED_STITCHED_KEY
-        assert runner.checkpoints_quarantined == 1
-        assert runner.warm_images_built == 1
-        assert (cache / f"{image.name}.corrupt").exists()
-        assert warm_calls() == 2  # the planted image's, then the rebuild
+        planted = (restamp(stale, MODEL_VERSION + 1), reformat(stale, 2))
+        for attempt, blob in enumerate(planted, start=1):
+            cache = tmp_path / f"cache-{attempt}"
+            cache.mkdir()
+            image = cache / f"cell-{job_key(config, [trace])}.ckpt"
+            image.write_bytes(blob)
+            runner = SweepRunner(workers=0, cache_dir=str(cache))
+            future = runner.submit_sharded(config, [trace], 3)
+            assert _result_sha(future.result()) == PINNED_RESULT_SHA
+            assert future.job.key == PINNED_STITCHED_KEY
+            assert runner.checkpoints_quarantined == 1
+            assert runner.warm_images_built == 1
+            assert (cache / f"{image.name}.corrupt").exists()
+            # The planted image's warm-up, then one rebuild per attempt.
+            assert warm_calls() == 1 + attempt
 
     def test_existing_image_is_reused(self, tmp_path, warm_calls):
         from repro.checkpoint import save_snapshot

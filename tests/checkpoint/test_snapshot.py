@@ -19,6 +19,7 @@ import zlib
 import pytest
 
 from repro.analysis.scaling import QUICK_SCALE
+from repro.cache.block import CacheBlock
 from repro.checkpoint import (
     SNAPSHOT_FORMAT,
     CheckpointError,
@@ -29,7 +30,12 @@ from repro.checkpoint import (
     verify_snapshot,
 )
 from repro.checkpoint.shard import ShardSpec
-from repro.checkpoint.snapshot import MAGIC, _dumps, _RestrictedUnpickler
+from repro.checkpoint.snapshot import (
+    MAGIC,
+    _dumps,
+    _RestrictedUnpickler,
+    _set_state,
+)
 from repro.dram.controller import Phase
 from repro.dram.request import MemoryRequest
 from repro.sim.system import MODEL_VERSION, System
@@ -199,8 +205,9 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="newer"):
             restore_system(data)
 
-    def test_older_format_rejected(self):
-        header = json.dumps({"format": 1}).encode()
+    @pytest.mark.parametrize("fmt", [1, 2])
+    def test_older_format_rejected(self, fmt):
+        header = json.dumps({"format": fmt}).encode()
         data = MAGIC + struct.pack("<I", len(header)) + header
         with pytest.raises(CheckpointError, match="older"):
             restore_system(data)
@@ -274,6 +281,81 @@ class TestStateSetter:
         assert restored.func.__self__ is not bank
         assert restored.func.__self__.busy_until == 30
         assert [restored(now) for now in (29, 30)] == [False, True]
+
+
+class TestCacheState:
+    """A cache pickles its tag store as four flat field lists (format 3)."""
+
+    @staticmethod
+    def caches(system):
+        hierarchy = system.hierarchy
+        caches = [*hierarchy.l1s, *hierarchy.l2s, system.llc]
+        if system.dram_cache is not None:
+            caches.append(system.dram_cache.tags)
+        return caches
+
+    @staticmethod
+    def fields(cache):
+        return [
+            [(b.addr, b.valid, b.dirty, b.owner_core) for b in ways]
+            for ways in cache.sets
+        ]
+
+    def test_restored_warmed_cache_is_identical(self):
+        # Full checks put observers on the LLC and on the level's tags.
+        system = make_system(
+            "dbi+awb+clb", check="full", benchmark="lbm", dram_cache="tag"
+        )
+        restored = restore_system(split_run(system))
+        pairs = list(zip(self.caches(system), self.caches(restored)))
+        assert len(pairs) == 4
+        assert any(
+            block.dirty for cache, _ in pairs for block in cache.iter_valid_blocks()
+        )
+        assert all(cache.occupancy for cache, _ in pairs)
+        for cache, copy in pairs:
+            assert self.fields(copy) == self.fields(cache)
+            assert all(
+                type(block) is CacheBlock for ways in copy.sets for block in ways
+            )
+            assert copy._where == cache._where
+            assert copy._set_fill == cache._set_fill
+            assert copy.policy._stacks == cache.policy._stacks
+            assert type(copy.observer) is type(cache.observer)
+            assert list(vars(copy)) == list(vars(cache))
+        assert restored.llc.observer is restored.check_engine
+        assert restored.dram_cache.tags.observer is not None
+
+
+#: ``_set_state`` calls restoring a freshly built quick 2-core
+#: ``dbi+awb+clb`` System (the first 2-core mix). Measured 184 on CPython
+#: 3.11; format 2, which pickled every CacheBlock as its own object, made
+#: 4,861 (4,672 of them blocks). The margin of 26 (14%) leaves room for a
+#: few new simulator objects, not for a tag store: the smallest cache of
+#: that system, an L1, has 32 blocks.
+SET_STATE_CEILING = 210
+
+
+def test_restore_sends_no_block_through_the_state_setter(monkeypatch):
+    mix = QUICK_SCALE.mixes(2)[0]
+    system = System(
+        QUICK_SCALE.system_config("dbi+awb+clb", num_cores=2), list(mix.traces)
+    )
+    data = snapshot_system(system)
+    calls = []
+
+    def counting(obj, state):
+        calls.append(type(obj))
+        _set_state(obj, state)
+
+    # The image names the setter by module path, so restore finds this one.
+    monkeypatch.setattr("repro.checkpoint.snapshot._set_state", counting)
+    restore_system(data)
+    assert CacheBlock not in calls
+    assert len(calls) <= SET_STATE_CEILING, (
+        f"{len(calls)} objects restored through _set_state "
+        f"(ceiling {SET_STATE_CEILING})"
+    )
 
 
 class TestRestrictedUnpickle:

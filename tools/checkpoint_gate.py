@@ -9,9 +9,10 @@ Three checks, each of which must pass:
    guarantee; the gate re-proves it on every CI run, not just in the test
    suite.
 2. **Corrupt- and stale-snapshot quarantine** — a warm image whose payload
-   has been flipped, and one whose header claims another ``MODEL_VERSION``,
-   must each be quarantined to ``.ckpt.corrupt`` (evidence preserved),
-   rebuilt, and the rebuilt sweep must reproduce the original results.
+   has been flipped, one whose header claims another ``MODEL_VERSION``, and
+   one whose header claims the retired container format 2 must each be
+   quarantined to ``.ckpt.corrupt`` (evidence preserved), rebuilt, and the
+   rebuilt sweep must reproduce the original results.
 3. **Fork+sampled speedup** — a quick-scale Figure 6 mechanism sweep run
    via fork-from-warm + sampled windows must beat the cold full-run sweep
    by at least ``--threshold`` (default 2.0x) wall-clock, *including* the
@@ -73,18 +74,29 @@ def corrupt_payload(blob: bytes) -> bytes:
     return bytes(damaged)
 
 
-def stale_stamp(blob: bytes) -> bytes:
-    """Re-frame the image as written by another model version (payload and
-    digest intact, so only the version check can refuse it)."""
+def reframe(blob: bytes, **fields) -> bytes:
+    """The image with ``fields`` overwritten in its header. Payload and
+    digest stay intact, so only the header check can refuse it."""
     from repro.checkpoint.snapshot import MAGIC
-    from repro.sim.system import MODEL_VERSION
 
     offset = len(MAGIC) + 4
     (length,) = struct.unpack_from("<I", blob, len(MAGIC))
     header = json.loads(blob[offset : offset + length])
-    header["model_version"] = MODEL_VERSION + 1
+    header.update(fields)
     text = json.dumps(header, sort_keys=True).encode()
     return MAGIC + struct.pack("<I", len(text)) + text + blob[offset + length :]
+
+
+def stale_stamp(blob: bytes) -> bytes:
+    """Re-frame the image as written by another model version."""
+    from repro.sim.system import MODEL_VERSION
+
+    return reframe(blob, model_version=MODEL_VERSION + 1)
+
+
+def format_2_stamp(blob: bytes) -> bytes:
+    """Re-frame the image as the retired container format 2."""
+    return reframe(blob, format=2)
 
 
 def check_quarantine(tmp: str, benchmark: str) -> str:
@@ -93,7 +105,11 @@ def check_quarantine(tmp: str, benchmark: str) -> str:
 
     trace = QUICK_SCALE.benchmark_trace(benchmark, refs=4_000)
     config = QUICK_SCALE.system_config("tadip")
-    for kind, damage in (("corrupt", corrupt_payload), ("stale", stale_stamp)):
+    for kind, damage in (
+        ("corrupt", corrupt_payload),
+        ("stale", stale_stamp),
+        ("format-2", format_2_stamp),
+    ):
         ckpt = os.path.join(tmp, f"quarantine-{kind}-ckpt")
         with SweepRunner(
             workers=0, use_cache=False, progress=None, checkpoint_dir=ckpt
@@ -121,8 +137,8 @@ def check_quarantine(tmp: str, benchmark: str) -> str:
                 "results"
             )
     return (
-        "quarantine: corrupt and stale warm images quarantined, rebuilt, "
-        "reproduced"
+        "quarantine: corrupt, stale and format-2 warm images quarantined, "
+        "rebuilt, reproduced"
     )
 
 
