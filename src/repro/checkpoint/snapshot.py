@@ -25,6 +25,13 @@ loop. Pickled one by one, the blocks were nearly all of an image's objects
 (4,672 of the 4,861 a quick 2-core system sends through the setter, 299,008
 of 300,171 at full scale 8-core), each costing a Python-level call.
 
+Format 4 changes no result, only what the queue holds: a withdrawn wake is
+removed from its bucket (``EventQueue.unschedule``) instead of left there
+cancelled, so ``Event`` lost its ``cancelled`` flag and the memory
+controller its ``_wake_event``/``_spare_wake`` attributes. A format-3 image
+would restore entries the kernel no longer understands, so it is refused
+and rebuilt like any other.
+
 Images are never migrated. The header records the container format and the
 :data:`~repro.sim.system.MODEL_VERSION` that wrote it, and a reader refuses
 any other format or version with a :class:`CheckpointError` naming both, so
@@ -80,8 +87,10 @@ from repro.utils.atomic import atomic_write_bytes
 #: Bump when the container or payload layout changes; readers accept only
 #: this format. Format 2 restored simulator objects through
 #: :func:`_set_state`; format 3 also stores each cache's tag store as flat
-#: per-field lists (``Cache.__getstate__``).
-SNAPSHOT_FORMAT = 3
+#: per-field lists (``Cache.__getstate__``); format 4 holds no cancellable
+#: queue entries: the controller's wake is its bound ``_wake``, tracked by
+#: ``_wake_at``, and ``Event`` is audit-only.
+SNAPSHOT_FORMAT = 4
 
 #: zlib level of the payload (see the module docstring).
 COMPRESSION_LEVEL = 1

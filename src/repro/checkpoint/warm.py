@@ -62,14 +62,18 @@ def run_until_warm(
 ) -> int:
     """Start the cores and run until every core crossed its warmup boundary.
 
-    Returns the number of events fired. Overshoots the boundary by at most
-    ``chunk_events`` (the boundary is detected between chunks); the chunk is
-    capped near the warmup target so a run much shorter than the default
-    chunk is not consumed whole between boundary polls.
+    Returns the number of events fired. Overshoots the boundary by up to
+    ``chunk_events`` events (the boundary is detected between chunks); the
+    chunk, counted in events, is capped at the warmup target, counted in
+    instructions. That cap assumed about 3–4 events per instruction, but a
+    quick single-core cell fires 0.27 (bzip2), 0.84 (lbm) or 1.06 (mcf)
+    events per instruction up to its boundary, so one chunk can cover more
+    instructions than the whole warm-up: a quick 8,000-reference bzip2 cell
+    targets 47,478 instructions and is found warm at 93,596 of 118,695. A
+    known defect (ROADMAP); fixing it moves every sharded, forked and
+    sampled result.
     """
-    # ~3-4 events fire per instruction, so a chunk of warm-target events
-    # polls a tiny run several times before its boundary while leaving
-    # full-size runs on the fast default.
+    # The cap is in instructions, the chunk in events: see the docstring.
     warm_target = sum(core.warmup_instructions for core in system.cores)
     if warm_target:
         chunk_events = max(1_000, min(chunk_events, warm_target))

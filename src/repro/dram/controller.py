@@ -18,7 +18,10 @@ attempt (:func:`~repro.dram.scheduler.select_fr_fcfs` returns the choice by
 index, or the cycle to wake at when nothing is ready) and issues the chosen
 request inline. A scan that finds nothing ready is remembered (the
 *blocked-until memo*) until the list or the banks change, so a wake on an
-unchanged list skips its scan.
+unchanged list skips its scan, and :meth:`MemoryController._wake` re-arms
+without dispatching at all when the phase holds. The one pending wake is
+the bound method ``_wake`` at ``_wake_at``; an arrival that needs it
+earlier removes it from its bucket (``EventQueue.unschedule``).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.dram.config import DramConfig
 from repro.dram.request import MemoryRequest
 from repro.dram.scheduler import select_fr_fcfs
 from repro.dram.writebuffer import WriteBuffer
-from repro.utils.events import Event, EventQueue
+from repro.utils.events import EventQueue
 from repro.utils.stats import StatGroup
 
 
@@ -73,10 +76,8 @@ class MemoryController:
         # Recent ACTIVATE issue times, newest last (tRRD / tFAW windows).
         self._recent_activates: List[int] = []
         self.stats = StatGroup(name)
-        self._wake_event: Optional[Event] = None
-        # The wake Event that last fired, kept for the next wake to reuse
-        # instead of allocating one.
-        self._spare_wake: Optional[Event] = None
+        # Cycle of the one pending ``_wake`` entry on the queue, or None.
+        self._wake_at: Optional[int] = None
         # Blocked-until memo: the candidate list whose last scan found
         # nothing ready, and the cycle its first candidate becomes ready.
         self._blocked_list: Optional[List[MemoryRequest]] = None
@@ -198,23 +199,19 @@ class MemoryController:
         # position in its cycle's event bucket is observable. Rescheduling
         # straight to the next-ready cycle changed result digests (1 of 6
         # cells when the pending wake was cancelled and re-appended, 6 of 6
-        # when it was kept). What an empty wake can skip is its scan: see
-        # the blocked-until memo in _dispatch and docs/architecture.md §9.
+        # when it was kept). What an empty wake can skip is its scan and
+        # the dispatch preamble: see the blocked-until memo in _wake and
+        # _dispatch, and docs/architecture.md §9.
         #
-        # The one cancellable entry on the queue: a later-arriving earlier
-        # wake cancels the pending one, so the wake is an Event.
-        wake = self._wake_event
-        if wake is not None and not wake.cancelled:
-            if wake.time <= time:
+        # At most one wake is pending, at ``_wake_at``: an arrival that
+        # needs an earlier one removes the later entry from its bucket.
+        wake_at = self._wake_at
+        if wake_at is not None:
+            if wake_at <= time:
                 return  # an earlier-or-equal wake is already pending
-            wake.cancel()
-        wake = self._spare_wake
-        if wake is None:
-            wake = Event(time, self._wake)
-        else:
-            self._spare_wake = None
-            wake.time = time
-        self._wake_event = self.queue.schedule(time, wake)
+            self.queue.unschedule(wake_at, self._wake)
+        self._wake_at = time
+        self.queue.schedule(time, self._wake)
 
     def _unblock(self, request: MemoryRequest) -> None:
         """``request`` joined the memoized blocked list: keep the memo exact.
@@ -235,10 +232,24 @@ class MemoryController:
             self._blocked_until = ready
 
     def _wake(self) -> None:
-        # The firing Event is spent: the queue has moved past its slot and
-        # never looks at it again, so the next wake can reuse it.
-        self._spare_wake = self._wake_event
-        self._wake_event = None
+        self._wake_at = None
+        # The blocked-until memo, checked before _dispatch's preamble: if
+        # the phase holds and the list _dispatch would pick is the blocked
+        # one, nothing a scan reads has changed, so re-arm at its cycle.
+        # Anything else, a phase change included, goes to _dispatch.
+        blocked = self._blocked_list
+        if blocked is not None and self.queue.now < self._blocked_until:
+            entries = self.write_buffer._entries
+            if self.phase is _READ:
+                holds = len(entries) < self.write_buffer.capacity
+                candidates = self.read_queue or entries
+            else:
+                holds = len(entries) > self.config.drain_low_watermark
+                candidates = entries
+            if holds and candidates is blocked and blocked:
+                wake_at = self._wake_at = self._blocked_until
+                self.queue.schedule(wake_at, self._wake)
+                return
         self._dispatch()
 
     def _dispatch(self) -> None:
@@ -246,8 +257,8 @@ class MemoryController:
 
         Each issue attempt makes one FR-FCFS scan over the current phase's
         candidates; the chosen request is issued inline and deleted from its
-        queue by index. Only :meth:`_wake` calls this, after emptying the
-        wake slot, so re-arming when nothing more can issue schedules the
+        queue by index. Only :meth:`_wake` calls this, after clearing
+        ``_wake_at``, so re-arming when nothing more can issue schedules the
         wake directly.
 
         Blocked-until memo: a scan that finds nothing ready records its
@@ -394,13 +405,8 @@ class MemoryController:
                     dist.maximum = sample
                 if request.on_complete is not None:
                     queue.schedule(when, request.fire_completion)
-        wake = self._spare_wake
-        if wake is None:
-            wake = Event(wake_at, self._wake)
-        else:
-            self._spare_wake = None
-            wake.time = wake_at
-        self._wake_event = queue.schedule(wake_at, wake)
+        self._wake_at = wake_at
+        queue.schedule(wake_at, self._wake)
 
     def _record_activate(self, when: int) -> None:
         self._recent_activates.append(when)

@@ -202,6 +202,15 @@ def assert_memo_exact(controller):
         assert select_fr_fcfs(blocked, now) == (-1, controller._blocked_until)
 
 
+def pending_wakes(queue, controller):
+    """Cycles of the unfired ``controller._wake`` entries on ``queue``."""
+    found = []
+    for time, bucket in sorted(queue._buckets.items()):
+        start = queue._pos if time == queue._pos_time else 0
+        found += [time for entry in bucket[start:] if entry == controller._wake]
+    return found
+
+
 def drive(ops):
     """Run ``ops`` — (delay, is_write, addr) arrivals — on a bare controller.
 
@@ -253,6 +262,11 @@ class _Recording:
 
         def logged_wake(controller):
             controller.__dict__.setdefault("wakes", []).append(controller.queue.now)
+            # The wake applies the memo itself, so the reference run clears
+            # it before the wake, not only before the dispatch.
+            if clear_memo:
+                controller._blocked_list = None
+            assert_memo_exact(controller)
             wake(controller)
 
         def checked_dispatch(controller):
@@ -324,22 +338,73 @@ class TestBlockedUntilMemo:
         assert controller.is_idle()
         assert controller._blocked_list is None
 
-    def test_a_fired_wake_is_reused_and_fires_once(self):
+    @settings(max_examples=100, deadline=None)
+    @given(ops=arrivals)
+    def test_one_wake_is_pending_at_wake_at(self, ops):
+        """After every enqueue the queue holds exactly one ``_wake`` entry,
+        in the bucket at ``_wake_at``; a drained run leaves none."""
+        queue = EventQueue()
+        controller = MemoryController(queue, MEMO)
+
+        def arrive(request):
+            if request.is_write:
+                controller.enqueue_write(request)
+            else:
+                controller.enqueue_read(request)
+            assert pending_wakes(queue, controller) == [controller._wake_at]
+
+        time = 0
+        for delay, is_write, addr in ops:
+            time += delay
+            queue.schedule(time, partial(arrive, MemoryRequest(addr, is_write)))
+        queue.run()
+        assert pending_wakes(queue, controller) == []
+        assert controller._wake_at is None
+
+    def test_a_wake_whose_memo_holds_does_not_dispatch(self, monkeypatch):
+        dispatches = []
+        dispatch = MemoryController._dispatch
+
+        def counting_dispatch(controller):
+            dispatches.append(controller.queue.now)
+            dispatch(controller)
+
+        monkeypatch.setattr(MemoryController, "_dispatch", counting_dispatch)
         queue = EventQueue()
         controller = MemoryController(queue, SMALL)
-        first = MemoryRequest(0, False)
-        controller.enqueue_read(first)
-        wake = controller._wake_event
-        queue.run(until=0)  # the wake fires and issues; nothing is left
-        assert controller._wake_event is None
-        second = MemoryRequest(4 * 16, False)  # bank 0, another row: blocked
-        controller.enqueue_read(second)
-        assert controller._wake_event is wake
+        # Bank 0, rows 0, 4 and 8: t=0 issues the first read, t=1 finds the
+        # bank busy and records the memo, t=2 finds it still holding.
+        for time, addr in ((0, 0), (1, 4 * 16), (2, 8 * 16)):
+            queue.schedule(
+                time, partial(controller.enqueue_read, MemoryRequest(addr, False))
+            )
+        queue.run(until=2)
+        assert dispatches == [0, 1]
+        assert controller._wake_at == controller._blocked_until > 2
+        assert pending_wakes(queue, controller) == [controller._wake_at]
         queue.run()
-        assert first.issue_time == 0 and second.issue_time > 0
-        # The first wake, its reuse at t=0 and the re-arm at the bank's ready
-        # cycle: the reused Event fired once per scheduling.
-        assert queue.events_processed == 3
+        assert controller.is_idle()
+
+    def test_a_wake_whose_phase_would_change_dispatches(self):
+        """No enqueue leaves the phase stale, so this forces one: with the
+        read queue memoized and a full write buffer left in the read phase,
+        the wake must not re-arm on the memo but dispatch, which switches
+        to draining writes."""
+        queue = EventQueue()
+        controller = MemoryController(queue, SMALL)
+        controller.enqueue_read(MemoryRequest(0, False))
+        queue.run(until=0)
+        controller.enqueue_read(MemoryRequest(4 * 16, False))  # bank 0: busy
+        queue.run(until=0)
+        assert controller._blocked_list is controller.read_queue
+        for row in range(SMALL.write_buffer_entries):
+            assert controller.enqueue_write(MemoryRequest(16 + row * 4 * 16, True))
+        assert controller.phase is Phase.WRITE_DRAIN
+        controller.phase = Phase.READ
+        queue.run(until=0)
+        assert controller.phase is Phase.WRITE_DRAIN
+        queue.run()
+        assert controller.is_idle()
 
     def test_ready_arrival_voids_the_memo(self):
         queue = EventQueue()

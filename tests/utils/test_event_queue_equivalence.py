@@ -3,14 +3,15 @@
 The calendar queue (per-timestamp buckets + a heap of distinct timestamps)
 replaced a straightforward ``heapq`` of ``(time, seq)``-ordered events. These
 tests pin the contract the rest of the simulator relies on: identical firing
-order — including same-cycle FIFO, re-entrant scheduling and cancellation —
-on randomized schedules, and identical ``until``/``max_events`` semantics.
+order — including same-cycle FIFO, re-entrant scheduling and removal of
+pending entries (``unschedule``) — on randomized schedules, and identical
+``until``/``max_events`` semantics, also when a callback raises.
 
-Bucket entries come in three kinds, mixed in one schedule: bare callables
-(the common case), cancellable :class:`Event` entries built by their owner,
-and audit events. ``legacy=True`` wraps every plain entry in an ``Event``,
-which is what every bucket held before bare callables — the form older
-snapshot images restore into.
+Bucket entries come in two kinds, mixed in one schedule: bare callables
+(the common case) and audit events. The workloads also withdraw pending
+callables, both before the run and from inside callbacks, and can re-arm
+one callable the way the memory controller re-arms its wake: at most one
+pending entry, pulled earlier by removing it and scheduling it again.
 """
 
 import heapq
@@ -24,37 +25,47 @@ from repro.utils.events import Event, EventQueue
 class ReferenceQueue:
     """The old implementation's semantics: one heap ordered by (time, seq).
 
-    The check order inside ``run`` — budget, then cancelled-pop, then
-    ``until`` — mirrors the replaced heap implementation exactly, including
-    audit events: they fire without consuming the ``max_events`` budget, but
-    a spent budget stops them too.
+    The check order inside ``run`` — budget, then ``until`` — mirrors the
+    replaced heap implementation exactly, including audit events: they fire
+    without consuming the ``max_events`` budget, but a spent budget stops
+    them too. ``unschedule`` deletes the earliest-scheduled equal entry from
+    the heap.
     """
 
     def __init__(self):
         self._heap = []
         self._seq = 0
         self.now = 0
+        self.events_processed = 0
+
+    def __len__(self):
+        return len(self._heap)
 
     def schedule(self, time, callback, audit=False):
         if time < self.now:
             raise ValueError("past")
         if audit:
-            callback = Event(time, callback, audit=True)
+            callback = Event(time, callback)
         heapq.heappush(self._heap, (time, self._seq, callback))
         self._seq += 1
         return callback
 
-    @staticmethod
-    def _cancelled(entry):
-        return isinstance(entry, Event) and entry.cancelled
+    def unschedule(self, time, callback):
+        if time <= self.now:
+            raise ValueError("not in the future")
+        matches = [item for item in self._heap if item[0] == time and item[2] == callback]
+        if not matches:
+            raise ValueError("absent")
+        self._heap.remove(min(matches, key=lambda item: item[1]))
+        heapq.heapify(self._heap)
 
     def _fire(self, entry):
-        """Fire one popped entry; returns whether it was accounted."""
         if isinstance(entry, Event):
             entry.callback()
-            return not entry.audit
+            return 0
+        self.events_processed += 1
         entry()
-        return True
+        return 1
 
     def run(self, until=None, max_events=None):
         fired = 0
@@ -62,9 +73,6 @@ class ReferenceQueue:
             if max_events is not None and fired >= max_events:
                 return
             time, _seq, entry = self._heap[0]
-            if self._cancelled(entry):
-                heapq.heappop(self._heap)
-                continue
             if until is not None and time > until:
                 self.now = until
                 return
@@ -73,26 +81,25 @@ class ReferenceQueue:
             fired += self._fire(entry)
 
     def step(self):
-        while self._heap:
-            time, _seq, entry = heapq.heappop(self._heap)
-            if self._cancelled(entry):
-                continue
-            self.now = time
-            self._fire(entry)
-            return True
-        return False
+        if not self._heap:
+            return False
+        time, _seq, entry = heapq.heappop(self._heap)
+        self.now = time
+        self._fire(entry)
+        return True
 
 
-def random_workload(queue, rng, log, legacy=False):
-    """Schedule a randomized mix of bare, cancellable, audit and re-entrant
-    entries, and cancel a deterministic subset of the cancellable ones —
-    some of them only after they have fired."""
+def random_workload(queue, rng, log, rearm=True):
+    """Schedule a randomized mix of bare, withdrawable, audit and re-entrant
+    entries, and withdraw a deterministic subset of the withdrawable ones —
+    some only from later callbacks, when they may already have fired.
+
+    With ``rearm`` some callbacks also arm one shared wake the way the
+    memory controller does; the wake may re-arm itself when it fires.
+    """
     handles = []
-
-    def plain(time, callback):
-        if legacy:
-            callback = Event(time, callback)
-        return queue.schedule(time, callback)
+    wake_at = [None]
+    draws = random.Random(rng.random())
 
     def make_cb(tag):
         def cb():
@@ -104,15 +111,41 @@ def random_workload(queue, rng, log, legacy=False):
         def cb():
             log.append((queue.now, tag))
             # Same-cycle and future re-entrant scheduling.
-            plain(queue.now + offset, make_cb((tag, "child")))
+            queue.schedule(queue.now + offset, make_cb((tag, "child")))
 
         return cb
 
-    def make_late_canceller(tag, victim):
+    def make_late_withdrawer(tag, victim):
+        def cb():
+            # Withdraws an entry that may have fired, or been withdrawn,
+            # already: refused then, and nothing changes.
+            try:
+                queue.unschedule(*victim)
+                log.append((queue.now, tag, "removed"))
+            except ValueError:
+                log.append((queue.now, tag, "refused"))
+
+        return cb
+
+    def wake():
+        log.append((queue.now, "wake"))
+        wake_at[0] = None
+        if draws.random() < 0.4:
+            arm(queue.now + draws.randrange(1, 9))
+
+    def arm(time):
+        pending = wake_at[0]
+        if pending is not None:
+            if pending <= time:
+                return
+            queue.unschedule(pending, wake)
+        wake_at[0] = time
+        queue.schedule(time, wake)
+
+    def make_kicker(tag, offset):
         def cb():
             log.append((queue.now, tag))
-            # Cancels a wake that may already have fired: a no-op then.
-            victim.cancel()
+            arm(queue.now + offset)
 
         return cb
 
@@ -120,90 +153,107 @@ def random_workload(queue, rng, log, legacy=False):
         time = rng.randrange(0, 50)
         kind = rng.random()
         if kind < 0.2:
-            handles.append(queue.schedule(time, Event(time, make_cb(i))))
+            callback = make_cb(i)
+            queue.schedule(time, callback)
+            handles.append((time, callback))
         elif kind < 0.35:
-            plain(time, make_reentrant(i, rng.choice((0, 0, 1, 7))))
+            queue.schedule(time, make_reentrant(i, rng.choice((0, 0, 1, 7))))
         elif kind < 0.5:
             queue.schedule(time, make_cb(("audit", i)), audit=True)
         elif kind < 0.55 and handles:
-            plain(time, make_late_canceller(i, rng.choice(handles)))
+            queue.schedule(time, make_late_withdrawer(i, rng.choice(handles)))
+        elif kind < 0.65 and rearm:
+            queue.schedule(time, make_kicker(i, rng.choice((0, 0, 1, 3, 12))))
         else:
-            plain(time, make_cb(i))
-    for index, handle in enumerate(handles):
-        if index % 3 == 0:
-            handle.cancel()
+            queue.schedule(time, make_cb(i))
+    for index, (time, callback) in enumerate(handles):
+        if index % 3 == 0 and time > queue.now:
+            queue.unschedule(time, callback)
 
 
-def run_both(seed, legacy, drive):
+def run_both(seed, drive, rearm=True):
     """Run one randomized workload on both queues through ``drive``."""
     actual_log, expected_log = [], []
     actual, expected = EventQueue(), ReferenceQueue()
-    random_workload(actual, random.Random(seed), actual_log, legacy)
-    random_workload(expected, random.Random(seed), expected_log, legacy)
+    random_workload(actual, random.Random(seed), actual_log, rearm)
+    random_workload(expected, random.Random(seed), expected_log, rearm)
     drive(actual)
     drive(expected)
     assert actual_log == expected_log
+    assert actual.events_processed == expected.events_processed
+    assert len(actual) == len(expected)
     return actual, expected
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_randomized_schedules_fire_in_identical_order(seed):
-    actual, expected = run_both(seed, False, lambda queue: queue.run())
+    actual, expected = run_both(seed, lambda queue: queue.run())
     assert actual.now == expected.now
 
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("until", (0, 13, 49, 200))
 def test_until_matches_reference(seed, until):
-    actual, expected = run_both(seed, False, lambda queue: queue.run(until=until))
+    actual, expected = run_both(seed, lambda queue: queue.run(until=until))
     assert actual.now == expected.now
 
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("max_events", (0, 1, 17, 10_000))
 def test_max_events_matches_reference(seed, max_events):
-    run_both(seed, False, lambda queue: queue.run(max_events=max_events))
+    run_both(seed, lambda queue: queue.run(max_events=max_events))
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_legacy_event_buckets_match_reference(seed):
-    """Buckets made only of ``Event`` entries, as the pre-callable kernel
-    wrote them, fire exactly as the reference does."""
-    actual, expected = run_both(seed, True, lambda queue: queue.run())
-    assert actual.now == expected.now
-    assert actual.events_processed > 0
-
-
-def test_bucket_of_only_plain_events_is_accounted_like_callables():
-    queue, log = EventQueue(), []
-    for tag in "abc":
-        queue.schedule(4, Event(4, lambda tag=tag: log.append(tag)))
-    assert len(queue) == 3
-    assert queue.step()
-    queue.run()
-    assert log == ["a", "b", "c"]
-    assert queue.events_processed == 3
-    assert len(queue) == 0
-
-
-def test_cancelling_a_wake_after_it_fired_changes_nothing():
-    queue, log = EventQueue(), []
-    wake = queue.schedule(2, Event(2, lambda: log.append("wake")))
-    queue.schedule(2, lambda: log.append("next"))
-    queue.schedule(5, lambda: (log.append("late"), wake.cancel()))
-    queue.schedule(5, lambda: log.append("after"))
-    queue.run()
-    assert log == ["wake", "next", "late", "after"]
-    assert queue.events_processed == 4
-    assert len(queue) == 0
-
-
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("legacy", (False, True))
 @pytest.mark.parametrize("stop", ("until", "max_events"))
-def test_early_stop_then_step_and_earlier_scheduling(seed, legacy, stop):
+def test_unschedule_between_stops_matches_reference(seed, stop):
+    """Stop early, withdraw pending entries and schedule new ones into the
+    same cycles — buckets the removals may have emptied — then resume."""
+    logs = {}
+
+    def drive(queue):
+        rng = random.Random(seed + 200)
+        log = logs[queue]
+        mine = []
+        for i in range(30):
+            time = rng.randrange(0, 60)
+            callback = lambda i=i: log.append((queue.now, "mine", i))  # noqa: E731
+            queue.schedule(time, callback)
+            mine.append((time, callback))
+        for _ in range(4):
+            if stop == "until":
+                queue.run(until=queue.now + rng.randrange(0, 15))
+            else:
+                queue.run(max_events=rng.randrange(0, 30))
+            for time, callback in rng.sample(mine, 8):
+                try:
+                    queue.unschedule(time, callback)
+                except ValueError:
+                    continue
+                mine.remove((time, callback))
+                log.append(("removed", time))
+                if rng.random() < 0.5:
+                    again = lambda t=time: log.append((queue.now, "again", t))  # noqa: E731
+                    queue.schedule(time, again)
+        queue.run()
+
+    actual, expected = EventQueue(), ReferenceQueue()
+    for queue in (actual, expected):
+        logs[queue] = []
+        random_workload(queue, random.Random(seed), logs[queue])
+        drive(queue)
+    assert logs[actual] == logs[expected]
+    assert actual.now == expected.now
+    assert actual.events_processed == expected.events_processed
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("rearm", (False, True))
+@pytest.mark.parametrize("stop", ("until", "max_events"))
+def test_early_stop_then_step_and_earlier_scheduling(seed, rearm, stop):
     """Stop early, schedule below the stopped-at head bucket, then finish
-    one step() at a time: the mixed-entry order still matches."""
+    one step() at a time: the mixed-entry order still matches, with and
+    without a re-arming wake in the workload."""
 
     def drive(queue):
         rng = random.Random(seed + 100)
@@ -221,13 +271,47 @@ def test_early_stop_then_step_and_earlier_scheduling(seed, legacy, stop):
     actual_log, expected_log = [], []
     actual, expected = EventQueue(), ReferenceQueue()
     log_of = {actual: actual_log, expected: expected_log}
-    random_workload(actual, random.Random(seed), actual_log, legacy)
-    random_workload(expected, random.Random(seed), expected_log, legacy)
+    random_workload(actual, random.Random(seed), actual_log, rearm)
+    random_workload(expected, random.Random(seed), expected_log, rearm)
     drive(actual)
     drive(expected)
     assert actual_log == expected_log
     assert actual.now == expected.now
+    assert actual.events_processed == expected.events_processed
     assert len(actual) == 0
+
+
+@pytest.mark.parametrize("bounded", (False, True))
+def test_raising_callback_mid_bucket_matches_reference(bounded):
+    """A callback that raises leaves ``events_processed`` and the resume
+    point where the reference leaves them: the raising event counts as
+    fired, and the next run starts with the entry after it."""
+    logs = {}
+
+    def fill(queue):
+        log = logs[queue] = []
+
+        def boom():
+            log.append((queue.now, "boom"))
+            raise RuntimeError("boom")
+
+        for time, tag in ((1, "a"), (2, "b"), (2, "c"), (3, "e")):
+            queue.schedule(time, lambda tag=tag: log.append((queue.now, tag)))
+        queue.schedule(2, lambda: log.append((queue.now, "audit")), audit=True)
+        queue.schedule(2, boom)
+        queue.schedule(2, lambda: log.append((queue.now, "d")))
+
+    states = []
+    for queue in (EventQueue(), ReferenceQueue()):
+        fill(queue)
+        with pytest.raises(RuntimeError):
+            queue.run(max_events=100) if bounded else queue.run()
+        state = [list(logs[queue]), queue.events_processed, queue.now, len(queue)]
+        queue.run(max_events=1) if bounded else queue.run()
+        state += [list(logs[queue]), queue.events_processed, queue.now, len(queue)]
+        states.append(state)
+    assert states[0] == states[1]
+    assert states[0][1] == 4  # a, b, c and the raising callback
 
 
 def test_same_cycle_events_fire_fifo_across_bucket_recreation():
@@ -245,16 +329,77 @@ def test_same_cycle_events_fire_fifo_across_bucket_recreation():
     assert queue.now == 5
 
 
+def test_cancelling_a_wake_after_it_fired_changes_nothing():
+    """Withdrawing an entry whose cycle has come is refused: it may have
+    fired, or be about to in the current bucket."""
+    queue, log = EventQueue(), []
+    wake = lambda: log.append("wake")  # noqa: E731
+
+    def late():
+        log.append("late")
+        with pytest.raises(ValueError):
+            queue.unschedule(2, wake)
+        with pytest.raises(ValueError):
+            queue.unschedule(5, late)
+
+    queue.schedule(2, wake)
+    queue.schedule(2, lambda: log.append("next"))
+    queue.schedule(5, late)
+    queue.schedule(5, lambda: log.append("after"))
+    queue.run()
+    assert log == ["wake", "next", "late", "after"]
+    assert queue.events_processed == 4
+    assert len(queue) == 0
+
+
 def test_cancelled_tail_does_not_stall_the_queue():
     queue = EventQueue()
     log = []
-    keep = queue.schedule(3, Event(3, lambda: log.append("keep")))
+    queue.schedule(3, lambda: log.append("keep"))
     for _ in range(5):
-        queue.schedule(3, Event(3, lambda: log.append("cancelled"))).cancel()
+        callback = lambda: log.append("cancelled")  # noqa: E731
+        queue.schedule(3, callback)
+        queue.unschedule(3, callback)
     queue.schedule(9, lambda: log.append("later"))
     queue.run()
     assert log == ["keep", "later"]
-    assert not keep.cancelled
+    assert queue.events_processed == 2
+
+
+def test_emptied_bucket_neither_moves_the_clock_nor_samples():
+    class Sampler:
+        next_cycle = 0
+
+        def __init__(self):
+            self.sampled = []
+
+        def sample(self, time):
+            self.sampled.append(time)
+
+    queue = EventQueue()
+    queue.telemetry = sampler = Sampler()
+    gone = lambda: None  # noqa: E731
+    queue.schedule(4, gone)
+    queue.unschedule(4, gone)
+    queue.run()
+    assert (queue.now, sampler.sampled, queue.events_processed) == (0, [], 0)
+    queue.schedule(4, gone)  # the emptied bucket was retired: a new one
+    queue.schedule(6, lambda: None)
+    queue.run(until=5)
+    assert (queue.now, sampler.sampled, len(queue)) == (5, [4], 1)
+
+
+def test_rescheduling_into_an_emptied_bucket_fires_once_in_order():
+    queue, log = EventQueue(), []
+    first = lambda: log.append("first")  # noqa: E731
+    queue.schedule(7, first)
+    queue.unschedule(7, first)
+    queue.schedule(7, lambda: log.append("second"))
+    queue.schedule(7, first)
+    queue.schedule(3, lambda: log.append("early"))
+    queue.run()
+    assert log == ["early", "second", "first"]
+    assert queue.events_processed == 3
 
 
 def test_interleaved_run_calls_resume_mid_bucket():
@@ -281,14 +426,15 @@ def test_audit_events_fire_but_are_not_accounted():
 
 
 def test_schedule_earlier_than_head_after_until_stop_fires():
-    """Regression: run(until=...) that skipped a cancelled head-bucket prefix
-    must not apply that cursor to a *different* bucket scheduled afterwards
-    at an earlier timestamp — the new event would be silently dropped."""
+    """Regression: run(until=...) that stopped at a head bucket must not
+    apply its cursor to a *different* bucket scheduled afterwards at an
+    earlier timestamp — the new event would be silently dropped."""
     queue = EventQueue()
     log = []
-    first = queue.schedule(100, Event(100, lambda: log.append("a")))
+    first = lambda: log.append("a")  # noqa: E731
+    queue.schedule(100, first)
     queue.schedule(100, lambda: log.append("b"))
-    first.cancel()
+    queue.unschedule(100, first)
     queue.run(until=50)
     assert len(queue) == 1
     queue.schedule(60, lambda: log.append("c"))
@@ -302,9 +448,10 @@ def test_step_after_until_stop_with_earlier_scheduling():
     """Same stale-cursor scenario, resumed through step() instead of run()."""
     queue = EventQueue()
     log = []
-    first = queue.schedule(100, Event(100, lambda: log.append("a")))
+    first = lambda: log.append("a")  # noqa: E731
+    queue.schedule(100, first)
     queue.schedule(100, lambda: log.append("b"))
-    first.cancel()
+    queue.unschedule(100, first)
     queue.run(until=50)
     queue.schedule(60, lambda: log.append("c"))
     while queue.step():
@@ -324,12 +471,12 @@ def test_interleaved_until_and_scheduling_matches_reference(seed):
         handles = []
         for i in range(40):
             time = rng.randrange(0, 120)
-            handles.append(
-                queue.schedule(time, Event(time, lambda i=i: log.append(i)))
-            )
-        for index, handle in enumerate(handles):
-            if index % 4 == 0:
-                handle.cancel()
+            callback = lambda i=i: log.append(i)  # noqa: E731
+            queue.schedule(time, callback)
+            handles.append((time, callback))
+        for index, (time, callback) in enumerate(handles):
+            if index % 4 == 0 and time > 0:
+                queue.unschedule(time, callback)
         for stop in (10, 35, 60):
             queue.run(until=stop)
             # Earlier-than-head scheduling: anywhere from `now` upward.
@@ -362,8 +509,10 @@ def test_audit_event_not_fired_once_budget_is_spent():
 
 def test_len_counts_only_live_pending_events():
     queue = EventQueue()
+    gone = lambda: None  # noqa: E731
     queue.schedule(1, lambda: None)
-    queue.schedule(1, Event(1, lambda: None)).cancel()
+    queue.schedule(1, gone)
+    queue.unschedule(1, gone)
     queue.schedule(4, lambda: None)
     assert len(queue) == 2
     queue.run(max_events=1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.events import Event, EventQueue
+from repro.utils.events import EventQueue
 
 
 class TestScheduling:
@@ -52,21 +52,56 @@ class TestScheduling:
 
 
 class TestCancellation:
+    """A pending callback is cancelled by removing it: ``unschedule``."""
+
     def test_cancelled_event_does_not_fire(self):
         queue = EventQueue()
         fired = []
-        event = queue.schedule(5, Event(5, lambda: fired.append(1)))
-        event.cancel()
+        callback = lambda: fired.append(1)  # noqa: E731
+        queue.schedule(5, callback)
+        queue.unschedule(5, callback)
         queue.run()
         assert fired == []
+        assert queue.now == 0  # the emptied bucket does not move the clock
 
     def test_len_excludes_cancelled(self):
         queue = EventQueue()
-        keep = queue.schedule(5, Event(5, lambda: None))
-        drop = queue.schedule(6, Event(6, lambda: None))
-        drop.cancel()
+        keep, drop = (lambda: None), (lambda: None)
+        queue.schedule(5, keep)
+        queue.schedule(6, drop)
+        queue.unschedule(6, drop)
         assert len(queue) == 1
-        assert keep.time == 5
+
+    def test_unschedule_removes_one_entry_and_keeps_fifo(self):
+        queue = EventQueue()
+        order = []
+        wake = lambda: order.append("wake")  # noqa: E731
+        queue.schedule(3, wake)
+        queue.schedule(3, lambda: order.append("a"))
+        queue.schedule(3, wake)
+        queue.unschedule(3, wake)
+        queue.run()
+        assert order == ["a", "wake"]
+
+    def test_unschedule_refuses_now_and_the_past(self):
+        queue = EventQueue()
+        callback = lambda: None  # noqa: E731
+        queue.schedule(0, callback)
+        with pytest.raises(ValueError):
+            queue.unschedule(0, callback)  # the current cycle may be firing
+        queue.schedule(4, callback)
+        queue.run(until=4)
+        with pytest.raises(ValueError):
+            queue.unschedule(4, callback)
+
+    def test_unschedule_refuses_an_absent_entry(self):
+        queue = EventQueue()
+        queue.schedule(5, lambda: None)
+        with pytest.raises(ValueError):
+            queue.unschedule(5, lambda: None)
+        with pytest.raises(ValueError):
+            queue.unschedule(6, lambda: None)
+        assert len(queue) == 1
 
 
 class TestRunBounds:
