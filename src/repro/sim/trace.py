@@ -29,6 +29,14 @@ class Trace:
     records: List[TraceRecord]
 
     def __post_init__(self) -> None:
+        # One tight pass settles the all-valid case; only a trace holding a
+        # bad record pays for the indexed pass that names the first one.
+        # (bool cannot be subclassed, so the type test is isinstance's.)
+        for gap, is_write, addr in self.records:
+            if gap < 0 or addr < 0 or type(is_write) is not bool:
+                self._raise_first_bad_record()
+
+    def _raise_first_bad_record(self) -> None:
         for i, (gap, is_write, addr) in enumerate(self.records):
             if gap < 0:
                 raise ValueError(f"record {i}: negative gap {gap}")

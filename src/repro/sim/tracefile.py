@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import struct
 from pathlib import Path
-from typing import BinaryIO, Union
+from typing import BinaryIO, Iterator, Union
 
 from repro.sim.trace import Trace
 
@@ -43,27 +43,24 @@ def _read_exact(data: BinaryIO, size: int, what: str) -> bytes:
     return blob
 
 
-def _write_varint(out: BinaryIO, value: int) -> None:
+def _put_varint(out: bytearray, value: int) -> None:
     if value < 0:
         raise ValueError(f"varint must be non-negative, got {value}")
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.write(bytes((byte | 0x80,)))
-        else:
-            out.write(bytes((byte,)))
-            return
+    out.append(value)
 
 
-def _read_varint(data: BinaryIO) -> int:
-    shift = 0
-    result = 0
+def _varint_tail(data: Iterator[int], first: int) -> int:
+    """Finish a varint whose first byte, ``first``, has its continuation
+    bit set, reading the rest from ``data``."""
+    result = first & 0x7F
+    shift = 7
     while True:
-        raw = data.read(1)
-        if not raw:
+        byte = next(data, None)
+        if byte is None:
             raise ValueError("truncated varint")
-        byte = raw[0]
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
             return result
@@ -87,22 +84,29 @@ def _unzigzag(value: int) -> int:
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> int:
     """Write ``trace`` to ``path``; returns the byte size written."""
-    buffer = io.BytesIO()
-    buffer.write(MAGIC)
-    buffer.write(struct.pack("<H", VERSION))
+    out = bytearray(MAGIC)
+    out += struct.pack("<H", VERSION)
     name_bytes = trace.name.encode("utf-8")
-    buffer.write(struct.pack("<H", len(name_bytes)))
-    buffer.write(name_bytes)
-    buffer.write(struct.pack("<Q", len(trace.records)))
+    out += struct.pack("<H", len(name_bytes))
+    out += name_bytes
+    out += struct.pack("<Q", len(trace.records))
+    append = out.append
     previous_addr = 0
     for gap, is_write, addr in trace.records:
-        _write_varint(buffer, gap)
-        buffer.write(bytes((1 if is_write else 0,)))
-        _write_varint(buffer, _zigzag(addr - previous_addr))
+        # Single-byte varints (most gaps, streaming deltas) skip the helper.
+        if 0 <= gap < 0x80:
+            append(gap)
+        else:
+            _put_varint(out, gap)
+        append(1 if is_write else 0)
+        delta = _zigzag(addr - previous_addr)
+        if delta < 0x80:
+            append(delta)
+        else:
+            _put_varint(out, delta)
         previous_addr = addr
-    blob = buffer.getvalue()
-    Path(path).write_bytes(blob)
-    return len(blob)
+    Path(path).write_bytes(out)
+    return len(out)
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
@@ -111,25 +115,39 @@ def load_trace(path: Union[str, Path]) -> Trace:
     Raises:
         ValueError: on a bad magic number, version, or truncated stream.
     """
-    data = io.BytesIO(Path(path).read_bytes())
-    if data.read(len(MAGIC)) != MAGIC:
+    blob = Path(path).read_bytes()
+    header = io.BytesIO(blob)
+    if header.read(len(MAGIC)) != MAGIC:
         raise ValueError(f"{path}: not a DBITRACE file")
-    (version,) = struct.unpack("<H", _read_exact(data, 2, "version field"))
+    (version,) = struct.unpack("<H", _read_exact(header, 2, "version field"))
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    (name_len,) = struct.unpack("<H", _read_exact(data, 2, "name length"))
-    name = _read_exact(data, name_len, "trace name").decode("utf-8")
-    (count,) = struct.unpack("<Q", _read_exact(data, 8, "record count"))
+    (name_len,) = struct.unpack("<H", _read_exact(header, 2, "name length"))
+    name = _read_exact(header, name_len, "trace name").decode("utf-8")
+    (count,) = struct.unpack("<Q", _read_exact(header, 8, "record count"))
+    # The record stream is decoded from one iterator over its bytes; the
+    # common single-byte varints never leave this loop.
+    data = iter(memoryview(blob)[header.tell():])
     records = []
+    append = records.append
     previous_addr = 0
     for _ in range(count):
-        gap = _read_varint(data)
-        flag = data.read(1)
-        if not flag:
+        gap = next(data, None)
+        if gap is None:
+            raise ValueError("truncated varint")
+        if gap & 0x80:
+            gap = _varint_tail(data, gap)
+        flag = next(data, None)
+        if flag is None:
             raise ValueError(f"{path}: truncated record stream")
-        addr = previous_addr + _unzigzag(_read_varint(data))
+        delta = next(data, None)
+        if delta is None:
+            raise ValueError("truncated varint")
+        if delta & 0x80:
+            delta = _varint_tail(data, delta)
+        addr = previous_addr + _unzigzag(delta)
         if addr < 0:
             raise ValueError(f"{path}: negative address after delta decode")
-        records.append((gap, bool(flag[0] & 1), addr))
+        append((gap, bool(flag & 1), addr))
         previous_addr = addr
     return Trace(name=name, records=records)

@@ -11,6 +11,11 @@ from __future__ import annotations
 import hashlib
 import math
 
+#: Divisor that maps a raw 64-bit draw onto [0, 1): ``random()`` is
+#: ``next_u64() / U64_SPAN``. Bulk callers of :meth:`DeterministicRng.raw`
+#: divide by the same float so their draws match the per-draw methods'.
+U64_SPAN = float(1 << 64)
+
 
 class DeterministicRng:
     """A small, fast xorshift64* generator with named-substream derivation.
@@ -43,9 +48,29 @@ class DeterministicRng:
         self._state = x
         return (x * self._MULTIPLIER) & self._MASK64
 
+    def raw(self, count: int) -> list:
+        """The next ``count`` values :meth:`next_u64` would return, in order.
+
+        One local loop instead of ``count`` method calls; the generator is
+        left in the same state the calls would leave it in. Bulk callers
+        (the trace generators) derive ``random``/``chance``/``randint``
+        draws from these values with the same arithmetic those methods use.
+        """
+        mask = self._MASK64
+        multiplier = self._MULTIPLIER
+        x = self._state
+        values = [0] * count
+        for i in range(count):
+            x ^= (x >> 12)
+            x ^= (x << 25) & mask
+            x ^= (x >> 27)
+            values[i] = (x * multiplier) & mask
+        self._state = x
+        return values
+
     def random(self) -> float:
         """Uniform float in [0, 1)."""
-        return self.next_u64() / float(1 << 64)
+        return self.next_u64() / U64_SPAN
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range [low, high]."""
@@ -67,9 +92,11 @@ class DeterministicRng:
         return items[self.randint(0, len(items) - 1)]
 
     def shuffle(self, items) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
+        """In-place Fisher-Yates shuffle: position i swaps with
+        ``randint(0, i)``, for i from the last position down to 1."""
+        last = len(items) - 1
+        for i, x in zip(range(last, 0, -1), self.raw(max(0, last))):
+            j = x % (i + 1)
             items[i], items[j] = items[j], items[i]
 
     def geometric(self, mean: float) -> int:

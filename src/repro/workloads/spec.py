@@ -13,11 +13,12 @@ Footprints are stated in 64 B blocks; the paper's LLC is 32768 blocks
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.sim.trace import Trace
-from repro.utils.rng import DeterministicRng
+from repro.utils.rng import U64_SPAN, DeterministicRng
 from repro.utils.validation import check_positive, check_range
 from repro.workloads.synthetic import make_pattern
 
@@ -132,6 +133,28 @@ def profile_names() -> List[str]:
     return list(SPEC_PROFILES.keys())
 
 
+#: References drawn per batch. Every stream is drawn a batch at a time, so
+#: the lists of raw draws a batch builds stay bounded whatever the length.
+TRACE_CHUNK = 4096
+
+
+def _draw_flags(rng: DeterministicRng, probability: float, count: int) -> list:
+    """Exactly ``[rng.chance(probability) for _ in range(count)]``."""
+    span = U64_SPAN
+    return [x / span < probability for x in rng.raw(count)]
+
+
+def _draw_gaps(rng: DeterministicRng, mean: float, count: int) -> list:
+    """Exactly ``[rng.geometric(mean) for _ in range(count)]``."""
+    if mean == 0:
+        return [0] * count
+    log, span, smallest = math.log, U64_SPAN, 2.0 ** -64
+    log_q = log(1.0 - 1.0 / (mean + 1.0))
+    # A zero draw is the only one whose quotient is 0.0; ``or`` gives it
+    # geometric()'s u <= 0 fallback.
+    return [int(log(x / span or smallest) / log_q) for x in rng.raw(count)]
+
+
 def generate_trace(
     profile: BenchmarkProfile,
     num_refs: int,
@@ -185,16 +208,24 @@ def generate_trace(
         )
     gaps = rng.derive("gaps")
     writes = rng.derive("writes")
+    split = write_pattern is not pattern
     records = []
-    for _ in range(num_refs):
-        is_write = writes.chance(profile.write_fraction)
-        source = write_pattern if is_write else pattern
-        records.append(
-            (
-                gaps.geometric(profile.mean_gap),
-                is_write,
-                base_addr + source.next_address(),
-            )
+    for start in range(0, num_refs, TRACE_CHUNK):
+        count = min(TRACE_CHUNK, num_refs - start)
+        flags = _draw_flags(writes, profile.write_fraction, count)
+        if split:
+            # Each pattern draws its own stream in reference order; pick
+            # each reference's address from the stream its flag names.
+            num_writes = sum(flags)
+            reads = iter(pattern.addresses(count - num_writes))
+            stores = iter(write_pattern.addresses(num_writes))
+            addresses = map(next, [stores if flag else reads for flag in flags])
+        else:
+            addresses = pattern.addresses(count)
+        records += zip(
+            _draw_gaps(gaps, profile.mean_gap, count),
+            flags,
+            map(base_addr.__add__, addresses),
         )
     return Trace(name=profile.name, records=records)
 

@@ -18,20 +18,33 @@ the paper's mechanisms:
 
 from __future__ import annotations
 
-from repro.utils.rng import DeterministicRng
+from typing import List
+
+from repro.utils.rng import U64_SPAN, DeterministicRng
 from repro.utils.validation import check_positive, check_range
 
 
 class AddressPattern:
-    """Base class: next_address() yields the next block address."""
+    """Base class: ``addresses(count)`` yields the next block addresses.
+
+    Each pattern draws a whole batch in one pass over
+    :meth:`DeterministicRng.raw`, consuming its stream in exactly the order
+    one ``randint``/``chance`` call per draw would. So ``addresses(a)``
+    followed by ``addresses(b)`` returns ``addresses(a + b)`` and leaves the
+    same state, and :meth:`next_address` is a batch of one.
+    """
 
     def __init__(self, rng: DeterministicRng, footprint: int) -> None:
         check_positive("footprint", footprint)
         self.rng = rng
         self.footprint = footprint
 
-    def next_address(self) -> int:
+    def addresses(self, count: int) -> List[int]:
+        """The next ``count`` block addresses, in order."""
         raise NotImplementedError
+
+    def next_address(self) -> int:
+        return self.addresses(1)[0]
 
 
 class StreamPattern(AddressPattern):
@@ -43,10 +56,10 @@ class StreamPattern(AddressPattern):
         self.stride = stride
         self._cursor = 0
 
-    def next_address(self) -> int:
-        addr = self._cursor
-        self._cursor = (self._cursor + self.stride) % self.footprint
-        return addr
+    def addresses(self, count: int) -> List[int]:
+        cursor, stride, footprint = self._cursor, self.stride, self.footprint
+        self._cursor = (cursor + count * stride) % footprint
+        return [(cursor + i * stride) % footprint for i in range(count)]
 
 
 class CyclicPattern(StreamPattern):
@@ -59,8 +72,10 @@ class CyclicPattern(StreamPattern):
 class RandomPattern(AddressPattern):
     """Uniform random references over the footprint."""
 
-    def next_address(self) -> int:
-        return self.rng.randint(0, self.footprint - 1)
+    def addresses(self, count: int) -> List[int]:
+        # randint(0, footprint - 1) per address.
+        footprint = self.footprint
+        return [x % footprint for x in self.rng.raw(count)]
 
 
 class HotColdPattern(AddressPattern):
@@ -79,10 +94,16 @@ class HotColdPattern(AddressPattern):
         self.hot_blocks = max(1, int(footprint * hot_fraction))
         self.hot_probability = hot_probability
 
-    def next_address(self) -> int:
-        if self.rng.chance(self.hot_probability):
-            return self.rng.randint(0, self.hot_blocks - 1)
-        return self.rng.randint(0, self.footprint - 1)
+    def addresses(self, count: int) -> List[int]:
+        # Two draws per address: chance(hot_probability), then
+        # randint(0, hot_blocks - 1) or randint(0, footprint - 1).
+        hot_blocks, footprint = self.hot_blocks, self.footprint
+        probability, span = self.hot_probability, U64_SPAN
+        draws = iter(self.rng.raw(2 * count))
+        return [
+            block % hot_blocks if coin / span < probability else block % footprint
+            for coin, block in zip(draws, draws)
+        ]
 
 
 class RegionBurstPattern(AddressPattern):
@@ -120,20 +141,47 @@ class RegionBurstPattern(AddressPattern):
             self.rng.shuffle(self._order)
             self._cursor = 0
 
-    def _next_region(self) -> int:
-        if self.revisit == "cycle":
-            region = self._order[self._cursor]
-            self._cursor = (self._cursor + 1) % self._num_regions
-            return region
-        return self.rng.randint(0, self._num_regions - 1)
+    def addresses(self, count: int) -> List[int]:
+        """Finish the current burst, then start a new one every
+        ``burst_length`` addresses.
 
-    def next_address(self) -> int:
-        if self._remaining == 0:
-            self._region_base = self._next_region() * self.region_blocks
-            self._remaining = self.burst_length
-        self._remaining -= 1
-        offset = self.rng.randint(0, self.region_blocks - 1)
-        return min(self._region_base + offset, self.footprint - 1)
+        Each address draws ``randint(0, region_blocks - 1)`` as its offset.
+        Under random revisit a burst start first draws its region with
+        ``randint(0, num_regions - 1)``, so in the draw stream each burst is
+        one region draw followed by its offsets. ``num_regions`` whole
+        regions fit in the footprint, so no address needs clamping.
+        """
+        region_blocks, burst = self.region_blocks, self.burst_length
+        num_regions = self._num_regions
+        head = min(self._remaining, count)  # the current burst's rest
+        starts = 0 if head == count else (count - head - 1) // burst + 1
+        if self.revisit == "cycle":
+            draws = self.rng.raw(count)
+            lead = 0
+            order, cursor = self._order, self._cursor
+            regions = [order[(cursor + k) % num_regions] for k in range(starts)]
+            self._cursor = (cursor + starts) % num_regions
+        else:
+            draws = self.rng.raw(count + starts)
+            lead = 1
+            regions = [
+                draws[head + k * (burst + 1)] % num_regions for k in range(starts)
+            ]
+        step = lead + burst  # draws per new burst
+        current = self._region_base
+        out = [current + x % region_blocks for x in draws[:head]]
+        if not starts:
+            self._remaining -= count
+            return out
+        bases = [region * region_blocks for region in regions]
+        out += [
+            base + x % region_blocks
+            for k, base in enumerate(bases)
+            for x in draws[head + k * step + lead : head + (k + 1) * step]
+        ]
+        self._region_base = bases[-1]
+        self._remaining = starts * burst - (count - head)
+        return out
 
 
 def make_pattern(

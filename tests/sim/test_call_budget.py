@@ -27,6 +27,7 @@ from repro.analysis.scaling import SCALES
 from repro.dram.controller import MemoryController
 from repro.sim.system import System
 from repro.utils.events import Event
+from repro.workloads.spec import spec_trace
 
 pytestmark = pytest.mark.benchmark
 
@@ -57,6 +58,14 @@ SCANS_PER_REF_CEILING = 2.0
 #: still holds re-arms without calling it. When every wake dispatched, 1.687.
 #: The ceiling leaves a 12% margin.
 DISPATCHES_PER_REF_CEILING = 1.1
+
+
+#: Calls per generated reference while drawing a trace (mcf and bzip2,
+#: seed 1, 12000 references). Measured 1.007 and 1.010 on CPython 3.11: one
+#: ``math.log`` per gap, every stream drawn a batch at a time. A method
+#: chain per draw made 14.5 and 16.0; the ceiling leaves room for more
+#: per-batch calls but not for one more call per reference.
+TRACE_GEN_CALLS_PER_REF_CEILING = 1.5
 
 
 def calls_per_ref(config, trace) -> float:
@@ -90,6 +99,23 @@ def test_stacked_memory_side_stays_under_the_call_ceiling():
     assert per_ref <= STACKED_CALLS_PER_REF_CEILING, (
         f"{per_ref:.1f} calls per reference "
         f"(ceiling {STACKED_CALLS_PER_REF_CEILING})"
+    )
+
+
+@pytest.mark.parametrize("name", ["mcf", "bzip2"])
+def test_trace_generation_stays_under_the_call_ceiling(name):
+    refs = 12000
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        spec_trace(name, refs, seed=1)
+    finally:
+        profile.disable()
+    calls = sum(row[0] for row in pstats.Stats(profile).stats.values())
+    per_ref = calls / refs
+    assert per_ref <= TRACE_GEN_CALLS_PER_REF_CEILING, (
+        f"{per_ref:.2f} calls per generated reference "
+        f"(ceiling {TRACE_GEN_CALLS_PER_REF_CEILING})"
     )
 
 

@@ -99,3 +99,16 @@ class TestDistributions:
         rng = DeterministicRng(seed=42)
         with pytest.raises(ValueError):
             rng.geometric(-1.0)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 50, 2048])
+    def test_shuffle_matches_one_randint_per_position(self, size):
+        # The shuffle draws its swaps in one batch; it must permute and
+        # consume the stream exactly as one randint(0, i) call per position.
+        batch, single = DeterministicRng(seed=9), DeterministicRng(seed=9)
+        items, expected = list(range(size)), list(range(size))
+        batch.shuffle(items)
+        for i in range(size - 1, 0, -1):
+            j = single.randint(0, i)
+            expected[i], expected[j] = expected[j], expected[i]
+        assert items == expected
+        assert batch.next_u64() == single.next_u64()
