@@ -27,6 +27,7 @@ class TestGeometry:
     def test_tracked_blocks_scales_with_alpha(self):
         assert make(alpha=Fraction(1, 2)).tracked_blocks == 2048
         assert make(alpha=Fraction(1, 4)).tracked_blocks == 1024
+        assert make(alpha=Fraction(1, 2)).num_entries == 2 * make().num_entries
 
     def test_float_alpha_converted(self):
         config = make(alpha=0.5)

@@ -2,6 +2,8 @@
 
 These run small-but-real simulations (quick scale, reduced refs) and assert
 the *relationships* the paper's evaluation rests on, not absolute numbers.
+The Figure 6b/6c write row-hit and tag-lookup claims live in
+tests/test_paper_claims.py with the rest of Section 6.
 """
 
 import pytest
@@ -18,40 +20,6 @@ def bench(name):
 
 def run(mechanism, trace, **overrides):
     return run_system(QUICK_SCALE.system_config(mechanism, **overrides), [trace])
-
-
-class TestWriteRowLocality:
-    """Paper Figure 6b: proactive row writeback lifts write row-hit rate."""
-
-    @pytest.mark.parametrize("mechanism", ["dawb", "vwq", "dbi+awb"])
-    def test_write_rhr_improves_on_write_heavy_workload(self, mechanism):
-        trace = bench("lbm")
-        base = run("tadip", trace)
-        ours = run(mechanism, trace)
-        assert ours.write_row_hit_rate > base.write_row_hit_rate + 0.1
-
-
-class TestTagLookupCost:
-    """Paper Figure 6c: DAWB/VWQ amplify lookups; DBI does not; CLB reduces."""
-
-    def test_dawb_amplifies_lookups(self):
-        trace = bench("lbm")
-        base = run("tadip", trace)
-        dawb = run("dawb", trace)
-        assert dawb.tag_lookups_pki > 1.5 * base.tag_lookups_pki
-
-    def test_dbi_awb_lookups_near_baseline(self):
-        trace = bench("lbm")
-        base = run("tadip", trace)
-        dbi = run("dbi+awb", trace)
-        assert dbi.tag_lookups_pki < 1.4 * base.tag_lookups_pki
-
-    def test_clb_reduces_lookups_for_streaming_misses(self):
-        trace = bench("libquantum")
-        base = run("tadip", trace)
-        clb = run("dbi+awb+clb", trace)
-        assert clb.tag_lookups_pki < base.tag_lookups_pki
-        assert clb.stats.get("mech.bypassed_lookups", 0) > 0
 
 
 class TestReadPathUnchanged:

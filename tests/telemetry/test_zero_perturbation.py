@@ -22,8 +22,6 @@ CELLS = [
 ]
 
 
-# (the parametrize arg is `bench`, not `benchmark` — pytest-benchmark
-# claims that name as a fixture and rejects plain strings in funcargs)
 @pytest.mark.parametrize("bench,mechanism", CELLS)
 def test_enabled_run_is_byte_identical(bench, mechanism, tmp_path):
     scale = SCALES["quick"]
