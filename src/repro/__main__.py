@@ -38,7 +38,9 @@ exponential backoff (``--max-attempts``, ``--job-timeout``), and
 ``--keep-going`` renders partial artifacts — failed cells become ``n/a`` and
 the exhausted jobs land in ``results/sweep_failures.json``. ``--chaos`` (or
 the ``REPRO_CHAOS`` environment variable) injects deterministic worker
-crashes/hangs/cache corruption for testing that machinery.
+crashes/hangs/cache corruption for testing that machinery. The same
+variable schedules ``campaign run``'s orchestrator kills (journal seq,
+warm build, cell image); it is read here and nowhere else.
 """
 
 from __future__ import annotations
@@ -170,9 +172,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def chaos_from_env():
+    """The ``REPRO_CHAOS`` spec as a ChaosConfig, or None when unset/off."""
+    import os
+
+    from repro.analysis.chaos import CHAOS_ENV, parse_chaos_spec
+
+    return parse_chaos_spec(os.environ.get(CHAOS_ENV))
+
+
 def make_sweep_runner(args):
     """Build the SweepRunner the --workers/--cache/--retry flags describe."""
-    from repro.analysis.chaos import chaos_from_env, parse_chaos_spec
+    from repro.analysis.chaos import parse_chaos_spec
     from repro.analysis.runner import (
         DEFAULT_CACHE_DIR,
         RetryPolicy,
@@ -385,6 +396,7 @@ def _cmd_campaign(args) -> int:
 
     journal_exists = _os.path.exists(_os.path.join(args.dir, "journal.jsonl"))
     try:
+        chaos = chaos_from_env() if args.subcommand == "run" else None
         if journal_exists:
             campaign = Campaign.open(args.dir)
         else:
@@ -423,14 +435,6 @@ def _cmd_campaign(args) -> int:
                 )
             )
             return 0
-        from repro.analysis.chaos import campaign_chaos_from_env
-
-        chaos_config = campaign_chaos_from_env()
-        chaos = None
-        if chaos_config is not None:
-            from repro.analysis.chaos import CampaignFaultInjector
-
-            chaos = CampaignFaultInjector(chaos_config)
         outcome = campaign.run(
             workers=args.workers,
             progress=None if args.quiet else _campaign_progress,

@@ -1,32 +1,38 @@
-"""Deterministic fault injection for the sweep engine.
+"""Deterministic fault injection for sweeps and campaigns.
 
 Large sweeps die in three characteristic ways: a worker process crashes
 (OOM killer, segfaulting native code), a worker wedges forever (NFS stall,
 scheduler pathologies), or an on-disk cache entry is corrupted (torn write,
-bad disk). The :class:`FaultInjector` reproduces all three **on purpose and
-deterministically**, so tests can prove the
-:class:`~repro.analysis.runner.SweepRunner`'s recovery machinery works: a
-sweep under fault rate *p* must produce byte-identical
-:class:`~repro.sim.system.SimulationResult`s to a fault-free run.
+bad disk). Long campaigns add a fourth: the orchestrator itself is killed
+mid-journal-append, mid-checkpoint-build or between two durable steps. One
+:class:`FaultInjector` reproduces all of them **on purpose and
+deterministically**, from one :class:`ChaosConfig`, so tests can prove the
+recovery machinery works: a sweep under fault rate *p*, or a campaign
+killed and resumed, must produce byte-identical results to a fault-free run.
 
 Determinism
-    Every decision is a pure function of ``(seed, fault kind, job key,
-    attempt)`` hashed through SHA-256 — independent of scheduling, worker
-    identity and wall-clock. The same chaos spec against the same job set
-    injects the same faults, every run, on every machine.
+    Worker and cache faults are sampled: each decision is a pure function
+    of ``(seed, fault kind, job key, attempt)`` hashed through SHA-256 —
+    independent of scheduling, worker identity and wall-clock. Orchestrator
+    faults are scheduled: they fire at an exact journal sequence number or
+    at the Nth warm build or cell image. The same spec against the same job
+    set injects the same faults, every run, on every machine.
 
 Enablement
-    * programmatically: pass a :class:`ChaosConfig` to ``SweepRunner``;
-    * end to end: set the ``REPRO_CHAOS`` environment variable (or the
+    * programmatically: pass a :class:`ChaosConfig` to ``SweepRunner`` or
+      ``Campaign.run``;
+    * end to end: set the :data:`CHAOS_ENV` environment variable (or the
       ``--chaos`` test hook on ``python -m repro experiment``) to a spec
-      like ``seed=7,crash=0.3,hang=0.3,corrupt=0.3,hang_seconds=20``.
+      like ``seed=7,crash=0.3,hang=0.3,corrupt=0.3,hang_seconds=20`` or
+      ``kill=6,mode=torn``; both kinds of key mix in one spec.
 
 Crash and hang injection happen *inside pool worker processes* (the config
 travels with the job, so workers need no environment plumbing); they are
 never applied to inline execution, where a crash would take down the
 submitting process itself. Cache corruption is applied by the parent right
 after an entry is written, modelling a torn write discovered on a later
-resume.
+resume. Orchestrator faults signal the *own* process, so no cleanup
+handler runs, exactly like the OOM killer.
 """
 
 from __future__ import annotations
@@ -39,11 +45,8 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 #: Environment variable holding a chaos spec (empty/"off"/"0" disables).
+#: Only the CLI reads it; library callers pass a :class:`ChaosConfig`.
 CHAOS_ENV = "REPRO_CHAOS"
-
-#: Environment variable holding a campaign-level chaos spec (see
-#: :func:`parse_campaign_chaos_spec`).
-CAMPAIGN_CHAOS_ENV = "REPRO_CAMPAIGN_CHAOS"
 
 #: Exit code used for injected worker crashes (visible in pool diagnostics).
 CRASH_EXIT_CODE = 13
@@ -51,7 +54,7 @@ CRASH_EXIT_CODE = 13
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Picklable fault-injection knobs (travels to pool workers with jobs).
+    """Picklable fault schedule (travels to pool workers with jobs).
 
     Attributes:
         seed: decision-hash seed; same seed = same injected faults.
@@ -64,6 +67,21 @@ class ChaosConfig:
             crash (None = every attempt); lets tests force "first attempt
             crashes, retry succeeds" deterministically.
         hang_attempts: same, for hangs.
+        kill: journal sequence number at which to act (None = never).
+        mode: what happens at ``kill``:
+            * ``"kill"`` — SIGKILL immediately *after* the record is
+              durable (crash between a decision and the action it covers);
+            * ``"torn"`` — write only the first half of the record, fsync
+              the fragment, then SIGKILL: a crash *mid-append*, leaving the
+              torn tail recovery must quarantine;
+            * ``"term"`` — SIGTERM the orchestrator after the append; the
+              signal-safe drain path runs instead of a hard death.
+        warm_kill: 1-based ordinal of the warm-checkpoint build to die in
+            (SIGKILL while the build lock is held, with partial temp-file
+            litter left behind).
+        image_kill: 1-based ordinal of the sharded-cell image to die after
+            (SIGKILL once the image is durable, before its segments are
+            collected).
     """
 
     seed: int = 0xC4A05
@@ -73,33 +91,52 @@ class ChaosConfig:
     hang_seconds: float = 30.0
     crash_attempts: Optional[int] = None
     hang_attempts: Optional[int] = None
+    kill: Optional[int] = None
+    mode: str = "kill"
+    warm_kill: Optional[int] = None
+    image_kill: Optional[int] = None
 
     def __post_init__(self) -> None:
         for name in ("crash", "hang", "corrupt"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} probability must be in [0, 1], got {value}")
+        if self.hang_seconds < 0:
+            raise ValueError(f"hang_seconds must be >= 0, got {self.hang_seconds}")
+        for name, low in (("crash_attempts", 1), ("hang_attempts", 1),
+                          ("kill", 0), ("warm_kill", 1), ("image_kill", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if self.mode not in ("kill", "torn", "term"):
+            raise ValueError(f"chaos mode must be kill/torn/term, got {self.mode!r}")
+        if self.mode != "kill" and self.kill is None:
+            raise ValueError(f"mode={self.mode} needs kill=<journal seq>")
 
-    @property
-    def enabled(self) -> bool:
-        return self.crash > 0 or self.hang > 0 or self.corrupt > 0
+
+#: Spec keys parsed as integers; the rest are floats except ``mode``.
+_INT_KEYS = ("seed", "crash_attempts", "hang_attempts", "kill", "warm_kill",
+             "image_kill")
 
 
 def parse_chaos_spec(spec: Optional[str]) -> Optional[ChaosConfig]:
     """Parse ``key=value,key=value`` into a :class:`ChaosConfig`.
 
     Returns None for empty/disabled specs (``""``, ``"off"``, ``"0"``).
+    A key given twice is refused rather than silently overwritten.
 
     Example:
         >>> parse_chaos_spec("crash=0.5,seed=7").crash
         0.5
+        >>> parse_chaos_spec("kill=7,mode=torn").mode
+        'torn'
     """
     if spec is None:
         return None
     spec = spec.strip()
     if not spec or spec.lower() in ("off", "none", "0", "false"):
         return None
-    known = {f.name: f for f in fields(ChaosConfig)}
+    known = sorted(f.name for f in fields(ChaosConfig))
     kwargs = {}
     for item in spec.split(","):
         item = item.strip()
@@ -108,23 +145,28 @@ def parse_chaos_spec(spec: Optional[str]) -> Optional[ChaosConfig]:
         name, sep, value = item.partition("=")
         name = name.strip()
         if not sep or name not in known:
-            raise ValueError(
-                f"bad chaos spec item {item!r}; known keys: {sorted(known)}"
-            )
-        if name in ("seed", "crash_attempts", "hang_attempts"):
+            raise ValueError(f"bad chaos spec item {item!r}; known keys: {known}")
+        if name in kwargs:
+            raise ValueError(f"chaos spec key {name!r} given twice in {spec!r}")
+        if name == "mode":
+            kwargs[name] = value.strip()
+        elif name in _INT_KEYS:
             kwargs[name] = int(value, 0)
         else:
             kwargs[name] = float(value)
     return ChaosConfig(**kwargs)
 
 
-def chaos_from_env() -> Optional[ChaosConfig]:
-    """The :data:`CHAOS_ENV` spec, or None when unset/disabled."""
-    return parse_chaos_spec(os.environ.get(CHAOS_ENV))
-
-
 class FaultInjector:
-    """Applies a :class:`ChaosConfig`'s faults, deterministically per job.
+    """Applies a :class:`ChaosConfig`'s faults at every site.
+
+    Sites: worker crash and hang (:meth:`apply_in_worker`), cache
+    corruption (:meth:`should_corrupt`/:meth:`corrupt_file`), journal
+    appends (:meth:`before_journal_append`/:meth:`after_journal_append`),
+    warm builds (:meth:`on_warm_build`) and sharded-cell images
+    (:meth:`on_cell_image`). One injector is shared by a campaign's
+    journal and its runner, so the build and image ordinals count across
+    the whole run.
 
     Example:
         >>> injector = FaultInjector(ChaosConfig(crash=1.0))
@@ -134,6 +176,8 @@ class FaultInjector:
 
     def __init__(self, config: ChaosConfig) -> None:
         self.config = config
+        self.warm_builds_seen = 0
+        self.cell_images_seen = 0
 
     # ------------------------------------------------------------ decisions
 
@@ -190,127 +234,11 @@ class FaultInjector:
             return False
         return True
 
-
-# ----------------------------------------------------------- campaign level
-
-
-@dataclass(frozen=True)
-class CampaignChaosConfig:
-    """Orchestrator-level fault schedule (kill-and-resume proofs).
-
-    Unlike job-level chaos (probabilistic per attempt), campaign chaos is
-    *scheduled*: faults fire at exact journal offsets or build ordinals, so
-    the proof harness can place a SIGKILL mid-journal-append or
-    mid-checkpoint-build deterministically.
-
-    Attributes:
-        kill_seq: journal sequence number at which to act (None = never).
-        mode: what happens at ``kill_seq``:
-            * ``"kill"`` — SIGKILL immediately *after* the record is
-              durable (crash between a decision and the action it covers);
-            * ``"torn"`` — write only the first half of the record, fsync
-              the fragment, then SIGKILL: a crash *mid-append*, leaving the
-              torn tail recovery must quarantine;
-            * ``"term"`` — SIGTERM the orchestrator after the append; the
-              signal-safe drain path runs instead of a hard death.
-        warm_kill: 1-based ordinal of the warm-checkpoint build to die in
-            (SIGKILL while the build lock is held, with partial temp-file
-            litter left behind), independent of ``kill_seq``.
-        image_kill: 1-based ordinal of the sharded-cell image to die after
-            (SIGKILL once the image is durable, before its segments are
-            collected), independent of the other two.
-    """
-
-    kill_seq: Optional[int] = None
-    mode: str = "kill"
-    warm_kill: Optional[int] = None
-    image_kill: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("kill", "torn", "term"):
-            raise ValueError(
-                f"campaign chaos mode must be kill/torn/term, got {self.mode!r}"
-            )
-        for name in ("warm_kill", "image_kill"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.kill_seq is not None
-            or self.warm_kill is not None
-            or self.image_kill is not None
-        )
-
-
-def parse_campaign_chaos_spec(
-    spec: Optional[str],
-) -> Optional[CampaignChaosConfig]:
-    """Parse ``key=value,...`` into a :class:`CampaignChaosConfig`.
-
-    Keys: ``kill`` (journal seq), ``mode`` (kill/torn/term), ``warm_kill``
-    (build ordinal), ``image_kill`` (cell-image ordinal). Returns None for
-    empty/disabled specs.
-
-    Example:
-        >>> parse_campaign_chaos_spec("kill=7,mode=torn").mode
-        'torn'
-    """
-    if spec is None:
-        return None
-    spec = spec.strip()
-    if not spec or spec.lower() in ("off", "none", "0", "false"):
-        return None
-    kwargs = {}
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, sep, value = item.partition("=")
-        name = name.strip()
-        if not sep or name not in ("kill", "mode", "warm_kill", "image_kill"):
-            raise ValueError(
-                f"bad campaign chaos item {item!r}; known keys: "
-                "kill, mode, warm_kill, image_kill"
-            )
-        if name == "kill":
-            kwargs["kill_seq"] = int(value, 0)
-        elif name in ("warm_kill", "image_kill"):
-            kwargs[name] = int(value, 0)
-        else:
-            kwargs["mode"] = value.strip()
-    return CampaignChaosConfig(**kwargs)
-
-
-def campaign_chaos_from_env() -> Optional[CampaignChaosConfig]:
-    """The :data:`CAMPAIGN_CHAOS_ENV` spec, or None when unset/disabled."""
-    return parse_campaign_chaos_spec(os.environ.get(CAMPAIGN_CHAOS_ENV))
-
-
-class CampaignFaultInjector:
-    """Applies a :class:`CampaignChaosConfig` at its scheduled points.
-
-    Wired by the orchestrator into :class:`~repro.campaign.journal.
-    CampaignJournal` (``before``/``after`` each durable append) and into
-    ``SweepRunner.warm_build_hook`` (called while the warm-image build lock
-    is held) and ``SweepRunner.cell_image_hook`` (called once a sharded
-    cell's image is written). SIGKILL is delivered to the *own* process
-    group leader — the orchestrator — so no cleanup handler runs, exactly
-    like the OOM killer.
-    """
-
-    def __init__(self, config: CampaignChaosConfig) -> None:
-        self.config = config
-        self.warm_builds_seen = 0
-        self.cell_images_seen = 0
-
     # ------------------------------------------------------------ journal
 
     def before_journal_append(self, handle, seq: int, data: bytes) -> None:
         """Possibly die *mid-append*, leaving a durable half record."""
-        if self.config.mode != "torn" or seq != self.config.kill_seq:
+        if self.config.mode != "torn" or seq != self.config.kill:
             return
         fragment = data[: max(1, len(data) // 2)]
         handle.write(fragment)
@@ -320,7 +248,7 @@ class CampaignFaultInjector:
 
     def after_journal_append(self, seq: int) -> None:
         """Possibly die (or request drain) right after a durable append."""
-        if seq != self.config.kill_seq:
+        if seq != self.config.kill:
             return
         if self.config.mode == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
@@ -337,8 +265,6 @@ class CampaignFaultInjector:
         campaign must reclaim it by pid death, rebuild, and converge.
         """
         self.warm_builds_seen += 1
-        if self.config.warm_kill is None:
-            return
         if self.warm_builds_seen != self.config.warm_kill:
             return
         with open(f"{image_path}.tmp.{os.getpid()}", "wb") as handle:

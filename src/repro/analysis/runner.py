@@ -60,8 +60,8 @@ Fault tolerance
     does exactly this.
 
     The :mod:`repro.analysis.chaos` layer injects all three fault kinds
-    deterministically (``REPRO_CHAOS`` env or the ``chaos=`` argument) so
-    tests can prove recovered sweeps are byte-identical to fault-free ones.
+    deterministically (the ``chaos=`` argument) so tests can prove
+    recovered sweeps are byte-identical to fault-free ones.
 
 Checkpoint acceleration
     ``checkpoint_dir=`` turns on fork-from-warm sweeps: each (traces,
@@ -101,7 +101,7 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.chaos import ChaosConfig, FaultInjector, chaos_from_env
+from repro.analysis.chaos import ChaosConfig, FaultInjector
 from repro.sim.system import (
     MODEL_VERSION,
     SimulationResult,
@@ -660,8 +660,10 @@ class SweepRunner:
             records failures and keeps scheduling; this flag tells
             *collectors* (``repro.analysis.experiments``) to swallow
             :class:`SweepJobError` per job and render partial artifacts.
-        chaos: deterministic fault injection (tests/CI); defaults to the
-            ``REPRO_CHAOS`` environment spec, i.e. off.
+        chaos: deterministic fault schedule (tests/CI); None injects
+            nothing. Worker crashes and hangs travel to pool workers with
+            each job; cache corruption, warm-build and cell-image kills
+            fire in this process through :attr:`injector`.
         telemetry: epoch-sampling config attached to every *simulated* job;
             each produces a ``<key>.telemetry.jsonl`` artifact. Telemetry is
             observational (results are byte-identical with it on or off), so
@@ -749,8 +751,8 @@ class SweepRunner:
                 )
         self.retry = retry or RetryPolicy()
         self.keep_going = keep_going
-        self.chaos = chaos if chaos is not None else chaos_from_env()
-        self._injector = FaultInjector(self.chaos) if self.chaos else None
+        self.chaos = chaos
+        self.injector = FaultInjector(chaos) if chaos is not None else None
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._lock = threading.RLock()
         self._futures: Dict[str, SweepFuture] = {}
@@ -771,14 +773,6 @@ class SweepRunner:
         self.warm_locks_reclaimed = 0  # stale build locks displaced
         self._warm_lock = threading.Lock()
         self._warm_verified: set = set()  # warm-image paths already vetted
-        #: Test/chaos hook called (with the image path) while the build lock
-        #: is held, right before a warm image is written — the campaign
-        #: chaos layer uses it to die mid-checkpoint-build on schedule.
-        self.warm_build_hook: Optional[Callable[[str], None]] = None
-        #: Test/chaos hook called (with the image path) in this process once
-        #: a sharded cell's image is written, before its segments are
-        #: collected — the campaign chaos layer dies there on schedule.
-        self.cell_image_hook: Optional[Callable[[str], None]] = None
         self._image_users: Dict[str, int] = {}  # cell image -> live cells
         self._image_tempdir = None  # image directory when the cache is off
         #: Encoded trace chunks per trace tuple (by identity; the tuple is
@@ -1068,8 +1062,8 @@ class SweepRunner:
                         pass
                 system = make_warm_system(warm_config, list(traces))
                 build_lock.beat()  # warming can outlive a TTL; prove life
-                if self.warm_build_hook is not None:
-                    self.warm_build_hook(path)
+                if self.injector is not None:
+                    self.injector.on_warm_build(path)
                 save_snapshot(system, path)
                 with self._lock:
                     self.warm_images_built += 1
@@ -1334,17 +1328,17 @@ class SweepRunner:
                 self.warm_images_built += 1
             self._emit(job, time.perf_counter() - future.started, "warm")
             future._value = result
-            if self.cell_image_hook is not None:
-                self.cell_image_hook(job.cell_image)
+            if self.injector is not None:
+                self.injector.on_cell_image(job.cell_image)
             for dependent in future.dependents:
                 self._start_dependent(dependent)
             return result
         with self._lock:
             self.jobs_executed += 1
         self._store_cached(job.key, job.label, result)
-        if self._injector is not None and self.cache_dir is not None:
-            if self._injector.should_corrupt(job.key):
-                self._injector.corrupt_file(self._cache_path(job.key))
+        if self.injector is not None and self.cache_dir is not None:
+            if self.injector.should_corrupt(job.key):
+                self.injector.corrupt_file(self._cache_path(job.key))
         self._emit(job, time.perf_counter() - future.started, "miss")
         future._value = result
         return result

@@ -214,7 +214,7 @@ class CampaignJournal:
     """Append side of the journal: durable, checksummed, crash-ordered.
 
     ``chaos`` (when set) is a
-    :class:`~repro.analysis.chaos.CampaignFaultInjector` consulted around
+    :class:`~repro.analysis.chaos.FaultInjector` consulted around
     each durable append; it is how the kill-and-resume proof schedules
     SIGKILLs at exact journal offsets, including *mid-append* (a half
     record is written and fsync'd before the process dies, leaving the

@@ -48,7 +48,7 @@ import signal
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.chaos import CampaignFaultInjector
+from repro.analysis.chaos import ChaosConfig
 from repro.analysis.report import format_table
 from repro.analysis.runner import (
     RetryPolicy,
@@ -486,7 +486,7 @@ class Campaign:
         self,
         workers: Optional[int] = None,
         progress: Optional[Callable[[str], None]] = stderr_progress,
-        chaos: Optional[CampaignFaultInjector] = None,
+        chaos: Optional[ChaosConfig] = None,
         max_attempts: int = 3,
         job_timeout: Optional[float] = None,
     ) -> CampaignOutcome:
@@ -495,6 +495,8 @@ class Campaign:
         Installs SIGTERM/SIGINT drain handlers for the duration (main
         thread only — the CLI's situation). Returns instead of raising for
         every expected end state; the exit code is in the outcome.
+        ``chaos`` drives the runner's faults and the journal's kill points
+        through one injector.
         """
         if self.completed and os.path.exists(results_path(self.directory)):
             return CampaignOutcome(
@@ -504,12 +506,11 @@ class Campaign:
                 cells_done=len(self.done),
                 cells_failed=0,
             )
-        self.journal.chaos = chaos
         previous_handlers = self._install_signal_handlers()
-        runner = self._make_runner(workers, progress, max_attempts, job_timeout)
-        if chaos is not None:
-            runner.warm_build_hook = chaos.on_warm_build
-            runner.cell_image_hook = chaos.on_cell_image
+        runner = self._make_runner(
+            workers, progress, max_attempts, job_timeout, chaos
+        )
+        self.journal.chaos = runner.injector
         scale = SCALES[self.config.scale]
         # Each distinct workload's traces, built once for this run (the
         # runner likewise encodes each trace tuple once for its keys).
@@ -619,6 +620,7 @@ class Campaign:
         progress: Optional[Callable[[str], None]],
         max_attempts: int,
         job_timeout: Optional[float],
+        chaos: Optional[ChaosConfig] = None,
     ) -> SweepRunner:
         from repro.telemetry.sampler import TelemetryConfig
 
@@ -632,6 +634,7 @@ class Campaign:
             cache_dir=os.path.join(self.directory, "cache"),
             progress=progress,
             retry=RetryPolicy(max_attempts=max_attempts, timeout=job_timeout),
+            chaos=chaos,
             telemetry=telemetry,
             telemetry_dir=(
                 os.path.join(self.directory, "telemetry")

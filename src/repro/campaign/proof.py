@@ -11,14 +11,14 @@ The harness runs a small campaign grid three ways and compares bytes:
    equal the reference **byte for byte**.
 
 Kill points are scheduled through :class:`~repro.analysis.chaos.
-CampaignFaultInjector` (the ``REPRO_CAMPAIGN_CHAOS`` environment variable)
-at exact journal sequence offsets, so each proof run dies at the same
-instant every time — including *mid-journal-append* (a torn half record is
-fsync'd first), *mid-checkpoint-build* (the warm-image build lock is
-held, partial temp litter is left) and *after a sharded cell's image is
-written* (its segments not yet collected). Campaigns run with ``--workers 0``
-(inline) so the journal offsets of the interesting transitions are
-deterministic.
+FaultInjector` (a ``REPRO_CHAOS`` spec, the one chaos grammar) at exact
+journal sequence offsets or build ordinals, so each proof run dies at the
+same instant every time — including *mid-journal-append* (a torn half
+record is fsync'd first), *mid-checkpoint-build* (the warm-image build lock
+is held, partial temp litter is left) and *after a sharded cell's image is
+written* (its segments not yet collected). Campaigns run with
+``--workers 0`` (inline) so the journal offsets of the interesting
+transitions are deterministic.
 
 Used by ``tools/soak_gate.py`` (the CI ``campaign`` stage) and by the
 slow-marked tests in ``tests/campaign/test_chaos_proof.py``.
@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.chaos import CAMPAIGN_CHAOS_ENV
+from repro.analysis.chaos import CHAOS_ENV
 
 #: Exit statuses that count as "the scheduled fault fired": death by
 #: SIGKILL (negative signal number from subprocess) or a drain exit.
@@ -46,7 +46,7 @@ class KillPoint:
     """One scheduled fault in a proof run."""
 
     name: str
-    spec: str  # REPRO_CAMPAIGN_CHAOS value, e.g. "kill=5,mode=torn"
+    spec: str  # REPRO_CHAOS value, e.g. "kill=5,mode=torn"
     expect: str = "sigkill"  # "sigkill" | "drain"
 
 
@@ -130,10 +130,9 @@ def run_campaign_process(
         "PYTHONPATH", ""
     )
     if chaos_spec is not None:
-        env[CAMPAIGN_CHAOS_ENV] = chaos_spec
+        env[CHAOS_ENV] = chaos_spec
     else:
-        env.pop(CAMPAIGN_CHAOS_ENV, None)
-    env.pop("REPRO_CHAOS", None)  # job-level chaos would skew the reference
+        env.pop(CHAOS_ENV, None)
     return subprocess.run(
         list(command),
         env=env,

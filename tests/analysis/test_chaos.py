@@ -14,11 +14,11 @@ import os
 
 import pytest
 
+from repro.__main__ import chaos_from_env
 from repro.analysis.chaos import (
     CRASH_EXIT_CODE,
     ChaosConfig,
     FaultInjector,
-    chaos_from_env,
     parse_chaos_spec,
 )
 from repro.analysis.runner import (
@@ -52,6 +52,13 @@ class TestChaosSpec:
             seed=7, crash=0.25, hang=0.5, corrupt=0.125, hang_seconds=20.0,
             crash_attempts=2, hang_attempts=1,
         )
+        # Campaign keys share the grammar and mix with sweep keys.
+        assert parse_chaos_spec(
+            "kill=6,mode=torn,warm_kill=1,image_kill=2,corrupt=1.0,seed=3"
+        ) == ChaosConfig(
+            seed=3, corrupt=1.0, kill=6, mode="torn", warm_kill=1,
+            image_kill=2,
+        )
 
     @pytest.mark.parametrize("spec", ["", "off", "none", "0", "false", None])
     def test_disabled_specs(self, spec):
@@ -65,6 +72,21 @@ class TestChaosSpec:
         with pytest.raises(ValueError):
             parse_chaos_spec("crash=1.5")
 
+    @pytest.mark.parametrize(
+        "spec, cause",
+        [
+            ("hang=1,hang_seconds=-1", "hang_seconds must be >= 0"),
+            ("crash=1,crash_attempts=0", "crash_attempts must be >= 1"),
+            ("crash=1,crash_attempts=-3", "crash_attempts must be >= 1"),
+            ("kill=-2", "kill must be >= 0"),
+            ("mode=torn", "mode=torn needs kill"),
+            ("crash=0.5,crash=0.9", "'crash' given twice"),
+        ],
+    )
+    def test_specs_that_could_never_fire_are_refused(self, spec, cause):
+        with pytest.raises(ValueError, match=cause):
+            parse_chaos_spec(spec)
+
     def test_env_parsing(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "seed=3,crash=0.5")
         assert chaos_from_env() == ChaosConfig(seed=3, crash=0.5)
@@ -72,6 +94,23 @@ class TestChaosSpec:
         assert chaos_from_env() is None
         monkeypatch.delenv("REPRO_CHAOS")
         assert chaos_from_env() is None
+
+    def test_runner_ignores_the_environment(self, monkeypatch, tmp_path):
+        """Only the CLI reads REPRO_CHAOS: a library-built runner with
+        ``chaos=None`` injects nothing, whatever the environment says."""
+        monkeypatch.setenv("REPRO_CHAOS", "seed=1,crash=1.0,corrupt=1.0")
+        config, traces = tiny_job()
+        with SweepRunner(workers=0, cache_dir=None) as clean:
+            reference = clean.run(config, traces).to_json()
+        with SweepRunner(
+            workers=2, cache_dir=str(tmp_path / "cache"),
+            retry=RetryPolicy(max_attempts=1, **FAST),
+        ) as runner:
+            assert runner.chaos is None and runner.injector is None
+            assert runner.run(config, traces).to_json() == reference
+        assert runner.jobs_retried == 0 and runner.failures == []
+        entry = tmp_path / "cache" / f"{job_key(config, traces)}.json"
+        json.loads(entry.read_text())  # written intact, not torn
 
 
 class TestFaultInjectorDeterminism:

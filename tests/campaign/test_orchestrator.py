@@ -14,7 +14,7 @@ import signal
 
 import pytest
 
-from repro.analysis.chaos import CampaignChaosConfig, CampaignFaultInjector
+from repro.analysis.chaos import ChaosConfig, parse_chaos_spec
 from repro.campaign.journal import (
     CampaignJournal,
     encode_record,
@@ -296,9 +296,7 @@ class TestSignalDrain:
         directory = str(tmp_path / "drained")
         # Deterministic delivery: SIGTERM right after the first dispatch
         # record (seq 4) becomes durable, while that cell is in flight.
-        chaos = CampaignFaultInjector(
-            CampaignChaosConfig(kill_seq=4, mode="term")
-        )
+        chaos = ChaosConfig(kill=4, mode="term")
         outcome = run_campaign(directory, chaos=chaos)
         self._assert_drained(directory, outcome, signal.SIGTERM)
         assert outcome.cells_done == 1  # the in-flight cell was drained
@@ -310,6 +308,25 @@ class TestSignalDrain:
         )
         assert filecmp.cmp(
             report_path(reference), report_path(directory), shallow=False
+        )
+
+    def test_one_spec_fires_journal_and_runner_faults(self, tmp_path):
+        """A journal kill point and cache corruption in one spec both fire
+        in one run: the journal and the runner share one injector."""
+        reference = str(tmp_path / "reference")
+        run_campaign(reference)
+        directory = str(tmp_path / "camp")
+        chaos = parse_chaos_spec("kill=4,mode=term,corrupt=1.0")
+        outcome = run_campaign(directory, chaos=chaos)
+        self._assert_drained(directory, outcome, signal.SIGTERM)
+        entries = glob.glob(os.path.join(directory, "cache", "*.json"))
+        assert len(entries) == outcome.cells_done == 1
+        with open(entries[0], "rb") as handle:
+            assert b"CHAOS-TORN-WRITE" in handle.read()
+        resumed = run_campaign(directory)
+        assert resumed.status == "complete"
+        assert filecmp.cmp(
+            results_path(reference), results_path(directory), shallow=False
         )
 
     def test_sigint_drains_and_resume_completes(self, tmp_path):

@@ -18,9 +18,9 @@ byte** equal to an uninterrupted reference run:
   must verify and reuse the image and finish the cell's segments.
 
 Faults are scheduled at exact journal sequence offsets or build ordinals
-(via the ``REPRO_CAMPAIGN_CHAOS`` environment variable), not sampled from
-a probability, so the gate is deterministic: the same instant dies on
-every CI run. ``--quick`` runs only the three load-bearing points (torn
+(``kill``, ``mode``, ``warm_kill`` and ``image_kill`` keys of the one
+``REPRO_CHAOS`` spec grammar), not sampled from a probability, so the gate
+is deterministic: the same instant dies on every CI run. ``--quick`` runs only the three load-bearing points (torn
 append, warm build, cell image) for a faster smoke.
 
 ``--tier`` instead proves a shrunken *quick-tier* campaign — full-width
