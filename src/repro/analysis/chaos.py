@@ -14,9 +14,10 @@ Determinism
     Worker and cache faults are sampled: each decision is a pure function
     of ``(seed, fault kind, job key, attempt)`` hashed through SHA-256 —
     independent of scheduling, worker identity and wall-clock. Orchestrator
-    faults are scheduled: they fire at an exact journal sequence number or
-    at the Nth warm build or cell image. The same spec against the same job
-    set injects the same faults, every run, on every machine.
+    faults are scheduled: they fire at an exact journal sequence number, as
+    the Nth image build starts or after the Nth image is written. The same
+    spec against the same job set injects the same faults, every run, on
+    every machine.
 
 Enablement
     * programmatically: pass a :class:`ChaosConfig` to ``SweepRunner`` or
@@ -76,12 +77,13 @@ class ChaosConfig:
               torn tail recovery must quarantine;
             * ``"term"`` — SIGTERM the orchestrator after the append; the
               signal-safe drain path runs instead of a hard death.
-        warm_kill: 1-based ordinal of the warm-checkpoint build to die in
-            (SIGKILL while the build lock is held, with partial temp-file
-            litter left behind).
-        image_kill: 1-based ordinal of the sharded-cell image to die after
-            (SIGKILL once the image is durable, before its segments are
-            collected).
+        warm_kill: 1-based ordinal of the image-build attempt to die in,
+            counting fork-group and sharded-cell images alike (SIGKILL in
+            the runner's process as the attempt starts, with partial
+            temp-file litter left next to the image).
+        image_kill: 1-based ordinal of the image, of either kind, to die
+            after (SIGKILL once the image is durable, before the jobs that
+            restore it are collected).
     """
 
     seed: int = 0xC4A05
@@ -163,10 +165,10 @@ class FaultInjector:
     Sites: worker crash and hang (:meth:`apply_in_worker`), cache
     corruption (:meth:`should_corrupt`/:meth:`corrupt_file`), journal
     appends (:meth:`before_journal_append`/:meth:`after_journal_append`),
-    warm builds (:meth:`on_warm_build`) and sharded-cell images
-    (:meth:`on_cell_image`). One injector is shared by a campaign's
-    journal and its runner, so the build and image ordinals count across
-    the whole run.
+    image builds (:meth:`on_warm_build`) and written images
+    (:meth:`on_cell_image`), fork-group and sharded-cell images alike. One
+    injector is shared by a campaign's journal and its runner, so the build
+    and image ordinals count across the whole run.
 
     Example:
         >>> injector = FaultInjector(ChaosConfig(crash=1.0))
@@ -258,11 +260,12 @@ class FaultInjector:
     # ------------------------------------------------------- warm builds
 
     def on_warm_build(self, image_path: str) -> None:
-        """Possibly die mid-checkpoint-build (build lock held).
+        """Possibly die as an image-build attempt starts.
 
         Leaves the litter a real torn builder would: a partial temp file
-        next to the image. The lock file survives the SIGKILL; the resumed
-        campaign must reclaim it by pid death, rebuild, and converge.
+        next to the image. Nothing else guards the build, and the litter is
+        inert (see :mod:`repro.utils.atomic`): the resumed campaign builds
+        the image again through its own staging file and converges.
         """
         self.warm_builds_seen += 1
         if self.warm_builds_seen != self.config.warm_kill:
@@ -274,11 +277,11 @@ class FaultInjector:
         os.kill(os.getpid(), signal.SIGKILL)
 
     def on_cell_image(self, image_path: str) -> None:
-        """Possibly die right after a sharded cell's image is written.
+        """Possibly die right after an image is written.
 
-        The image is durable and none of its segments has been collected,
-        so the resumed campaign must verify and reuse it (or re-simulate
-        whatever is missing) and converge to the same bytes.
+        The image is durable and none of the jobs restoring it has been
+        collected, so the resumed campaign must verify and reuse it (or
+        re-simulate whatever is missing) and converge to the same bytes.
         """
         self.cell_images_seen += 1
         if self.cell_images_seen == self.config.image_kill:

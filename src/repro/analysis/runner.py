@@ -74,9 +74,13 @@ Checkpoint acceleration
     :mod:`repro.checkpoint` and ``docs/architecture.md`` §11.
 
     :meth:`SweepRunner.submit_sharded` splits one long run into segment
-    jobs behind a single warm-up: a warm job snapshots the warmed cell to a
-    content-addressed image, and each segment job restores it (see
-    :mod:`repro.checkpoint.shard`).
+    jobs behind a single warm-up (see :mod:`repro.checkpoint.shard`).
+
+    Both kinds of image are built the same way: an image-build job,
+    memoized by image path, runs :func:`~repro.checkpoint.warm.warm_cell`
+    and snapshots the result, and every job that restores the image waits
+    on it as its ``prerequisite``. Builds are pool jobs like any other, so
+    they get the same retries, chaos and failure records.
 """
 
 from __future__ import annotations
@@ -111,7 +115,6 @@ from repro.sim.system import (
 from repro.sim.trace import Trace
 from repro.telemetry.sampler import TelemetryConfig
 from repro.utils.atomic import atomic_write_json, publish_file
-from repro.utils.locks import FileLock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checkpoint.sampled import SampledConfig
@@ -134,12 +137,6 @@ FAILURE_MANIFEST_FORMAT = 1
 
 #: Trace records hashed per chunk (bounds peak memory for FULL_SCALE traces).
 _KEY_CHUNK = 8192
-
-#: Heartbeat-staleness horizon for warm-image build locks. Generous — the
-#: fast reclaim path is pid death (see :mod:`repro.utils.locks`); the TTL
-#: only backstops cross-host builders, and a quick-scale warm build takes
-#: seconds, not minutes.
-WARM_LOCK_STALE_SECONDS = 600.0
 
 
 def default_workers() -> int:
@@ -342,15 +339,15 @@ class SweepJob:
     part of :func:`job_key` (telemetry cannot change results), so a cache
     hit legitimately skips producing a telemetry artifact.
 
-    ``fork_checkpoint`` points a fork-from-warm job at its group's warm
-    image on disk — the worker restores its own private copy of the image
-    from the (read-only) file, so any number of cells fork from one snapshot
-    concurrently. ``sampled`` switches the job to SMARTS-style sampled
-    execution. Both change results, so both are part of :func:`job_key`.
-
-    ``cell_image`` is a sharded cell's warmed image on disk: a job with a
-    ``shard`` restores it and runs that segment; a job without one is the
-    cell's single warm-up, which writes the image and returns its header.
+    ``image`` is a warm image on disk. A job with a ``shard`` restores it
+    and runs that segment of a sharded cell; a job with a
+    ``warm_mechanism`` restores it and forks the cell from its group's
+    image. Each worker restores its own private copy of the (read-only)
+    file, so any number of jobs restore one image concurrently. A job with
+    neither is the image's build: it warms the system, writes the image
+    and returns its header. ``sampled`` switches the job to SMARTS-style
+    sampled execution. Forks and samples change results, so both are part
+    of :func:`job_key`.
     """
 
     job_id: int
@@ -361,16 +358,19 @@ class SweepJob:
     check: str = "off"
     telemetry: Optional[TelemetryConfig] = None
     telemetry_path: Optional[str] = None
-    fork_checkpoint: Optional[str] = None
+    image: Optional[str] = None
     warm_mechanism: Optional[str] = None
     sampled: Optional["SampledConfig"] = None
     shard: Optional["ShardSpec"] = None
-    cell_image: Optional[str] = None
 
     @property
     def builds_image(self) -> bool:
-        """Whether this is a sharded cell's warm-up job."""
-        return self.cell_image is not None and self.shard is None
+        """Whether this job writes its image rather than restoring it."""
+        return (
+            self.image is not None
+            and self.shard is None
+            and self.warm_mechanism is None
+        )
 
     @property
     def label(self) -> str:
@@ -378,7 +378,7 @@ class SweepJob:
         tags = ""
         if self.builds_image:
             tags += "+warm"
-        if self.fork_checkpoint is not None:
+        if self.warm_mechanism is not None:
             tags += "+fork"
         if self.sampled is not None:
             tags += "+sampled"
@@ -392,50 +392,48 @@ def _telemetry_partial_path(path: str) -> str:
     return f"{path}.partial"
 
 
-def _execute_checkpoint(job: SweepJob) -> SimulationResult:
-    """Run one fork-from-warm and/or sampled job.
-
-    The checkpoint package is imported lazily so plain sweeps never pay for
-    it. The runner refuses to construct checkpoint-mode sweeps with check or
-    telemetry riders, so this path never streams epochs or audits ledgers.
-    """
-    from repro.checkpoint import fork_system, load_snapshot, quiesce
-    from repro.checkpoint.sampled import run_sampled, run_windows
-
-    if job.fork_checkpoint is None:
-        return run_sampled(job.config, list(job.traces), job.sampled).result
-    system = load_snapshot(job.fork_checkpoint)
-    fork_system(system, job.config)
-    if job.sampled is not None:
-        # Dirty-state adoption may have queued DBI-eviction writeback probes
-        # behind the tag port; drain them (quiesce re-pauses the cores, as
-        # run_windows expects) before the first sampled window opens.
-        quiesce(system)
-        return run_windows(system, job.sampled).result
-    return system.resume(max_events=job.max_events)
-
-
 def _execute(job: SweepJob) -> SimulationResult:
     """Run one job (module-level so the process pool can pickle it).
 
-    A sharded cell's warm-up job writes its image and returns the image
-    header instead of a result.
+    An image build writes its image and returns the image header instead
+    of a result. Image and sampled jobs import the checkpoint package
+    lazily, so plain sweeps never pay for it; the runner refuses them check
+    and telemetry riders, so they never stream epochs or audit ledgers.
 
     Telemetry-enabled jobs stream epochs to ``<telemetry_path>.partial``
     while running and rename to the final path on success, so a crashed or
     hung attempt leaves a ``.partial`` forensic trail of exactly the epochs
     it completed, while finished artifacts are never torn.
     """
-    if job.cell_image is not None:
-        from repro.checkpoint import load_snapshot, save_snapshot
-        from repro.checkpoint.shard import run_shard, warm_cell
+    if job.image is not None or job.sampled is not None:
+        from repro.checkpoint import (
+            fork_system,
+            load_snapshot,
+            quiesce,
+            run_sampled,
+            run_windows,
+            save_snapshot,
+            warm_cell,
+        )
+        from repro.checkpoint.shard import run_shard
 
+        if job.image is None:
+            traces = list(job.traces)
+            return run_sampled(job.config, traces, job.sampled).result
         if job.builds_image:
             system = warm_cell(job.config, list(job.traces))
-            return save_snapshot(system, job.cell_image)
-        return run_shard(load_snapshot(job.cell_image), job.shard)
-    if job.fork_checkpoint is not None or job.sampled is not None:
-        return _execute_checkpoint(job)
+            return save_snapshot(system, job.image)
+        system = load_snapshot(job.image)
+        if job.shard is not None:
+            return run_shard(system, job.shard)
+        fork_system(system, job.config)
+        if job.sampled is not None:
+            # Dirty-state adoption may have queued DBI-eviction writeback
+            # probes behind the tag port; drain them (quiesce re-pauses the
+            # cores, as run_windows expects) before the first window opens.
+            quiesce(system)
+            return run_windows(system, job.sampled).result
+        return system.resume(max_events=job.max_events)
     if job.telemetry is None or job.telemetry_path is None:
         return run_system(
             job.config,
@@ -531,10 +529,10 @@ class SweepFuture:
         self._runner = runner
         self._failure: Optional[JobFailure] = None
         self._resolve_lock = threading.Lock()
-        #: The cell warm-up whose image this segment restores: no attempt
+        #: The image build whose image this job restores: no attempt
         #: starts before it lands.
         self.prerequisite: Optional["SweepFuture"] = None
-        #: The segments waiting on this warm-up.
+        #: The jobs waiting on this image build.
         self.dependents: List["SweepFuture"] = []
 
     def done(self) -> bool:
@@ -542,6 +540,17 @@ class SweepFuture:
             self._value is not None
             or self._failure is not None
             or (self._inner is not None and self._inner.done())
+        )
+
+    def landed(self) -> bool:
+        """Whether the job has succeeded, collected or not (for an image
+        build: its image is on disk)."""
+        inner = self._inner
+        return self._value is not None or (
+            inner is not None
+            and inner.done()
+            and not inner.cancelled()
+            and inner.exception() is None
         )
 
     def result(self, timeout: Optional[float] = None) -> SimulationResult:
@@ -662,8 +671,9 @@ class SweepRunner:
             :class:`SweepJobError` per job and render partial artifacts.
         chaos: deterministic fault schedule (tests/CI); None injects
             nothing. Worker crashes and hangs travel to pool workers with
-            each job; cache corruption, warm-build and cell-image kills
-            fire in this process through :attr:`injector`.
+            each job, image builds included; cache corruption and the
+            image-build and image-written kills fire in this process
+            through :attr:`injector`.
         telemetry: epoch-sampling config attached to every *simulated* job;
             each produces a ``<key>.telemetry.jsonl`` artifact. Telemetry is
             observational (results are byte-identical with it on or off), so
@@ -678,12 +688,14 @@ class SweepRunner:
             it (chaos-killed and hung runs show exactly how far they got).
         checkpoint_dir: enables fork-from-warm sweeps. Each (traces,
             shared-config) group warms *once* under its normalized
-            mechanism, snapshots at the warmup boundary into
-            ``<checkpoint_dir>/warm-<key>.ckpt``, and every cell forks from
-            that shared image (see :mod:`repro.checkpoint.fork`). Forked
-            results are a documented approximation of cold runs; their
-            cache entries carry a distinct key component. Existing warm
-            images are digest-verified before reuse; corrupt ones are
+            mechanism: the first cell of the group that is not answered
+            from the cache registers an image-build job that writes
+            ``<checkpoint_dir>/warm-<key>.ckpt`` (kept for reuse), and
+            every cell forks from that shared image once it lands (see
+            :mod:`repro.checkpoint.fork`). Forked results are a documented
+            approximation of cold runs; their cache entries carry a
+            distinct key component. Existing warm images are
+            digest-verified before reuse; corrupt or stale ones are
             quarantined to ``.ckpt.corrupt`` and rebuilt.
         sampled: switches every job to SMARTS-style sampled execution
             (:mod:`repro.checkpoint.sampled`): detailed measurement windows
@@ -767,12 +779,11 @@ class SweepRunner:
         self.cache_corrupt = 0  # cache entries quarantined on load
         self.pool_deaths = 0  # pools torn down after a crash or hang
         self.degraded_inline = False  # too many pool deaths: running inline
-        self.warm_images_built = 0  # fork groups whose image was produced
+        self.warm_images_built = 0  # image builds that landed
         self.checkpoints_quarantined = 0  # corrupt or stale images set aside
         self.failures: List[JobFailure] = []
-        self.warm_locks_reclaimed = 0  # stale build locks displaced
-        self._warm_lock = threading.Lock()
-        self._warm_verified: set = set()  # warm-image paths already vetted
+        #: Image path -> its build job, or None once verified on disk.
+        self._image_builds: Dict[str, Optional[SweepFuture]] = {}
         self._image_users: Dict[str, int] = {}  # cell image -> live cells
         self._image_tempdir = None  # image directory when the cache is off
         #: Encoded trace chunks per trace tuple (by identity; the tuple is
@@ -833,12 +844,14 @@ class SweepRunner:
                 "sampled mode schedules its own detailed windows; "
                 "max_events is not supported"
             )
-        fork_checkpoint = None
-        warm_mechanism = None
+        image = warm_config = warm_mechanism = None
         if self.checkpoint_dir is not None:
-            warm_mechanism, fork_checkpoint = self._ensure_warm_image(
-                config, traces
-            )
+            from repro.checkpoint import warm_config_for
+
+            warm_config = warm_config_for(config)
+            warm_key = _finish_key(self._key_prefix(warm_config, traces))
+            image = os.path.join(self.checkpoint_dir, f"warm-{warm_key}.ckpt")
+            warm_mechanism = warm_config.mechanism
         key = _finish_key(
             self._key_prefix(config, traces),
             max_events,
@@ -851,12 +864,15 @@ class SweepRunner:
             config,
             traces,
             max_events=max_events,
-            fork_checkpoint=fork_checkpoint,
+            image=image,
             warm_mechanism=warm_mechanism,
             sampled=self.sampled,
         )
         if fresh:
-            self._launch(future)
+            build = None
+            if image is not None:
+                build = self._image_build(warm_key, warm_config, traces, image)
+            self._launch_after(build, [future])
         return future
 
     def _check_shardable(self) -> None:
@@ -886,9 +902,9 @@ class SweepRunner:
     ) -> "ShardedSweepFuture":
         """Split one run into ``shards`` stitched segments behind one warm-up.
 
-        The cell warms once: a warm job builds the system, runs it to the
-        warmup boundary, quiesces and rebases it
-        (:func:`~repro.checkpoint.shard.warm_cell`), and snapshots it to
+        The cell warms once: an image-build job builds the system, runs it
+        to the warmup boundary, quiesces and rebases it
+        (:func:`~repro.checkpoint.warm.warm_cell`), and snapshots it to
         ``cell-<key>.ckpt`` next to the result cache, keyed by the cell's
         own config and traces. When the image lands, one job per segment
         restores it and runs its segment
@@ -919,7 +935,7 @@ class SweepRunner:
                 config,
                 traces,
                 shard=spec,
-                cell_image=image,
+                image=image,
             )
             futures.append(future)
             if created:
@@ -928,20 +944,8 @@ class SweepRunner:
             return ShardedSweepFuture(futures)
         with self._lock:
             self._image_users[image] = self._image_users.get(image, 0) + 1
-        warm = self._cell_warmup(hasher.hexdigest(), config, traces, image)
-        if warm is not None:
-            warm.dependents = fresh
-            for future in fresh:
-                future.prerequisite = warm
-            self._launch(warm)
-        if warm is not None and self.workers >= 2 and not self.degraded_inline:
-            # Pool: the segments start the moment the image lands.
-            warm._inner.add_done_callback(
-                lambda inner: self._on_image_built(warm, inner)
-            )
-        else:
-            for future in fresh:
-                self._launch(future)
+        build = self._image_build(hasher.hexdigest(), config, traces, image)
+        self._launch_after(build, fresh)
         return ShardedSweepFuture(
             futures, on_collected=lambda: self._release_image(image)
         )
@@ -999,79 +1003,7 @@ class SweepRunner:
         atomic_write_json(path, payload, indent=2)
         return path
 
-    # ---------------------------------------------------------- warm images
-
-    def _ensure_warm_image(
-        self, config: SystemConfig, traces: Tuple[Trace, ...]
-    ) -> Tuple[str, str]:
-        """The (mechanism, path) of ``config``'s fork-group warm image.
-
-        The image is content-addressed by the *warm* config — mechanism
-        normalized away, LLC resolution pinned (see
-        :func:`~repro.checkpoint.warm.warm_config_for`) — so every cell of a
-        (traces, shared-config) group resolves to the same file and the
-        0.4 × run warmup cost is paid once per group. Pre-existing files are
-        verified before reuse; a corrupt image, or one written by another
-        model version, is quarantined to ``.ckpt.corrupt`` and rebuilt.
-
-        Builds are serialized by a crash-reclaimable ``warm-<key>.ckpt.lock``
-        (pid + heartbeat, see :class:`~repro.utils.locks.FileLock`): campaign
-        workers racing on a group build it exactly once, and a builder
-        SIGKILLed mid-build leaves a lock the next builder *reclaims* by pid
-        death instead of deadlocking behind it forever. Reclaims are counted
-        in ``warm_locks_reclaimed``. The simulator is deterministic, so even
-        a (TTL-window) double build produces identical bytes.
-        """
-        from repro.checkpoint import (
-            CheckpointError,
-            make_warm_system,
-            save_snapshot,
-            verify_snapshot,
-            warm_config_for,
-        )
-
-        warm_config = warm_config_for(config)
-        key = _finish_key(self._key_prefix(warm_config, traces))
-        path = os.path.join(self.checkpoint_dir, f"warm-{key}.ckpt")
-        with self._warm_lock:
-            if path in self._warm_verified:
-                return warm_config.mechanism, path
-        os.makedirs(self.checkpoint_dir, exist_ok=True)
-        build_lock = FileLock(
-            f"{path}.lock", stale_seconds=WARM_LOCK_STALE_SECONDS
-        )
-        with build_lock:
-            # Re-check under the cross-process lock: another builder (or
-            # another thread of this runner) may have finished the image
-            # while this one waited.
-            if os.path.exists(path):
-                try:
-                    verify_snapshot(path)
-                except CheckpointError:
-                    self._quarantine_checkpoint(path)
-            if not os.path.exists(path):
-                # A builder SIGKILLed mid-write leaves `<image>.tmp.<pid>`
-                # staging litter; under the build lock it is provably
-                # abandoned, so sweep it before rebuilding.
-                import glob as glob_module
-
-                for stale in glob_module.glob(f"{path}.tmp.*"):
-                    try:
-                        os.unlink(stale)
-                    except OSError:
-                        pass
-                system = make_warm_system(warm_config, list(traces))
-                build_lock.beat()  # warming can outlive a TTL; prove life
-                if self.injector is not None:
-                    self.injector.on_warm_build(path)
-                save_snapshot(system, path)
-                with self._lock:
-                    self.warm_images_built += 1
-        with self._lock:
-            self.warm_locks_reclaimed += build_lock.reclaimed
-        with self._warm_lock:
-            self._warm_verified.add(path)
-        return warm_config.mechanism, path
+    # --------------------------------------------------------------- images
 
     def _quarantine_checkpoint(self, path: str) -> None:
         """Set a corrupt or stale image aside (evidence kept) and count it."""
@@ -1081,8 +1013,6 @@ class SweepRunner:
             os.replace(path, f"{path}.corrupt")
         except OSError:
             pass
-
-    # ---------------------------------------------------------- cell images
 
     def _cell_image_dir(self) -> str:
         """Where sharded-cell images live: beside the result cache, or in a
@@ -1099,44 +1029,84 @@ class SweepRunner:
                 )
             return self._image_tempdir.name
 
-    def _cell_warmup(
+    def _image_build(
         self,
         key: str,
         config: SystemConfig,
         traces: Tuple[Trace, ...],
         image: str,
     ) -> Optional[SweepFuture]:
-        """The warm job that writes ``image``, or None if a verified image
-        is already on disk (a corrupt or stale one is quarantined first)."""
+        """The job that writes ``image`` from ``config``, memoized by path.
+
+        The first call for a path verifies an image already on disk
+        (quarantining a corrupt or stale one) and, unless it verified,
+        registers and launches the build; later calls share the answer.
+        None means the image is on disk and needs no build.
+        """
         from repro.checkpoint import CheckpointError, verify_snapshot
 
-        if os.path.exists(image):
-            try:
-                verify_snapshot(image)
-                return None
-            except CheckpointError:
-                self._quarantine_checkpoint(image)
         with self._lock:
-            job = SweepJob(
-                self._next_id, key, config, traces, cell_image=image
-            )
-            self._next_id += 1
-        return SweepFuture(job, runner=self)
+            if image in self._image_builds:
+                return self._image_builds[image]
+            build = None
+            if os.path.exists(image):
+                try:
+                    verify_snapshot(image)
+                except CheckpointError:
+                    self._quarantine_checkpoint(image)
+            if not os.path.exists(image):
+                os.makedirs(os.path.dirname(image) or ".", exist_ok=True)
+                job = SweepJob(self._next_id, key, config, traces, image=image)
+                self._next_id += 1
+                build = SweepFuture(job, runner=self)
+            self._image_builds[image] = build
+        if build is not None:
+            self._launch(build)
+            if self.workers >= 2 and not self.degraded_inline:
+                # Pool: the dependents start the moment the image lands.
+                build._inner.add_done_callback(
+                    lambda _inner: self._start_dependents(build)
+                )
+        return build
 
-    def _on_image_built(
-        self, warm: SweepFuture, inner: concurrent.futures.Future
+    def _launch_after(
+        self, build: Optional[SweepFuture], futures: Sequence[SweepFuture]
     ) -> None:
-        """Pool callback: a cell warm-up finished, start its segments."""
-        if inner.cancelled() or inner.exception() is not None:
-            return  # the collecting thread retries the warm-up
-        for future in warm.dependents:
+        """Launch jobs that restore ``build``'s image: at once if it needs
+        no build or has landed (or inline, where :meth:`_await` waits on
+        the build), else as its dependents, started when it lands."""
+        for future in futures:
+            if build is not None:
+                future.prerequisite = build
+                if self.workers >= 2 and not self.degraded_inline:
+                    with self._lock:
+                        if not build.landed():
+                            build.dependents.append(future)
+                            continue
+            self._launch(future)
+
+    def _start_dependents(self, build: SweepFuture) -> None:
+        """Start the jobs waiting on ``build`` if it has landed.
+
+        Runs on the pool's result thread when an attempt finishes (a failed
+        one is retried by the thread that collects the build) and when a
+        collected build completes. The dependents are read under the lock
+        once the build has landed, so a job :meth:`_launch_after` attached
+        before then is among them, and one it attached later saw the build
+        landed and launched itself.
+        """
+        if not build.landed():
+            return
+        with self._lock:
+            dependents = list(build.dependents)
+        for future in dependents:
             self._start_dependent(future)
 
     def _start_dependent(self, future: SweepFuture) -> None:
-        """Submit a segment whose image has landed, unless someone else is.
+        """Submit a job whose image has landed, unless someone else is.
 
         May run on the pool's result thread, so it never blocks, never
-        runs a job inline and never respawns a pool; a segment it skips is
+        runs a job inline and never respawns a pool; a job it skips is
         submitted by the thread that collects it (see :meth:`_await`).
         """
         pool = self._pool
@@ -1156,8 +1126,8 @@ class SweepRunner:
             future._resolve_lock.release()
 
     def _await_prerequisite(self, future: SweepFuture) -> None:
-        """Block until the cell image this segment restores has landed; a
-        failed warm-up fails the segment with the warm-up's failure."""
+        """Block until the image this job restores has landed; a failed
+        build fails the job with the build's failure."""
         try:
             future.prerequisite.result()
         except SweepJobError as exc:
@@ -1175,6 +1145,7 @@ class SweepRunner:
                 self._image_users[image] = users
                 return
             self._image_users.pop(image, None)
+            self._image_builds.pop(image, None)
         try:
             os.unlink(image)
         except OSError:
@@ -1253,6 +1224,8 @@ class SweepRunner:
         self, job: SweepJob, attempt: int
     ) -> concurrent.futures.Future:
         """One execution attempt: pool submission, or inline when degraded."""
+        if job.builds_image and self.injector is not None:
+            self.injector.on_warm_build(job.image)
         while self.workers >= 2 and not self.degraded_inline:
             try:
                 return self._ensure_pool().submit(
@@ -1281,10 +1254,12 @@ class SweepRunner:
             if future._failure is not None:
                 raise SweepJobError(future._failure)
             job = future.job
+            if future.prerequisite is not None:
+                # Also collects a build that landed in the pool and already
+                # started this job, so every build is accounted.
+                self._await_prerequisite(future)
             while True:
                 if future._inner is None:
-                    if future.prerequisite is not None:
-                        self._await_prerequisite(future)
                     future._inner = self._submit_attempt(job, future.attempts)
                 pool_died = False
                 try:
@@ -1329,9 +1304,8 @@ class SweepRunner:
             self._emit(job, time.perf_counter() - future.started, "warm")
             future._value = result
             if self.injector is not None:
-                self.injector.on_cell_image(job.cell_image)
-            for dependent in future.dependents:
-                self._start_dependent(dependent)
+                self.injector.on_cell_image(job.image)
+            self._start_dependents(future)
             return result
         with self._lock:
             self.jobs_executed += 1
@@ -1363,6 +1337,8 @@ class SweepRunner:
             # and a resubmission must get a fresh future, not this one.
             if self._futures.get(job.key) is future:
                 del self._futures[job.key]
+            if self._image_builds.get(job.image) is future:
+                del self._image_builds[job.image]
         future._failure = failure
         if job.telemetry_path is not None and not self.retain_failed_telemetry:
             # Without retention, a dead job's half-written epoch stream is

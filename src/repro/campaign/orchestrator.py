@@ -32,7 +32,7 @@ Layout of a campaign directory::
     heartbeats/     liveness beacons
     cache/          content-addressed results
     telemetry/      per-cell epoch streams      (telemetry campaigns)
-    checkpoints/    shared warm images + locks  (checkpoint campaigns)
+    checkpoints/    shared warm images          (checkpoint campaigns)
     manifest.json   resumable progress summary  (atomic, always valid)
     results.json    final per-cell metrics      (atomic, deterministic)
     report.txt      rendered summary table      (atomic, deterministic)

@@ -14,8 +14,8 @@ Kill points are scheduled through :class:`~repro.analysis.chaos.
 FaultInjector` (a ``REPRO_CHAOS`` spec, the one chaos grammar) at exact
 journal sequence offsets or build ordinals, so each proof run dies at the
 same instant every time — including *mid-journal-append* (a torn half
-record is fsync'd first), *mid-checkpoint-build* (the warm-image build lock
-is held, partial temp litter is left) and *after a sharded cell's image is
+record is fsync'd first), *mid-image-build* (partial temp litter is left
+next to the image, inert on resume) and *after a sharded cell's image is
 written* (its segments not yet collected). Campaigns run with
 ``--workers 0`` (inline) so the journal offsets of the interesting
 transitions are deterministic.

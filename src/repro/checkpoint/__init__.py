@@ -4,8 +4,9 @@ Three layers, bottom-up:
 
 * :mod:`repro.checkpoint.snapshot` — serialize a live system to a versioned,
   self-verifying ``.ckpt`` container and restore it byte-identically;
-* :mod:`repro.checkpoint.warm` / :mod:`repro.checkpoint.fork` — produce one
-  warm image per sweep group and fork per-mechanism cells from it;
+* :mod:`repro.checkpoint.warm` / :mod:`repro.checkpoint.fork` — warm a
+  system to a quiesced boundary (:func:`warm_cell`, where every fork, shard
+  and sampled run starts) and fork per-mechanism cells from a group's image;
 * :mod:`repro.checkpoint.sampled` — SMARTS-style detailed windows with
   functional fast-forward and per-metric confidence intervals.
 
@@ -30,10 +31,10 @@ from repro.checkpoint.snapshot import (
     verify_snapshot,
 )
 from repro.checkpoint.warm import (
-    make_warm_system,
     quiesce,
     rebase_measurement,
     run_until_warm,
+    warm_cell,
     warm_config_for,
 )
 
@@ -45,7 +46,6 @@ __all__ = [
     "SampledResult",
     "fork_system",
     "load_snapshot",
-    "make_warm_system",
     "quiesce",
     "rebase_measurement",
     "restore_system",
@@ -55,5 +55,6 @@ __all__ = [
     "save_snapshot",
     "snapshot_system",
     "verify_snapshot",
+    "warm_cell",
     "warm_config_for",
 ]

@@ -61,8 +61,9 @@ def fork_system(system: System, config: SystemConfig) -> System:
 
     ``system`` must be a freshly restored (never previously forked) warm
     image: paused, drained, produced by
-    :func:`~repro.checkpoint.warm.make_warm_system`. It is mutated in place
-    and returned.
+    :func:`~repro.checkpoint.warm.warm_cell` under
+    :func:`~repro.checkpoint.warm.warm_config_for`'s config. It is mutated
+    in place and returned.
     """
     base = system.config
     if config.num_cores != base.num_cores:

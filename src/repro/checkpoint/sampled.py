@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint.snapshot import CheckpointError
-from repro.checkpoint.warm import quiesce, rebase_measurement, run_until_warm
+from repro.checkpoint.warm import quiesce, warm_cell
 from repro.sim.system import SimulationResult, System, SystemConfig
 
 #: Two-sided 95% Student-t critical values by degrees of freedom; beyond the
@@ -439,7 +439,7 @@ def run_windows(system: System, sampled: SampledConfig) -> SampledResult:
     """Drive a warmed, quiesced system through the detailed-window schedule.
 
     ``system`` must be paused with all traffic drained (a fresh output of
-    :func:`~repro.checkpoint.warm.make_warm_system`, a restored warm image,
+    :func:`~repro.checkpoint.warm.warm_cell`, a restored warm image,
     or a just-forked cell that has been re-paused); its measurement window
     must be rebased at the current cycle.
     """
@@ -528,18 +528,11 @@ def run_windows(system: System, sampled: SampledConfig) -> SampledResult:
 
 
 def run_sampled(
-    config: SystemConfig,
-    traces: Sequence,
-    sampled: SampledConfig,
-    max_warm_events: Optional[int] = None,
+    config: SystemConfig, traces: Sequence, sampled: SampledConfig
 ) -> SampledResult:
     """One-shot sampled run: warm under ``config``'s own mechanism, sample.
 
     Unlike fork-from-warm there is no mechanism swap — the only
     approximation is the sampling itself.
     """
-    system = System(config, traces)
-    run_until_warm(system, max_events=max_warm_events)
-    quiesce(system)
-    rebase_measurement(system)
-    return run_windows(system, sampled)
+    return run_windows(warm_cell(config, traces), sampled)

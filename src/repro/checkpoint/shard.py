@@ -7,20 +7,21 @@ segments, simulates each in its own job (distributable across workers),
 and stitches the per-segment stat deltas back into one
 :class:`~repro.sim.system.SimulationResult`.
 
-A sharded cell warms once. :func:`warm_cell` builds the system, runs it to
-its warmup boundary and quiesces and rebases it (the same protocol as
-sampled mode); the sweep runner snapshots that state to a content-addressed
-cell image. Each segment job restores its own copy of the image, and
-:func:`run_shard` functionally fast-forwards past the earlier segments
+A sharded cell warms once. :func:`~repro.checkpoint.warm.warm_cell` builds
+the system, runs it to its warmup boundary and quiesces and rebases it (the
+one warm routine, shared with fork and sampled runs); the sweep runner
+snapshots that state to a content-addressed cell image. Each segment job
+restores its own copy of the image, and :func:`run_shard` functionally
+fast-forwards past the earlier segments
 (:func:`repro.checkpoint.sampled.fast_forward_core`), then runs its own
 segment in detail, bracketing cumulative stats around it. A snapshot
 restores exactly, so a segment run from the image is byte-identical to one
-run on a system warmed in place. The result is a SMARTS-style
-approximation of the whole run: detailed coverage of the entire
-measurement region, with segment boundaries warmed functionally rather than
-carried over cycle-exactly. Segments are deterministic, so a killed
-campaign re-simulates any lost segment to identical bytes and the stitched
-cell stays byte-stable across resumes.
+run on a system warmed in place. The result is a SMARTS-style approximation
+of the whole run: detailed coverage of the entire measurement region, with
+segment boundaries warmed functionally rather than carried over
+cycle-exactly. Segments are deterministic, so a killed campaign
+re-simulates any lost segment to identical bytes and the stitched cell
+stays byte-stable across resumes.
 
 Per-shard results double as segment samples: :func:`shard_estimates` runs
 the sampled-window Student-t estimator over the per-shard metric values,
@@ -42,8 +43,7 @@ from repro.checkpoint.sampled import (
     fast_forward_core,
 )
 from repro.checkpoint.snapshot import CheckpointError
-from repro.checkpoint.warm import quiesce, rebase_measurement, run_until_warm
-from repro.sim.system import SimulationResult, System, SystemConfig
+from repro.sim.system import SimulationResult, System
 
 #: Detailed-run granularity: the segment boundary is checked every chunk.
 SHARD_CHUNK_CYCLES = 1_000
@@ -76,33 +76,14 @@ class ShardSpec:
         return cls(index=data["index"], count=data["count"])
 
 
-def warm_cell(config: SystemConfig, traces: Sequence) -> System:
-    """Build the cell's system and bring it to the start of segment 0.
-
-    Warm → quiesce → rebase: the state every segment of the cell starts
-    from, and what the sweep runner snapshots as the cell image.
-    """
-    system = System(config, traces)
-    if system.check_engine is not None:
-        raise CheckpointError(
-            "sharded runs do not compose with the check engine: the "
-            "functional fast-forward between segments mutates dirty state "
-            "without the writeback events the ledger audits"
-        )
-    run_until_warm(system)
-    quiesce(system)
-    rebase_measurement(system)
-    return system
-
-
 def run_shard(system: System, spec: ShardSpec) -> SimulationResult:
     """Simulate one segment of a warmed cell and return its stat deltas.
 
-    ``system`` is a fresh :func:`warm_cell` result (or a restore of its
-    image); the segment consumes it. Functionally skip the first
-    ``index/count`` of each core's measurement span, then run the segment
-    in detail. The last shard runs until every core finishes measuring, so
-    the union of segments covers the whole region.
+    ``system`` is a fresh :func:`~repro.checkpoint.warm.warm_cell` result
+    (or a restore of its image); the segment consumes it. Functionally skip
+    the first ``index/count`` of each core's measurement span, then run the
+    segment in detail. The last shard runs until every core finishes
+    measuring, so the union of segments covers the whole region.
     """
     cores = system.cores
     queue = system.queue

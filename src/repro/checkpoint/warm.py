@@ -2,7 +2,9 @@
 
 Fork-from-warm (see :mod:`repro.checkpoint.fork`) snapshots one run per
 (benchmark, shared-config) group at its warmup boundary and forks every
-per-mechanism cell from that image. The helpers here produce that image:
+per-mechanism cell from that image; a sharded cell restores its own image
+per segment (see :mod:`repro.checkpoint.shard`). :func:`warm_cell` produces
+either image from these helpers:
 
 * :func:`run_until_warm` drives the queue in bounded chunks until every core
   has crossed its warmup boundary (chunked so the hot ``run()`` loop does
@@ -24,7 +26,7 @@ enforce.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.checkpoint.snapshot import CheckpointError
 from repro.sim.system import System, SystemConfig
@@ -56,9 +58,7 @@ def warm_config_for(config: SystemConfig) -> SystemConfig:
 
 
 def run_until_warm(
-    system: System,
-    chunk_events: int = WARM_CHUNK_EVENTS,
-    max_events: Optional[int] = None,
+    system: System, chunk_events: int = WARM_CHUNK_EVENTS
 ) -> int:
     """Start the cores and run until every core crossed its warmup boundary.
 
@@ -81,10 +81,6 @@ def run_until_warm(
         core.start()
     fired = 0
     while system._warmed < len(system.cores):
-        if max_events is not None and fired >= max_events:
-            raise CheckpointError(
-                f"warmup boundary not reached within {max_events} events"
-            )
         before = system.queue.events_processed
         system.queue.run(max_events=chunk_events)
         chunk = system.queue.events_processed - before
@@ -149,20 +145,22 @@ def rebase_measurement(system: System) -> None:
         core._measure_start_cycle = system.queue.now
 
 
-def make_warm_system(
-    config: SystemConfig,
-    traces: Sequence,
-    chunk_events: int = WARM_CHUNK_EVENTS,
-    max_events: Optional[int] = None,
-) -> System:
-    """Build, warm and quiesce the shared image for ``config``'s fork group.
+def warm_cell(config: SystemConfig, traces: Sequence) -> System:
+    """Build ``config``'s system and bring it to a quiesced warm boundary.
 
-    The returned system runs under :func:`warm_config_for`'s normalized
-    config, is paused and fully drained, and has its measurement window
-    rebased — ready to :func:`~repro.checkpoint.snapshot.snapshot_system`.
+    Warm → quiesce → rebase: the one warm routine. A sharded cell's
+    segments start from this state, a fork group's cells fork from it
+    (built under :func:`warm_config_for`'s config), and a sampled run opens
+    its first window on it; the sweep runner snapshots it as the image.
     """
-    system = System(warm_config_for(config), traces)
-    run_until_warm(system, chunk_events=chunk_events, max_events=max_events)
+    system = System(config, traces)
+    if system.check_engine is not None:
+        raise CheckpointError(
+            "warm images do not compose with the check engine: the "
+            "quiesce, fork and fast-forward that follow mutate dirty state "
+            "without the writeback events the ledger audits"
+        )
+    run_until_warm(system)
     quiesce(system)
     rebase_measurement(system)
     return system

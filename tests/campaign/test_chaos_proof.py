@@ -43,9 +43,9 @@ class TestCheckpointCampaignProof:
             str(tmp_path),
             variant="checkpoint",
             kill_points=[
-                # SIGKILL while the warm-image build lock is held and
-                # partial staging litter is on disk: the resume must
-                # reclaim the dead owner's lock and rebuild.
+                # SIGKILL as the first warm-image build starts, with
+                # partial staging litter on disk: the litter is inert and
+                # the resume rebuilds the image.
                 KillPoint("kill-mid-warm-build", "warm_kill=1"),
             ],
             checkpoint=True,
@@ -63,6 +63,10 @@ class TestShardedCampaignProof:
                 # of its segments has been collected: the resume reuses
                 # the image.
                 KillPoint("kill-after-cell-image", "image_kill=1"),
+                # SIGKILL as the first cell's image build starts: the
+                # resume rebuilds it through the same path as a fork
+                # group's image.
+                KillPoint("kill-mid-warm-build", "warm_kill=1"),
             ],
             shards=2,
         )

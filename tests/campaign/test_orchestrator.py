@@ -127,7 +127,7 @@ class TestShardedCampaign:
     ):
         from repro.analysis import runner as runner_module
         from repro.campaign import orchestrator
-        from repro.checkpoint import shard
+        from repro.checkpoint import warm
 
         calls = {"traces": 0, "encodings": 0, "warm-ups": 0}
 
@@ -147,7 +147,7 @@ class TestShardedCampaign:
             counting("encodings", runner_module._trace_chunks),
         )
         monkeypatch.setattr(
-            shard, "run_until_warm", counting("warm-ups", shard.run_until_warm)
+            warm, "run_until_warm", counting("warm-ups", warm.run_until_warm)
         )
         directory = str(tmp_path / "camp")
         outcome = run_campaign(directory, make_config(shards=2, refs=800))
@@ -161,8 +161,7 @@ class TestShardedCampaign:
         from repro.analysis.runner import job_key
         from repro.analysis.scaling import SCALES
         from repro.campaign.plan import cell_config, cell_traces
-        from repro.checkpoint import snapshot_system
-        from repro.checkpoint.shard import warm_cell
+        from repro.checkpoint import snapshot_system, warm_cell
         from tests.checkpoint.conftest import restamp
 
         config = make_config(shards=2, refs=800)

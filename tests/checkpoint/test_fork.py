@@ -8,9 +8,10 @@ from repro.analysis.scaling import QUICK_SCALE
 from repro.checkpoint import (
     CheckpointError,
     fork_system,
-    make_warm_system,
     quiesce,
+    rebase_measurement,
     restore_system,
+    run_until_warm,
     snapshot_system,
     warm_config_for,
 )
@@ -27,18 +28,24 @@ def quick_trace(benchmark="mcf"):
     return QUICK_SCALE.benchmark_trace(benchmark, refs=REFS)
 
 
+def warm_group_image(config):
+    """``config``'s fork-group warm image, warmed in 2,000-event chunks.
+
+    The fine chunk keeps the warmup-boundary overshoot small relative to
+    this deliberately tiny trace — the default 25k-event chunk would blow
+    through most of the run before the boundary poll fires.
+    """
+    system = System(warm_config_for(config), [quick_trace()])
+    run_until_warm(system, chunk_events=2_000)
+    quiesce(system)
+    rebase_measurement(system)
+    return snapshot_system(system)
+
+
 @pytest.fixture(scope="module")
 def warm_image_bytes():
-    """One warm image shared (read-only) by every test in this module.
-
-    The fine ``chunk_events`` keeps the warmup-boundary overshoot small
-    relative to this deliberately tiny trace — the default 25k-event chunk
-    would blow through most of the run before the boundary poll fires.
-    """
-    system = make_warm_system(
-        quick_config("dbi"), [quick_trace()], chunk_events=2_000
-    )
-    return snapshot_system(system)
+    """One warm image shared (read-only) by every test in this module."""
+    return warm_group_image(quick_config("dbi"))
 
 
 class TestWarmConfig:
@@ -174,8 +181,7 @@ class TestForkWithDramCache:
             quick_config("dbi"),
             dram_cache=QUICK_SCALE.dram_cache_config(dirty_backend="dbi"),
         )
-        system = make_warm_system(config, [quick_trace()], chunk_events=2_000)
-        return snapshot_system(system)
+        return warm_group_image(config)
 
     def test_fork_adopts_stacked_state_unchanged(self, warm_level_image_bytes):
         system = restore_system(warm_level_image_bytes)

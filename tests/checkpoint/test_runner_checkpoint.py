@@ -1,12 +1,19 @@
 """SweepRunner integration: fork-from-warm caching, keys, quarantine."""
 
+import json
 import os
 
 import pytest
 
-from repro.analysis.runner import SweepRunner, job_key
+from repro.analysis.chaos import ChaosConfig
+from repro.analysis.runner import (
+    RetryPolicy,
+    SweepJobError,
+    SweepRunner,
+    job_key,
+)
 from repro.analysis.scaling import QUICK_SCALE
-from repro.checkpoint import make_warm_system, snapshot_system, warm_config_for
+from repro.checkpoint import snapshot_system, warm_cell, warm_config_for
 from repro.checkpoint.sampled import SampledConfig
 from repro.sim.system import MODEL_VERSION
 from tests.checkpoint.conftest import reformat, restamp
@@ -153,7 +160,7 @@ class TestForkSweep:
         # cell would report that workload's results. It is planted once
         # stamped by another model version and once by the retired format 2.
         other = QUICK_SCALE.benchmark_trace("lbm", refs=REFS)
-        stale = snapshot_system(make_warm_system(warm_config_for(config), [other]))
+        stale = snapshot_system(warm_cell(warm_config_for(config), [other]))
         planted = (restamp(stale, MODEL_VERSION + 1), reformat(stale, 2))
         for attempt, blob in enumerate(planted, start=1):
             with open(path, "wb") as handle:
@@ -169,6 +176,83 @@ class TestForkSweep:
             assert os.path.exists(f"{path}.corrupt")
             os.remove(f"{path}.corrupt")
             assert replay.to_dict() == expected.to_dict()
+
+
+class TestForkImageBuilds:
+    """A fork group's image is built by a job, like a sharded cell's."""
+
+    def test_failed_warm_up_fails_its_group_only(
+        self, tmp_path, trace, monkeypatch
+    ):
+        from repro.checkpoint import warm as warm_module
+
+        original = warm_module.run_until_warm
+
+        def run_until_warm(system, *args, **kwargs):
+            if system.traces[0].name == "lbm":
+                raise RuntimeError("warm-up exploded")
+            return original(system, *args, **kwargs)
+
+        monkeypatch.setattr(warm_module, "run_until_warm", run_until_warm)
+        other = QUICK_SCALE.benchmark_trace("lbm", refs=REFS)
+        with make_runner(
+            tmp_path, checkpoint_dir=str(tmp_path / "ckpt"), keep_going=True
+        ) as runner:
+            broken = runner.submit(quick_config("dbi"), [other])
+            healthy = [
+                runner.submit(quick_config(mech), [trace])
+                for mech in ("tadip", "dbi")
+            ]
+            with pytest.raises(SweepJobError, match="warm-up exploded") as exc:
+                broken.result()
+            results = [future.result() for future in healthy]
+        assert exc.value.failure.kind == "fatal"
+        assert exc.value.failure in runner.failures
+        assert runner.jobs_failed == 1
+        assert all(result.ipc[0] > 0 for result in results)
+        assert runner.warm_images_built == 1
+
+    def test_crashed_builds_retry_to_identical_results(self, tmp_path):
+        cells = [
+            (quick_config(mech), QUICK_SCALE.benchmark_trace(bench, refs=REFS))
+            for bench in ("mcf", "lbm")
+            for mech in ("tadip", "dbi")
+        ]
+
+        def sweep(runner):
+            futures = [runner.submit(config, [tr]) for config, tr in cells]
+            return [
+                json.dumps(future.result().to_dict(), sort_keys=True)
+                for future in futures
+            ]
+
+        with make_runner(
+            tmp_path, cache_dir=None, checkpoint_dir=str(tmp_path / "clean")
+        ) as clean:
+            reference = sweep(clean)
+        lines = []
+        with make_runner(
+            tmp_path,
+            workers=2,
+            cache_dir=None,
+            checkpoint_dir=str(tmp_path / "chaos"),
+            chaos=ChaosConfig(crash=1.0, crash_attempts=1),
+            retry=RetryPolicy(
+                max_attempts=8, max_pool_deaths=50, backoff_base=0.0
+            ),
+            progress=lines.append,
+        ) as runner:
+            recovered = sweep(runner)
+        assert recovered == reference
+        assert runner.jobs_failed == 0
+        assert runner.warm_images_built == 2
+        # Every first attempt crashed: both builds and all four forks.
+        assert runner.jobs_retried >= 2 + len(cells)
+        for bench in ("mcf", "lbm"):
+            assert any(
+                f"tadip[{bench}]+warm" in line and "retry" in line
+                for line in lines
+            ), f"the {bench} image build was never retried"
 
 
 class TestSampledSweep:

@@ -8,13 +8,13 @@ import pytest
 
 from repro.analysis.runner import SweepRunner, job_key
 from repro.analysis.scaling import SCALES
-from repro.checkpoint import shard as shard_module
+from repro.checkpoint import warm as warm_module
+from repro.checkpoint import warm_cell
 from repro.checkpoint.shard import (
     ShardSpec,
     run_shard,
     shard_estimates,
     stitch_shards,
-    warm_cell,
 )
 from repro.sim.system import MODEL_VERSION, SimulationResult, System
 from repro.telemetry.sampler import TelemetryConfig
@@ -59,14 +59,14 @@ def warm_calls(tmp_path, monkeypatch):
     Each call appends a line to a file; forked workers inherit the patch.
     """
     log = tmp_path / "warm-calls.log"
-    original = shard_module.run_until_warm
+    original = warm_module.run_until_warm
 
     def counted(system, *args, **kwargs):
         with open(log, "a") as handle:
             handle.write(f"{os.getpid()}\n")
         return original(system, *args, **kwargs)
 
-    monkeypatch.setattr(shard_module, "run_until_warm", counted)
+    monkeypatch.setattr(warm_module, "run_until_warm", counted)
     return lambda: len(log.read_text().splitlines()) if log.exists() else 0
 
 
@@ -233,6 +233,9 @@ class TestRunnerSharding:
                     (future.job.key, future.result().to_dict())
                     for future in futures
                 ]
+            # Every build is collected, also one whose segments the pool
+            # already started when the image landed.
+            assert runner.warm_images_built == len(cells)
         assert outcomes[2] == outcomes[0]
         assert warm_calls() == 2 * len(cells)
 
@@ -315,7 +318,7 @@ class TestRunnerSharding:
         def broken(system, *args, **kwargs):
             raise RuntimeError("warm-up exploded")
 
-        monkeypatch.setattr(shard_module, "run_until_warm", broken)
+        monkeypatch.setattr(warm_module, "run_until_warm", broken)
         config, trace = _config(), _trace()
         runner = SweepRunner(workers=0, cache_dir=str(tmp_path / "cache"))
         future = runner.submit_sharded(config, [trace], 3)

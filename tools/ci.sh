@@ -38,8 +38,11 @@
 #                  with 2 workers and a fresh cache, twice; the second pass
 #                  must be answered from the cache, byte-identically.
 #   chaos        — the same sweep under seeded worker crashes, hangs and
-#                  cache corruption at p=0.3 with --keep-going; the recovered
-#                  output must be byte-identical to the fault-free run.
+#                  cache corruption at p=0.3 with --keep-going; each sweep's
+#                  summary must report a retry (faults fired) and the
+#                  recovered output must be byte-identical to the fault-free
+#                  run. A fault-free rerun over the chaos cache must then
+#                  quarantine a corrupt entry and reproduce the output.
 #   reliability  — soft-error smoke: the heterogeneous-ECC experiment must
 #                  show zero data loss for DBI-tracked domains.
 #   telemetry    — epoch-sampling smoke: `repro run --telemetry` must leave
@@ -154,13 +157,18 @@ sweep_into() {
     local cache=$1
     shift
     python -m repro experiment fig6 --scale quick \
-        --benchmarks mcf,bzip2 --workers 2 --cache-dir "$cache" --quiet "$@"
+        --benchmarks mcf,bzip2 --workers 2 --cache-dir "$cache" "$@"
     python -m repro experiment fig8 --scale quick \
-        --workers 2 --cache-dir "$cache" --quiet "$@"
+        --workers 2 --cache-dir "$cache" "$@"
 }
 
 sweep() {
-    sweep_into "$tmp/cache"
+    sweep_into "$tmp/cache" --quiet
+}
+
+# The `sweep:` summary lines of a sweep_into run's stderr file $1.
+sweep_summaries() {
+    grep '^sweep:' "$1" || true
 }
 
 # The chaos stage diffs against the fault-free sweep output; produce it here
@@ -191,13 +199,36 @@ stage_chaos() {
     sweep_into "$tmp/chaos-cache" \
         --keep-going --max-attempts 6 --job-timeout 10 \
         --chaos "seed=7,crash=0.3,hang=0.3,corrupt=0.3,hang_seconds=20" \
-        > "$tmp/chaos.txt"
+        > "$tmp/chaos.txt" 2> "$tmp/chaos.err"
+    sweep_summaries "$tmp/chaos.err" | tee "$tmp/chaos-summary.txt"
     if ! cmp -s "$tmp/cold.txt" "$tmp/chaos.txt"; then
         echo "ci: FAIL — chaos sweep output differs from fault-free run" >&2
         diff "$tmp/cold.txt" "$tmp/chaos.txt" >&2 || true
         return 1
     fi
-    echo "ci: ok (chaos sweep byte-identical to fault-free run)"
+    # A recovery proof is only a proof if faults fired: both sweeps
+    # (fig6, fig8) must report at least one retried attempt.
+    fired=$(grep -Ec ', [1-9][0-9]* retried' "$tmp/chaos-summary.txt" || true)
+    if [ "$fired" -ne 2 ]; then
+        echo "ci: FAIL — $fired of 2 chaos sweeps reported a retry" >&2
+        return 1
+    fi
+    # The torn cache entries surface on the next read: a fault-free rerun
+    # must quarantine at least one and still reproduce the output.
+    sweep_into "$tmp/chaos-cache" > "$tmp/rerun.txt" 2> "$tmp/rerun.err"
+    sweep_summaries "$tmp/rerun.err" | tee "$tmp/rerun-summary.txt"
+    if ! grep -Eq ', [1-9][0-9]* corrupt cache entries quarantined' \
+        "$tmp/rerun-summary.txt"; then
+        echo "ci: FAIL — rerun over the chaos cache quarantined nothing" >&2
+        return 1
+    fi
+    if ! cmp -s "$tmp/cold.txt" "$tmp/rerun.txt"; then
+        echo "ci: FAIL — rerun over the chaos cache differs from fault-free run" >&2
+        diff "$tmp/cold.txt" "$tmp/rerun.txt" >&2 || true
+        return 1
+    fi
+    echo "ci: ok (faults fired in both chaos sweeps; output and the rerun" \
+         "over the chaos cache byte-identical to the fault-free run)"
 }
 
 stage_reliability() {

@@ -10,12 +10,14 @@ byte** equal to an uninterrupted reference run:
   campaign: SIGKILL *mid-journal-append* (a torn half record is durable
   when the process dies), SIGKILL right after the first dispatch record,
   and a SIGTERM graceful drain;
-* **checkpoint variant** — SIGKILL *mid-warm-image-build*, while the
-  build lock is held and partial staging litter is on disk; the resume
-  must reclaim the dead owner's lock and rebuild;
+* **checkpoint variant** — SIGKILL *mid-warm-image-build*, with partial
+  staging litter on disk; the litter is inert and the resume rebuilds the
+  image;
 * **sharded variant** — SIGKILL right after the first sharded cell's
-  image is written, before any of its segments is collected; the resume
-  must verify and reuse the image and finish the cell's segments.
+  image is written, before any of its segments is collected (the resume
+  must verify and reuse the image and finish the cell's segments), and
+  SIGKILL as that image's build starts (the resume rebuilds it, as it does
+  a fork group's image).
 
 Faults are scheduled at exact journal sequence offsets or build ordinals
 (``kill``, ``mode``, ``warm_kill`` and ``image_kill`` keys of the one
@@ -56,6 +58,7 @@ CHECKPOINT_POINTS = [
 ]
 SHARDED_POINTS = [
     KillPoint("kill-after-cell-image", "image_kill=1"),
+    KillPoint("kill-mid-warm-build", "warm_kill=1"),
 ]
 
 # The shrunken quick-tier grid the --tier proof runs: small enough for CI,
