@@ -35,18 +35,27 @@ Execution modes
     small scripts free of pool overhead. Results are identical either way.
 
 Fault tolerance
-    Pool execution survives the three classic large-sweep failure modes:
+    Pool execution survives the two ways a worker fails, and charges each
+    failure to exactly the job whose worker failed. Before a worker runs an
+    attempt it announces (pid, job key, attempt, start time) on its pool's
+    pipe, so the runner always knows which worker ran which attempt:
 
-    * **worker crashes** (``BrokenProcessPool``) — the pool is respawned and
-      the job retried with exponential backoff plus deterministic jitter;
-      other in-flight jobs that died with the pool re-dispatch themselves
-      onto the fresh pool when collected;
+    * **worker deaths** (``BrokenProcessPool``) — a job whose own worker
+      exited by itself (a crash, a fatal signal, the OOM killer) is charged
+      that attempt as a ``crash`` and retried with exponential backoff plus
+      deterministic jitter. Every other job the death touched — queued,
+      running on a worker the pool terminated or the runner killed, or
+      collected from a pool that was already replaced — goes back on the
+      queue at the same attempt, uncharged. A broken pool is replaced once,
+      by whoever collects it first, and never takes its successor down;
     * **wedged workers** — an optional per-attempt wall-clock timeout
-      (:attr:`RetryPolicy.timeout`) classifies the attempt as a hang, hard
-      kills the wedged pool and retries the job;
-    * **repeated pool deaths** — after :attr:`RetryPolicy.max_pool_deaths`
-      teardowns the runner degrades gracefully to inline execution, which
-      cannot crash the pool because there no longer is one.
+      (:attr:`RetryPolicy.timeout`), counted from the attempt's announced
+      start: a waiting collector kills every worker whose attempt has run
+      past it, and each such attempt is charged as a ``hang``.
+
+    Each job is bounded by :attr:`RetryPolicy.max_attempts` alone; a job
+    that runs out fails with its worker's exit code or signal named in
+    :attr:`JobFailure.error`.
 
     Deterministic *simulation* exceptions are different: retrying a
     deterministic failure wastes cycles to learn nothing, so they surface
@@ -59,9 +68,9 @@ Fault tolerance
     :meth:`SweepRunner.write_failure_manifest` — the CLI's ``--keep-going``
     does exactly this.
 
-    The :mod:`repro.analysis.chaos` layer injects all three fault kinds
-    deterministically (the ``chaos=`` argument) so tests can prove
-    recovered sweeps are byte-identical to fault-free ones.
+    The :mod:`repro.analysis.chaos` layer injects crashes, hangs and cache
+    corruption deterministically (the ``chaos=`` argument) so tests can
+    prove recovered sweeps are byte-identical to fault-free ones.
 
 Checkpoint acceleration
     ``checkpoint_dir=`` turns on fork-from-warm sweeps: each (traces,
@@ -86,8 +95,13 @@ Checkpoint acceleration
 from __future__ import annotations
 
 import concurrent.futures
+import concurrent.futures.process
+import functools
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
+import signal
 import sys
 import threading
 import time
@@ -102,6 +116,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -241,21 +256,21 @@ class RetryPolicy:
     """How the runner treats a pool job that did not come back clean.
 
     Attributes:
-        max_attempts: total attempts per job (1 = never retry). Applies to
-            *retryable* failures — worker crashes, cancellations from a pool
-            teardown, and timeouts; deterministic simulation exceptions
-            always surface after one attempt regardless.
-        timeout: per-attempt wall-clock seconds before an attempt is
-            declared hung (None = wait forever). A hung attempt cannot be
-            cancelled — its worker is wedged — so the whole pool is hard
-            killed and respawned.
+        max_attempts: total attempts per job (1 = never retry). An attempt
+            is charged only when the job's own worker failed it: the worker
+            exited by itself (``crash``) or overran ``timeout`` (``hang``).
+            A job that merely shared a pool with a failing worker is
+            requeued at the same attempt. Deterministic simulation
+            exceptions always surface after one attempt regardless.
+        timeout: per-attempt wall-clock seconds, from the attempt's start
+            in its worker, before it is declared hung (None = wait
+            forever). A hung attempt cannot be cancelled — its worker is
+            wedged — so the worker is killed and its pool replaced.
         backoff_base: first retry delay, seconds.
         backoff_factor: multiplier per further retry (exponential).
         backoff_max: delay ceiling, seconds.
         jitter: fraction of the delay added as deterministic per-(job,
             attempt) jitter, de-synchronizing retry stampedes.
-        max_pool_deaths: pool teardowns tolerated before the runner stops
-            trusting process isolation and degrades to inline execution.
     """
 
     max_attempts: int = 3
@@ -264,17 +279,12 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     backoff_max: float = 8.0
     jitter: float = 0.5
-    max_pool_deaths: int = 3
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.max_pool_deaths < 1:
-            raise ValueError(
-                f"max_pool_deaths must be >= 1, got {self.max_pool_deaths}"
-            )
 
     def delay(self, key: str, attempt: int) -> float:
         """Backoff before ``attempt`` (2nd attempt = first retry) in seconds."""
@@ -292,8 +302,8 @@ class JobFailure:
     """Terminal record of one job the sweep could not complete.
 
     ``kind`` is ``"fatal"`` (deterministic simulation exception), ``"crash"``
-    (worker/pool death, retries exhausted) or ``"hang"`` (timeouts, retries
-    exhausted).
+    (the job's worker died, retries exhausted; ``error`` names its exit
+    code or signal) or ``"hang"`` (timeouts, retries exhausted).
     """
 
     job_id: int
@@ -467,43 +477,165 @@ def _execute(job: SweepJob) -> SimulationResult:
     return result
 
 
-def _worker_heartbeat_path(heartbeat_dir: str) -> str:
-    """This worker process's beacon file (one per pool process)."""
-    return os.path.join(heartbeat_dir, f"worker-{os.getpid()}.json")
+#: The pipe end this pool worker announces its attempts on (set by
+#: :func:`_worker_init` in each worker; unused in the runner's process).
+_announce: Optional[multiprocessing.connection.Connection] = None
+
+
+def _worker_init(announce: multiprocessing.connection.Connection) -> None:
+    """Pool initializer: keep the pipe end this worker announces on."""
+    global _announce
+    _announce = announce
 
 
 def _execute_in_worker(
-    job: SweepJob,
-    attempt: int,
-    chaos: Optional[ChaosConfig],
-    heartbeat_dir: Optional[str] = None,
+    job: SweepJob, attempt: int, chaos: Optional[ChaosConfig]
 ) -> SimulationResult:
-    """Pool-side entry point: apply per-attempt chaos, then simulate.
+    """Pool-side entry point: announce the attempt, apply chaos, simulate.
 
-    The chaos config rides along with the job so workers need no environment
-    plumbing; decisions are pure functions of (seed, kind, key, attempt).
-
-    With a ``heartbeat_dir``, the worker beats at attempt start and end, so
-    the campaign watchdog can see workers that die or wedge *outside* an
-    attempt — a window the runner's per-job timeout cannot observe because
-    its timer only runs while a future is being awaited.
+    The announcement is one pipe write far below ``PIPE_BUF``, so a pool's
+    workers share the pipe without a lock, and it is in the pipe before
+    chaos (or anything else) can kill the worker: whatever happens next,
+    the runner knows which attempt this worker was running. The chaos
+    config rides along with the job; decisions are pure functions of (seed,
+    kind, key, attempt). ``_execute`` is looked up at call time, so a
+    wrapper installed before the pool forks runs in every worker.
     """
-    if heartbeat_dir is not None:
-        from repro.utils.heartbeat import write_heartbeat
-
-        os.makedirs(heartbeat_dir, exist_ok=True)
-        beacon = _worker_heartbeat_path(heartbeat_dir)
-        write_heartbeat(
-            beacon, state="running", job=job.label, key=job.key,
-            attempt=attempt,
-        )
+    _announce.send((os.getpid(), job.key, attempt, time.monotonic()))
     if chaos is not None:
         FaultInjector(chaos).apply_in_worker(job.key, attempt)
-    result = _execute(job)
-    if heartbeat_dir is not None:
-        write_heartbeat(beacon, state="idle", job=job.label, key=job.key,
-                        attempt=attempt)
-    return result
+    return _execute(job)
+
+
+def _exit_text(code: int) -> str:
+    """A worker's exit code in words (negative codes are signals)."""
+    if code >= 0:
+        return f"exited with code {code}"
+    try:
+        return f"was killed by {signal.Signals(-code).name}"
+    except ValueError:
+        return f"was killed by signal {-code}"
+
+
+class _WorkerPool:
+    """One process pool plus what its workers announced.
+
+    ``running`` maps each attempt a worker announced and has not finished,
+    as (key, attempt), to that worker's (pid, start). When the pool breaks,
+    that map and the workers' exit codes say, per job, whether the job's
+    own worker died by itself, was killed (by the pool, or by the runner:
+    as collateral in ``killed``, for overrunning the timeout in ``hung``),
+    or never ran the job at all.
+    """
+
+    def __init__(self, workers: int) -> None:
+        context = multiprocessing.get_context("fork")
+        self._reader, self._writer = context.Pipe(duplex=False)
+        self.executor = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=context,
+            initializer=_worker_init,
+            initargs=(self._writer,),
+        )
+        self._lock = threading.Lock()
+        self.processes: Dict[int, multiprocessing.process.BaseProcess] = {}
+        self.running: Dict[Tuple[str, int], Tuple[int, float]] = {}
+        self.hung: Set[int] = set()
+        self.killed: Set[int] = set()
+        self.retired = False  # replaced after a death (see SweepRunner._retire)
+
+    def submit(
+        self, job: SweepJob, attempt: int, chaos: Optional[ChaosConfig]
+    ) -> concurrent.futures.Future:
+        inner = self.executor.submit(_execute_in_worker, job, attempt, chaos)
+        with self._lock:
+            if self._writer is not None:
+                # The fork start method starts every worker at the first
+                # submit: record them, and drop this process's pipe end so
+                # later pools' workers do not inherit it.
+                self.processes = dict(self.executor._processes)
+                self._writer.close()
+                self._writer = None
+        inner.add_done_callback(
+            functools.partial(self._attempt_done, job.key, attempt)
+        )
+        return inner
+
+    def _attempt_done(self, key: str, attempt: int, inner) -> None:
+        """An attempt that returned or raised no longer runs; one ended by
+        the pool's death keeps its entry, which attributes that death."""
+        self._drain()
+        if not inner.cancelled() and not isinstance(
+            inner.exception(), concurrent.futures.BrokenExecutor
+        ):
+            with self._lock:
+                self.running.pop((key, attempt), None)
+
+    def _drain(self) -> None:
+        """Read every announcement waiting in the pipe."""
+        with self._lock:
+            try:
+                while self._reader.poll():
+                    pid, key, attempt, started = self._reader.recv()
+                    self.running[key, attempt] = (pid, started)
+            except (EOFError, OSError):
+                pass  # every worker has exited
+
+    def announced(self, key: str, attempt: int) -> Optional[Tuple[int, float]]:
+        """(pid, start) of the worker running this attempt, if one is."""
+        self._drain()
+        with self._lock:
+            return self.running.get((key, attempt))
+
+    def exit_code(self, pid: int) -> Optional[int]:
+        """The worker's exit code (negative: its signal); None while alive."""
+        process = self.processes[pid]
+        if not multiprocessing.connection.wait([process.sentinel], 0):
+            return None
+        # Dead; the pool's own thread may be reaping it right now.
+        deadline = time.monotonic() + 1.0
+        while process.exitcode is None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return process.exitcode
+
+    def kill(self, pid: int, reason: Set[int]) -> None:
+        """SIGKILL a live worker, recording why in ``reason``."""
+        if self.exit_code(pid) is None:
+            reason.add(pid)
+            try:
+                self.processes[pid].kill()
+            except OSError:
+                pass
+
+    def _starts(self) -> List[Tuple[int, float]]:
+        """(pid, start) of every running attempt not already killed."""
+        self._drain()
+        with self._lock:
+            return [
+                (pid, started) for pid, started in self.running.values()
+                if pid not in self.hung and pid not in self.killed
+            ]
+
+    def next_deadline(self, timeout: float) -> Optional[float]:
+        """When the earliest running attempt overruns ``timeout``."""
+        starts = [started for _pid, started in self._starts()]
+        return min(starts) + timeout if starts else None
+
+    def kill_overdue(self, timeout: float) -> None:
+        """Kill every worker whose attempt has run past ``timeout``."""
+        now = time.monotonic()
+        for pid, started in self._starts():
+            if now - started >= timeout:
+                self.kill(pid, self.hung)
+
+    def retire(self) -> None:
+        """Release a broken pool: kill its survivors as collateral."""
+        for pid in self.processes:
+            self.kill(pid, self.killed)
+        self.executor.shutdown(wait=False, cancel_futures=True)
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        self.executor.shutdown(wait=wait, cancel_futures=cancel_futures)
 
 
 class SweepFuture:
@@ -525,6 +657,8 @@ class SweepFuture:
         self.attempts = 1
         self.started = time.perf_counter()
         self._inner = inner
+        #: The pool ``_inner`` runs on (None inline).
+        self._pool: Optional[_WorkerPool] = None
         self._value = value
         self._runner = runner
         self._failure: Optional[JobFailure] = None
@@ -536,10 +670,11 @@ class SweepFuture:
         self.dependents: List["SweepFuture"] = []
 
     def done(self) -> bool:
+        inner = self._inner
         return (
             self._value is not None
             or self._failure is not None
-            or (self._inner is not None and self._inner.done())
+            or (inner is not None and inner.done())
         )
 
     def landed(self) -> bool:
@@ -636,10 +771,6 @@ class ShardedSweepFuture:
         if on_collected is not None:
             on_collected()
 
-    def shard_results(self) -> List[SimulationResult]:
-        """The per-segment results (for confidence-interval estimation)."""
-        return [future.result() for future in self.futures]
-
 
 def stderr_progress(line: str) -> None:
     """Default progress sink: one line per completed job on stderr."""
@@ -735,10 +866,8 @@ class SweepRunner:
         retain_failed_telemetry: bool = False,
         checkpoint_dir: Optional[str] = None,
         sampled: Optional["SampledConfig"] = None,
-        heartbeat_dir: Optional[str] = None,
     ) -> None:
         self.workers = default_workers() if workers is None else max(0, workers)
-        self.heartbeat_dir = heartbeat_dir
         self.cache_dir = cache_dir if (use_cache and cache_dir) else None
         self.telemetry = telemetry
         self.telemetry_dir = telemetry_dir or self.cache_dir or DEFAULT_TELEMETRY_DIR
@@ -765,7 +894,7 @@ class SweepRunner:
         self.keep_going = keep_going
         self.chaos = chaos
         self.injector = FaultInjector(chaos) if chaos is not None else None
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._pool: Optional[_WorkerPool] = None
         self._lock = threading.RLock()
         self._futures: Dict[str, SweepFuture] = {}
         self._next_id = 0
@@ -777,8 +906,7 @@ class SweepRunner:
         self.jobs_failed = 0  # jobs that failed terminally
         self.jobs_retried = 0  # attempts beyond the first, across all jobs
         self.cache_corrupt = 0  # cache entries quarantined on load
-        self.pool_deaths = 0  # pools torn down after a crash or hang
-        self.degraded_inline = False  # too many pool deaths: running inline
+        self.pool_deaths = 0  # pools replaced after a worker died or hung
         self.warm_images_built = 0  # image builds that landed
         self.checkpoints_quarantined = 0  # corrupt or stale images set aside
         self.failures: List[JobFailure] = []
@@ -817,13 +945,6 @@ class SweepRunner:
                 pool.shutdown(wait=True)
         if tempdir is not None:
             tempdir.cleanup()
-
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers
-            )
-        return self._pool
 
     # ------------------------------------------------------------ interface
 
@@ -976,8 +1097,8 @@ class SweepRunner:
                 f", {self.checkpoints_quarantined} corrupt or stale image(s) "
                 "quarantined"
             )
-        if self.degraded_inline:
-            extra += f", degraded to inline after {self.pool_deaths} pool deaths"
+        if self.pool_deaths:
+            extra += f", {self.pool_deaths} pool death(s)"
         return (
             f"sweep: {self.jobs_submitted} jobs "
             f"({self.jobs_executed} simulated, {self.cache_hits} cache hits, "
@@ -1062,11 +1183,6 @@ class SweepRunner:
             self._image_builds[image] = build
         if build is not None:
             self._launch(build)
-            if self.workers >= 2 and not self.degraded_inline:
-                # Pool: the dependents start the moment the image lands.
-                build._inner.add_done_callback(
-                    lambda _inner: self._start_dependents(build)
-                )
         return build
 
     def _launch_after(
@@ -1078,7 +1194,7 @@ class SweepRunner:
         for future in futures:
             if build is not None:
                 future.prerequisite = build
-                if self.workers >= 2 and not self.degraded_inline:
+                if self.workers >= 2:
                     with self._lock:
                         if not build.landed():
                             build.dependents.append(future)
@@ -1110,16 +1226,13 @@ class SweepRunner:
         submitted by the thread that collects it (see :meth:`_await`).
         """
         pool = self._pool
-        if pool is None or self.degraded_inline:
+        if pool is None:
             return
         if not future._resolve_lock.acquire(blocking=False):
             return
         try:
             if future._inner is None and not future.done():
-                future._inner = pool.submit(
-                    _execute_in_worker, future.job, future.attempts,
-                    self.chaos, self.heartbeat_dir,
-                )
+                self._put(future, pool)
         except (concurrent.futures.BrokenExecutor, RuntimeError):
             pass  # pool broke or shut down: the collector resubmits
         finally:
@@ -1207,11 +1320,8 @@ class SweepRunner:
 
     def _launch(self, future: SweepFuture) -> None:
         """Start a registered job: onto the pool, or run it inline."""
-        if self.workers >= 2 and not self.degraded_inline:
-            with self._lock:
-                future._inner = self._submit_attempt(
-                    future.job, future.attempts
-                )
+        if self.workers >= 2:
+            self._submit_attempt(future)
             return
         # Inline mode executes at submission (callers may rely on
         # jobs_executed being current); failures surface from result().
@@ -1220,31 +1330,49 @@ class SweepRunner:
         except SweepJobError:
             pass
 
-    def _submit_attempt(
-        self, job: SweepJob, attempt: int
-    ) -> concurrent.futures.Future:
-        """One execution attempt: pool submission, or inline when degraded."""
+    def _submit_attempt(self, future: SweepFuture) -> None:
+        """Start the job's current attempt (see :meth:`_submit`)."""
+        job = future.job
         if job.builds_image and self.injector is not None:
             self.injector.on_warm_build(job.image)
-        while self.workers >= 2 and not self.degraded_inline:
+        self._submit(future)
+
+    def _submit(self, future: SweepFuture) -> None:
+        """Put the job's current attempt on the pool, replacing a broken
+        pool first, or run it inline."""
+        if self.workers < 2:
+            # Inline execution shares the future-based error path with the
+            # pool so _await classifies both identically. Crash/hang chaos
+            # is never applied inline — it would take down this process.
+            inline: concurrent.futures.Future = concurrent.futures.Future()
             try:
-                return self._ensure_pool().submit(
-                    _execute_in_worker, job, attempt, self.chaos,
-                    self.heartbeat_dir,
-                )
+                inline.set_result(_execute(future.job))
+            except Exception as exc:  # classified fatal by _await
+                inline.set_exception(exc)
+            future._inner, future._pool = inline, None
+            return
+        while True:
+            with self._lock:
+                if self._pool is None:
+                    self._pool = _WorkerPool(self.workers)
+                pool = self._pool
+            try:
+                self._put(future, pool)
+                return
             except concurrent.futures.BrokenExecutor:
                 # The pool broke under another job and nobody has collected
-                # that job yet; tear it down and submit to a fresh one.
-                self._pool_died(wedged=False)
-        # Inline execution shares the future-based error path with the pool
-        # so _await classifies both identically. Crash/hang chaos is never
-        # applied inline — it would take down the submitting process.
-        inline: concurrent.futures.Future = concurrent.futures.Future()
-        try:
-            inline.set_result(_execute(job))
-        except Exception as exc:  # classified fatal by _await
-            inline.set_exception(exc)
-        return inline
+                # that job yet; replace it and submit to the fresh one.
+                self._retire(pool)
+
+    def _put(self, future: SweepFuture, pool: _WorkerPool) -> None:
+        """Submit the job's current attempt to ``pool``."""
+        future._inner = pool.submit(future.job, future.attempts, self.chaos)
+        future._pool = pool
+        if future.job.builds_image:
+            # The dependents start the moment the image lands.
+            future._inner.add_done_callback(
+                lambda _inner: self._start_dependents(future)
+            )
 
     def _await(self, future: SweepFuture) -> SimulationResult:
         """Drive one job to completion or terminal failure (retry loop)."""
@@ -1260,19 +1388,21 @@ class SweepRunner:
                 self._await_prerequisite(future)
             while True:
                 if future._inner is None:
-                    future._inner = self._submit_attempt(job, future.attempts)
-                pool_died = False
+                    self._submit_attempt(future)
                 try:
-                    result = future._inner.result(timeout=self.retry.timeout)
-                except concurrent.futures.TimeoutError as exc:
-                    # The worker is wedged: the attempt cannot be cancelled,
-                    # only the pool can be killed out from under it.
-                    kind, error, pool_died = "hang", exc, True
+                    result = future._inner.result(
+                        timeout=self._wait_slice(future)
+                    )
+                except concurrent.futures.TimeoutError:
+                    # Some attempt on this pool may have overrun: kill its
+                    # worker, whoever's it is, and keep waiting.
+                    future._pool.kill_overdue(self.retry.timeout)
+                    continue
                 except concurrent.futures.CancelledError as exc:
-                    # Collateral of another job's pool teardown.
-                    kind, error = "crash", exc
+                    # The runner was closed under the attempt.
+                    kind, error = None, exc
                 except concurrent.futures.BrokenExecutor as exc:
-                    kind, error, pool_died = "crash", exc, True
+                    kind, error = self._charge(future, exc)
                 except Exception as exc:
                     # A deterministic simulation error: a retry would fail
                     # identically, so surface it after this one attempt.
@@ -1280,8 +1410,10 @@ class SweepRunner:
                 else:
                     return self._complete(future, result)
                 future._inner = None
-                if pool_died:
-                    self._pool_died(wedged=(kind == "hang"))
+                if kind is None:
+                    # Not this job's fault: the same attempt, uncharged.
+                    self._submit(future)
+                    continue
                 if future.attempts >= self.retry.max_attempts:
                     self._fail(future, kind, error)
                 future.attempts += 1
@@ -1294,6 +1426,46 @@ class SweepRunner:
                 )
                 time.sleep(self.retry.delay(job.key, future.attempts))
 
+    def _wait_slice(self, future: SweepFuture) -> Optional[float]:
+        """How long to wait on an attempt before looking for overruns: until
+        the earliest running attempt on its pool overruns the timeout."""
+        timeout = self.retry.timeout
+        if timeout is None or future._pool is None:
+            return None
+        deadline = future._pool.next_deadline(timeout)
+        if deadline is None:
+            return timeout
+        return max(0.05, deadline - time.monotonic())
+
+    def _charge(
+        self, future: SweepFuture, exc: Exception
+    ) -> Tuple[Optional[str], Exception]:
+        """Why the job's attempt died with its pool: ``"crash"`` when its
+        own worker exited by itself, ``"hang"`` when the runner killed that
+        worker for overrunning, None for anything else; with the error a
+        terminal failure reports."""
+        pool = future._pool
+        self._retire(pool)
+        announced = pool.announced(future.job.key, future.attempts)
+        if announced is None:
+            return None, exc  # the attempt never started on this pool
+        pid = announced[0]
+        if pid in pool.hung:
+            kind, error = "hang", TimeoutError(
+                f"worker {pid} ran attempt {future.attempts} past the "
+                f"{self.retry.timeout:g}s timeout and was killed"
+            )
+        else:
+            code = pool.exit_code(pid)
+            if pid in pool.killed or code in (None, 0, -signal.SIGTERM):
+                return None, exc  # stopped by the pool or the runner
+            kind, error = "crash", concurrent.futures.process.BrokenProcessPool(
+                f"worker {pid} {_exit_text(code)} during attempt "
+                f"{future.attempts}"
+            )
+        error.__cause__ = exc
+        return kind, error
+
     def _complete(
         self, future: SweepFuture, result: SimulationResult
     ) -> SimulationResult:
@@ -1305,6 +1477,7 @@ class SweepRunner:
             future._value = result
             if self.injector is not None:
                 self.injector.on_cell_image(job.image)
+            self._release(future)
             self._start_dependents(future)
             return result
         with self._lock:
@@ -1315,7 +1488,14 @@ class SweepRunner:
                 self.injector.corrupt_file(self._cache_path(job.key))
         self._emit(job, time.perf_counter() - future.started, "miss")
         future._value = result
+        self._release(future)
         return result
+
+    @staticmethod
+    def _release(future: SweepFuture) -> None:
+        """Drop a finished job's last attempt, so a replaced pool it ran on
+        (processes, pipe) can be freed."""
+        future._inner = future._pool = None
 
     def _fail(self, future: SweepFuture, kind: str, exc: Exception) -> None:
         job = future.job
@@ -1340,6 +1520,7 @@ class SweepRunner:
             if self._image_builds.get(job.image) is future:
                 del self._image_builds[job.image]
         future._failure = failure
+        self._release(future)
         if job.telemetry_path is not None and not self.retain_failed_telemetry:
             # Without retention, a dead job's half-written epoch stream is
             # just litter; with it, the .partial is the forensic record of
@@ -1355,23 +1536,16 @@ class SweepRunner:
         )
         raise SweepJobError(failure) from exc
 
-    def _pool_died(self, wedged: bool) -> None:
-        """Tear down a broken/wedged pool; degrade to inline past the limit."""
+    def _retire(self, pool: _WorkerPool) -> None:
+        """Count a pool's death once and replace it only if it is current."""
         with self._lock:
-            pool, self._pool = self._pool, None
-            if pool is None:
-                return  # another job's recovery already handled this death
+            if pool.retired:
+                return
+            pool.retired = True
             self.pool_deaths += 1
-            if self.pool_deaths >= self.retry.max_pool_deaths:
-                self.degraded_inline = True
-        if wedged:
-            # shutdown() would join the wedged worker forever; kill first.
-            for process in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    process.kill()
-                except OSError:
-                    pass
-        pool.shutdown(wait=False, cancel_futures=True)
+            if self._pool is pool:
+                self._pool = None
+        pool.retire()
 
     def _emit(self, job: SweepJob, elapsed: float, status: str) -> None:
         if self.progress is not None:

@@ -1,4 +1,4 @@
-"""Crash-consistent campaign orchestration (journal, watchdog, recovery).
+"""Crash-consistent campaign orchestration (journal, lock, recovery).
 
 Public surface:
 
@@ -33,11 +33,6 @@ from repro.campaign.plan import (
     plan_cells,
     plan_fingerprint,
 )
-from repro.campaign.watchdog import (
-    WatchdogReport,
-    reap_dead_beacons,
-    scan_heartbeats,
-)
 
 __all__ = [
     "JOURNAL_FORMAT",
@@ -57,7 +52,4 @@ __all__ = [
     "cell_traces",
     "plan_cells",
     "plan_fingerprint",
-    "WatchdogReport",
-    "reap_dead_beacons",
-    "scan_heartbeats",
 ]

@@ -17,9 +17,11 @@ The pieces, and who handles which failure:
 * ``cache/`` — content-addressed results (:func:`repro.analysis.runner.
   job_key`); corrupt entries self-quarantine and re-simulate.
 * ``campaign.lock`` — one orchestrator per directory; a SIGKILLed owner's
-  lock is reclaimed by pid death (:mod:`repro.utils.locks`).
-* ``heartbeats/`` — worker and orchestrator beacons for the watchdog
-  (:mod:`repro.campaign.watchdog`).
+  lock is reclaimed by pid death (:mod:`repro.utils.locks`). The owner
+  beats it once per scheduling round, so on another host only a lock that
+  has stopped beating for ``CAMPAIGN_LOCK_STALE_SECONDS`` is reclaimed.
+* worker deaths and hangs — the sweep runner charges each to the job whose
+  worker died and retries it (:mod:`repro.analysis.runner`).
 * SIGTERM/SIGINT — handled signal-safely: the handler only sets a flag;
   the dispatch loop stops submitting, drains in-flight jobs, journals a
   ``drain`` record, writes a resumable manifest, and exits ``128+signum``.
@@ -28,8 +30,7 @@ The pieces, and who handles which failure:
 Layout of a campaign directory::
 
     journal.jsonl   WAL (plus journal.jsonl.torn after a crashed append)
-    campaign.lock   orchestrator mutual exclusion
-    heartbeats/     liveness beacons
+    campaign.lock   orchestrator mutual exclusion (mtime = last beat)
     cache/          content-addressed results
     telemetry/      per-cell epoch streams      (telemetry campaigns)
     checkpoints/    shared warm images          (checkpoint campaigns)
@@ -66,15 +67,8 @@ from repro.campaign.plan import (
     plan_cells,
     plan_fingerprint,
 )
-from repro.campaign.watchdog import (
-    heartbeat_dir,
-    orchestrator_beacon_path,
-    reap_dead_beacons,
-    scan_heartbeats,
-)
 from repro.sim.system import MODEL_VERSION
 from repro.utils.atomic import atomic_write_json, atomic_write_text
-from repro.utils.heartbeat import write_heartbeat
 from repro.utils.locks import FileLock, LockHeldError
 from repro.workloads.mix import mix_table_fingerprint, paper_mix_count
 
@@ -515,8 +509,6 @@ class Campaign:
         # Each distinct workload's traces, built once for this run (the
         # runner likewise encodes each trace tuple once for its keys).
         workloads: Dict[CampaignCell, List] = {}
-        reap_dead_beacons(self.directory)
-        beacon = orchestrator_beacon_path(self.directory)
         failed_now: Dict[str, str] = {}
         try:
             pending = self.pending
@@ -524,10 +516,7 @@ class Campaign:
             in_flight: List[Tuple[CampaignCell, object, str]] = []
             index = 0
             while index < len(pending) or in_flight:
-                write_heartbeat(
-                    beacon, state="dispatching",
-                    done=len(self.done), total=len(self.cells),
-                )
+                self.lock.beat()
                 while (
                     self._drain_signal is None
                     and index < len(pending)
@@ -573,8 +562,8 @@ class Campaign:
                             f"({len(self.done)}/{len(self.cells)}, {source})"
                         )
             if self._drain_signal is not None:
-                return self._drained(runner, failed_now, beacon)
-            return self._finalize(runner, scale, failed_now, beacon, workloads)
+                return self._drained(runner, failed_now)
+            return self._finalize(runner, scale, failed_now, workloads)
         finally:
             self.journal.chaos = None
             runner.close()
@@ -646,7 +635,6 @@ class Campaign:
                 if self.config.checkpoint
                 else None
             ),
-            heartbeat_dir=heartbeat_dir(self.directory),
         )
 
     def _install_signal_handlers(self) -> Dict[int, object]:
@@ -671,13 +659,12 @@ class Campaign:
         self._drain_signal = int(signum)
 
     def _drained(
-        self, runner: SweepRunner, failed_now: Dict[str, str], beacon: str
+        self, runner: SweepRunner, failed_now: Dict[str, str]
     ) -> CampaignOutcome:
         """SIGTERM/SIGINT path: in-flight work is already collected; journal
         the drain, persist a resumable manifest, and report 128+signum."""
         signum = self._drain_signal
         self.journal.append("drain", signal=signum)
-        write_heartbeat(beacon, state="drained", signal=signum)
         pending_ids = [c.cell_id for c in self.pending]
         self._write_manifest("drained", pending_ids, failed_now, signum)
         return CampaignOutcome(
@@ -696,7 +683,6 @@ class Campaign:
         runner: SweepRunner,
         scale,
         failed_now: Dict[str, str],
-        beacon: str,
         workloads: Dict[CampaignCell, List],
     ) -> CampaignOutcome:
         """Assemble final artifacts from the cache and commit completion.
@@ -708,7 +694,7 @@ class Campaign:
         bytes. Artifacts are written atomically *before* the ``complete``
         record, so that record proves the artifacts are durable.
         """
-        write_heartbeat(beacon, state="finalizing")
+        self.lock.beat()
         cell_payload: Dict[str, Dict] = {}
         for cell in self.cells:
             if cell.cell_id in failed_now:
@@ -762,7 +748,6 @@ class Campaign:
         self.journal.append("complete", results_digest=digest)
         self.completed = True
         self._write_manifest("complete", [], {}, None)
-        write_heartbeat(beacon, state="complete")
         return CampaignOutcome(
             status="complete",
             exit_code=0,
@@ -869,8 +854,8 @@ def campaign_status(directory: str) -> Dict:
             completed = True
         elif kind == "drain":
             drained = record.get("signal")
-    owner = FileLock(lock_path(directory)).read_owner()
-    report = scan_heartbeats(directory)
+    lock = FileLock(lock_path(directory))
+    owner, beat_age = lock.read_owner(), lock.beat_age()
     return {
         "directory": directory,
         "config": config.to_dict(),
@@ -882,20 +867,18 @@ def campaign_status(directory: str) -> Dict:
         "drained_signal": drained,
         "torn_tail_bytes": len(scan.torn),
         "journal_records": len(scan.records),
-        "lock_owner": None if owner is None else {
+        "lock_owner": None if owner is None or beat_age is None else {
             "pid": owner.pid,
             "host": owner.host,
             "alive": pid_alive(owner.pid),
+            "beat_age_s": beat_age,
         },
-        "workers_beating": len(report.workers),
-        "workers_stale": len(report.stale_workers),
-        "orchestrator_beating": report.orchestrator is not None
-        and not report.orchestrator.stale(120.0),
     }
 
 
 def render_status(status: Dict) -> str:
     """CI-friendly table for ``repro campaign status``."""
+    owner = status["lock_owner"]
     state = "complete" if status["completed"] else (
         "drained" if status["drained_signal"] is not None else "in progress"
     )
@@ -907,13 +890,11 @@ def render_status(status: Dict) -> str:
         ["journal records", status["journal_records"]],
         ["torn tail", f"{status['torn_tail_bytes']} bytes"
          if status["torn_tail_bytes"] else "none"],
-        ["lock", "free" if status["lock_owner"] is None else (
-            f"pid {status['lock_owner']['pid']} on "
-            f"{status['lock_owner']['host']} "
-            f"({'alive' if status['lock_owner']['alive'] else 'DEAD'})"
+        ["lock", "free" if owner is None else (
+            f"pid {owner['pid']} on {owner['host']} "
+            f"({'alive' if owner['alive'] else 'DEAD'}, last beat "
+            f"{owner['beat_age_s']:.0f}s ago)"
         )],
-        ["workers beating", status["workers_beating"]],
-        ["workers stale", status["workers_stale"]],
     ]
     return format_table(
         ["field", "value"], rows,

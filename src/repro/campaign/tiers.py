@@ -115,10 +115,6 @@ TIERS: Dict[str, TierPreset] = {
 }
 
 
-def tier_names() -> Tuple[str, ...]:
-    return tuple(TIERS)
-
-
 def tier_config(name: str, **overrides) -> CampaignConfig:
     """Resolve a tier name (and optional overrides) to a campaign config."""
     preset = TIERS.get(name)

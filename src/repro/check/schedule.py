@@ -178,15 +178,6 @@ class DrainSchedule:
         return profile
 
 
-def merge_cause_counts(
-    into: Dict[str, int], counts: Dict[str, int]
-) -> Dict[str, int]:
-    """Accumulate writeback-cause counters (shared by conformance/ledger)."""
-    for cause, count in counts.items():
-        into[cause] = into.get(cause, 0) + count
-    return into
-
-
 def schedule_events(schedule: DrainSchedule) -> List[Tuple[int, str, int]]:
     """Flatten a schedule for tests: (op, kind, addr) in op order."""
     events: List[Tuple[int, str, int]] = []

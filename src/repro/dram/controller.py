@@ -179,10 +179,6 @@ class MemoryController:
         return True
 
     @property
-    def pending_reads(self) -> int:
-        return len(self.read_queue)
-
-    @property
     def pending_writes(self) -> int:
         return len(self.write_buffer)
 

@@ -19,8 +19,8 @@ A reader that finds a ``*.tmp.<pid>`` file is looking at a crashed writer's
 litter; it is never the real artifact and is safe to ignore or delete.
 
 ``durable=False`` skips both fsyncs for callers that only need atomicity
-against concurrent readers, not against power loss (worker heartbeats, for
-example, are rewritten every few seconds and worthless after a reboot).
+against concurrent readers, not against power loss: files that are rewritten
+often and are worthless after a reboot anyway.
 """
 
 from __future__ import annotations

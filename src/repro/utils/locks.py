@@ -20,9 +20,9 @@ exactly one winner — the losers observe the path gone and go back to normal
 acquisition. A reclaimed lock's body is preserved as evidence under
 ``<path>.stale.<reclaimer-pid>`` until the unlink.
 
-Used by the sweep runner's warm-checkpoint image builds
-(``warm-<key>.ckpt.lock``) and the campaign orchestrator's directory lock;
-see ``docs/architecture.md`` §13.
+Used by the campaign orchestrator's directory lock (``campaign.lock``),
+which its owner beats once per scheduling round; see
+``docs/architecture.md`` §13.
 """
 
 from __future__ import annotations
@@ -91,9 +91,10 @@ class FileLock:
 
     Usage::
 
-        with FileLock(image_path + ".lock") as lock:
-            ...  # long build
-            lock.beat()  # refresh the heartbeat between build phases
+        with FileLock(os.path.join(directory, "campaign.lock")) as lock:
+            for batch in batches:
+                lock.beat()  # refresh the heartbeat once per batch
+                ...
 
     The context manager acquires with the configured ``timeout`` and always
     releases; ``beat()`` refreshes the heartbeat mtime so a slow-but-alive
@@ -178,9 +179,8 @@ class FileLock:
         release racing with the check) and acquisition should be retried
         immediately.
         """
-        try:
-            mtime = os.stat(self.path).st_mtime
-        except OSError:
+        age = self.beat_age()
+        if age is None:
             return True  # released (or reclaimed) under us; just retry
         owner = self.read_owner()
         if owner is not None:
@@ -190,14 +190,14 @@ class FileLock:
             if not same_host or pid_alive(owner.pid):
                 # Foreign host, or pid probing unavailable: trust only the
                 # heartbeat TTL.
-                if time.time() - mtime <= self.stale_seconds:
+                if age <= self.stale_seconds:
                     return False
         else:
             # Torn body: give a just-starting owner one heartbeat interval
             # to finish writing before declaring the lock dead. The body is
             # ~100 bytes, so a live writer finishes in microseconds; a torn
             # body older than the poll interval means a crashed writer.
-            if time.time() - mtime <= max(self.poll_seconds, 1.0):
+            if age <= max(self.poll_seconds, 1.0):
                 return False
         # Atomically move the stale lock aside: exactly one waiter wins the
         # rename; everyone else sees the path vanish and retries normally.
@@ -212,6 +212,14 @@ class FileLock:
             pass
         self.reclaimed += 1
         return True
+
+    def beat_age(self) -> Optional[float]:
+        """Seconds since the owner last beat (the lock file's mtime); None
+        when there is no lock file."""
+        try:
+            return max(0.0, time.time() - os.stat(self.path).st_mtime)
+        except OSError:
+            return None
 
     # ------------------------------------------------------------ lifetime
 

@@ -32,9 +32,3 @@ def check_range(name: str, value, low, high) -> None:
     """Raise ValueError unless low <= value <= high."""
     if not (low <= value <= high):
         raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
-
-
-def check_divides(name_a: str, a: int, name_b: str, b: int) -> None:
-    """Raise ValueError unless ``a`` divides ``b`` exactly."""
-    if a <= 0 or b % a != 0:
-        raise ValueError(f"{name_a} ({a}) must evenly divide {name_b} ({b})")

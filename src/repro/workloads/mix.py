@@ -204,21 +204,6 @@ def full_mix_specs(num_cores: int, seed: int = 0xDB1) -> List[MixSpec]:
     return category_mix_specs(num_cores, paper_mix_count(num_cores), seed=seed)
 
 
-def full_mix_table(
-    num_cores: int,
-    refs_per_core: int,
-    seed: int = 0xDB1,
-    footprint_divisor: int = 1,
-) -> List[WorkloadMix]:
-    """The paper's complete mix table, traces included (102/259/120 mixes)."""
-    return [
-        mix_from_spec(
-            spec, refs_per_core, seed=seed, footprint_divisor=footprint_divisor
-        )
-        for spec in full_mix_specs(num_cores, seed=seed)
-    ]
-
-
 def mix_table_fingerprint(
     specs: Sequence[MixSpec],
     refs_per_core: int,

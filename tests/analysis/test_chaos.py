@@ -10,7 +10,9 @@ Hang-recovery tests wait out real wall-clock timeouts and are marked
 
 import dataclasses
 import json
+import multiprocessing.connection
 import os
+import signal
 
 import pytest
 
@@ -203,21 +205,60 @@ class TestCrashRecovery:
         failure = excinfo.value.failure
         assert failure.kind == "crash"
         assert failure.attempts == 2
+        assert f"exited with code {CRASH_EXIT_CODE}" in failure.error
         assert runner.jobs_failed == 1
 
-    def test_degrades_to_inline_after_pool_death_limit(self):
-        """Past max_pool_deaths the runner stops trusting process isolation;
-        inline execution never applies crash chaos, so the job completes."""
-        config, traces = tiny_job()
-        chaos = ChaosConfig(seed=1, crash=1.0)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_each_death_is_charged_to_the_job_whose_worker_died(
+        self, workers
+    ):
+        """A job is charged one attempt per crash roll of its own and none
+        for a death it only shared a pool with: its attempts are exactly 1
+        plus its own crash rolls, and every pool death has a roll behind
+        it. Four workers (more than most CI hosts have cores) share one
+        announcement pipe under the same invariant."""
+        from repro.analysis.experiments import FIGURE6_MECHANISMS
+
+        jobs = [tiny_job(mechanism) for mechanism in FIGURE6_MECHANISMS]
+        chaos = ChaosConfig(seed=7, crash=0.5)
+        injector = FaultInjector(chaos)
+        needs = []
+        for config, traces in jobs:
+            key, need = job_key(config, traces), 1
+            while injector.should_crash(key, need):
+                need += 1
+            needs.append(need)
+        own_crashes = sum(needs) - len(needs)
+        assert own_crashes > 0 and max(needs) > 2
         with SweepRunner(
-            workers=2, cache_dir=None, chaos=chaos,
-            retry=RetryPolicy(max_attempts=4, max_pool_deaths=1, **FAST),
+            workers=workers, cache_dir=None, chaos=chaos,
+            retry=RetryPolicy(max_attempts=max(needs) + 1, **FAST),
         ) as runner:
-            result = runner.submit(config, traces).result()
-        assert result.ipc
-        assert runner.degraded_inline
-        assert "degraded to inline" in runner.summary()
+            futures = [runner.submit(c, t) for c, t in jobs]
+            for future in futures:
+                assert future.result().ipc
+        assert [future.attempts for future in futures] == needs
+        assert runner.jobs_failed == 0
+        assert runner.jobs_retried == own_crashes
+        assert 0 < runner.pool_deaths <= own_crashes
+
+    def test_worker_killed_between_jobs_charges_no_one(self):
+        """An idle worker's death breaks its pool, but no job ran on it:
+        the next job runs on a fresh pool at its first attempt."""
+        with SweepRunner(
+            workers=2, cache_dir=None,
+            retry=RetryPolicy(max_attempts=3, **FAST),
+        ) as runner:
+            assert runner.submit(*tiny_job("baseline")).result().ipc
+            pool = runner._pool
+            pid, process = next(iter(pool.processes.items()))
+            os.kill(pid, signal.SIGKILL)
+            assert multiprocessing.connection.wait([process.sentinel], 30)
+            future = runner.submit(*tiny_job("dbi"))
+            assert future.result().ipc
+        assert future.attempts == 1
+        assert runner.pool_deaths == 1
+        assert runner.jobs_retried == 0 and runner.jobs_failed == 0
 
 
 class TestFatalErrors:
@@ -441,7 +482,7 @@ class TestKeepGoingArtifacts:
         chaos = ChaosConfig(seed=1, crash=1.0)  # every attempt dies
         with SweepRunner(
             workers=2, cache_dir=None, chaos=chaos, keep_going=True,
-            retry=RetryPolicy(max_attempts=2, max_pool_deaths=100, **FAST),
+            retry=RetryPolicy(max_attempts=2, **FAST),
         ) as runner:
             out = run_figure6(
                 TINY, benchmarks=("bzip2",), mechanisms=("tadip", "dbi"),
@@ -467,7 +508,7 @@ class TestKeepGoingArtifacts:
         chaos = ChaosConfig(seed=1, crash=1.0)
         with SweepRunner(
             workers=2, cache_dir=None, chaos=chaos, keep_going=False,
-            retry=RetryPolicy(max_attempts=2, max_pool_deaths=100, **FAST),
+            retry=RetryPolicy(max_attempts=2, **FAST),
         ) as runner:
             with pytest.raises(SweepJobError):
                 run_figure6(
@@ -507,9 +548,7 @@ class TestHangRecovery:
         chaos = ChaosConfig(seed=1, hang=1.0, hang_seconds=30.0)
         with SweepRunner(
             workers=2, cache_dir=None, chaos=chaos, keep_going=True,
-            retry=RetryPolicy(
-                max_attempts=2, timeout=1.0, max_pool_deaths=10, **FAST
-            ),
+            retry=RetryPolicy(max_attempts=2, timeout=1.0, **FAST),
         ) as runner:
             future = runner.submit(config, traces)
             with pytest.raises(SweepJobError) as excinfo:

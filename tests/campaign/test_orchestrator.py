@@ -11,6 +11,7 @@ import glob
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -358,6 +359,32 @@ class TestStatus:
             assert render_status(status)
         finally:
             campaign.close()
+
+    def test_lock_is_beaten_every_round(self, tmp_path):
+        """A live campaign keeps its lock fresh, so an orchestrator on
+        another host never reclaims it for silence; status shows the beat.
+        Each completed cell rewinds the lock's mtime an hour; the next
+        round's beat must bring it back."""
+        directory = str(tmp_path / "camp")
+        config = make_config(mechanisms=("baseline", "dbi", "dbi+awb"))
+        lock = os.path.join(directory, "campaign.lock")
+        ages = []
+
+        def age_then_rewind(line):
+            if line.startswith("[campaign]"):
+                ages.append(time.time() - os.stat(lock).st_mtime)
+                os.utime(lock, (time.time() - 3600,) * 2)
+
+        with Campaign.create(directory, config) as campaign:
+            age_then_rewind("[campaign] created")
+            assert campaign.run(progress=age_then_rewind).status == "complete"
+            status = campaign_status(directory)
+        assert len(ages) == 1 + 3
+        assert all(age < 600 for age in ages), ages
+        owner = status["lock_owner"]
+        assert owner["pid"] == os.getpid() and owner["alive"]
+        assert owner["beat_age_s"] < 600
+        assert "last beat" in render_status(status)
 
     def test_status_after_completion(self, tmp_path):
         directory = str(tmp_path / "camp")

@@ -237,9 +237,7 @@ class TestForkImageBuilds:
             cache_dir=None,
             checkpoint_dir=str(tmp_path / "chaos"),
             chaos=ChaosConfig(crash=1.0, crash_attempts=1),
-            retry=RetryPolicy(
-                max_attempts=8, max_pool_deaths=50, backoff_base=0.0
-            ),
+            retry=RetryPolicy(max_attempts=8, backoff_base=0.0),
             progress=lines.append,
         ) as runner:
             recovered = sweep(runner)

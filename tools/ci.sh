@@ -39,10 +39,13 @@
 #                  must be answered from the cache, byte-identically.
 #   chaos        — the same sweep under seeded worker crashes, hangs and
 #                  cache corruption at p=0.3 with --keep-going; each sweep's
-#                  summary must report a retry (faults fired) and the
-#                  recovered output must be byte-identical to the fault-free
-#                  run. A fault-free rerun over the chaos cache must then
-#                  quarantine a corrupt entry and reproduce the output.
+#                  summary must report a retry (faults fired), each sweep
+#                  must retry a job in the last third of its job ids (faults
+#                  fire through the whole sweep, not only its first jobs),
+#                  and the recovered output must be byte-identical to the
+#                  fault-free run. A fault-free rerun over the chaos cache
+#                  must then quarantine a corrupt entry and reproduce the
+#                  output.
 #   reliability  — soft-error smoke: the heterogeneous-ECC experiment must
 #                  show zero data loss for DBI-tracked domains.
 #   telemetry    — epoch-sampling smoke: `repro run --telemetry` must leave
@@ -213,6 +216,25 @@ stage_chaos() {
         echo "ci: FAIL — $fired of 2 chaos sweeps reported a retry" >&2
         return 1
     fi
+    # ...and they must keep firing to the end of each sweep: each needs a
+    # retry progress line for a job in the last third of its job ids.
+    python - "$tmp/chaos.err" << 'PY'
+import re, sys
+
+sweeps, retried = [], set()
+for line in open(sys.argv[1]):
+    match = re.match(r"\[sweep (\d+)\] .* retry \d+/", line)
+    if match:
+        retried.add(int(match.group(1)))
+    match = re.match(r"sweep: (\d+) jobs", line)
+    if match:
+        total = int(match.group(1))
+        sweeps.append(any(job >= total - total // 3 for job in retried))
+        retried = set()
+if sweeps != [True, True]:
+    sys.exit(f"ci: FAIL — retry in the last third of each sweep: {sweeps}")
+print("ci: ok (both chaos sweeps retried a job in their last third)")
+PY
     # The torn cache entries surface on the next read: a fault-free rerun
     # must quarantine at least one and still reproduce the output.
     sweep_into "$tmp/chaos-cache" > "$tmp/rerun.txt" 2> "$tmp/rerun.err"
