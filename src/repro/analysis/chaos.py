@@ -27,10 +27,10 @@ Enablement
       like ``seed=7,crash=0.3,hang=0.3,corrupt=0.3,hang_seconds=20`` or
       ``kill=6,mode=torn``; both kinds of key mix in one spec.
 
-Crash and hang injection happen *inside pool worker processes* (the config
-travels with the job, so workers need no environment plumbing); they are
-never applied to inline execution, where a crash would take down the
-submitting process itself. Cache corruption is applied by the parent right
+Crash and hang injection happen *inside each attempt's own process* (the
+config travels with the job, so attempts need no environment plumbing);
+they are never applied to inline execution, where a crash would take down
+the submitting process itself. Cache corruption is applied by the parent right
 after an entry is written, modelling a torn write discovered on a later
 resume. Orchestrator faults signal the *own* process, so no cleanup
 handler runs, exactly like the OOM killer.
@@ -49,13 +49,13 @@ from typing import Optional
 #: Only the CLI reads it; library callers pass a :class:`ChaosConfig`.
 CHAOS_ENV = "REPRO_CHAOS"
 
-#: Exit code used for injected worker crashes (visible in pool diagnostics).
+#: Exit code used for injected crashes (named in the failure record).
 CRASH_EXIT_CODE = 13
 
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Picklable fault schedule (travels to pool workers with jobs).
+    """Picklable fault schedule (travels to each attempt with its job).
 
     Attributes:
         seed: decision-hash seed; same seed = same injected faults.
@@ -208,11 +208,11 @@ class FaultInjector:
     # ---------------------------------------------------------- application
 
     def apply_in_worker(self, key: str, attempt: int) -> None:
-        """Run one attempt's worth of chaos inside a pool worker.
+        """Run one attempt's worth of chaos inside the attempt's process.
 
         Crash wins over hang when both roll true. ``os._exit`` (not
         ``sys.exit``) so the process dies without unwinding — exactly what a
-        segfault or OOM kill looks like to the parent's process pool.
+        segfault or OOM kill looks like to the runner.
         """
         if self.should_crash(key, attempt):
             os._exit(CRASH_EXIT_CODE)

@@ -3,7 +3,7 @@
 Every table/figure of the paper decomposes into dozens of *independent*
 simulations — (config, traces) pairs that share nothing at runtime. The
 :class:`SweepRunner` exploits that: jobs are submitted up front, fanned out
-over a :class:`concurrent.futures.ProcessPoolExecutor`, and each completed
+over worker processes, and each completed
 :class:`SimulationResult` is memoized in a content-addressed on-disk cache so
 interrupted sweeps resume for free and artifacts that share runs (e.g. the
 baseline simulations common to Figure 7, Figure 8 and Table 3) compute each
@@ -30,31 +30,30 @@ Cache layout
     invisible performance cliff.
 
 Execution modes
-    ``workers >= 2`` uses a process pool; ``workers in (0, 1)`` runs jobs
-    inline at submission, which keeps single-process determinism tests and
-    small scripts free of pool overhead. Results are identical either way.
+    ``workers >= 2`` runs up to that many jobs at once. Each job lives in
+    one *slot* (a thread of a :class:`concurrent.futures.ThreadPoolExecutor`
+    that queues the jobs), and each of its attempts is a process of its
+    own, forked from this one: it inherits the job, so nothing is pickled
+    on the way in, and sends back one ``(ok, result or exception)`` message
+    on a pipe. ``workers in (0, 1)`` runs jobs inline at submission, which
+    keeps single-process determinism tests and small scripts free of
+    process overhead. Results, and the bytes of every warm image, are
+    identical either way.
 
 Fault tolerance
-    Pool execution survives the two ways a worker fails, and charges each
-    failure to exactly the job whose worker failed. Before a worker runs an
-    attempt it announces (pid, job key, attempt, start time) on its pool's
-    pipe, so the runner always knows which worker ran which attempt:
+    Because every attempt has a process of its own, the way that process
+    ends is the attempt's outcome, and no other job's:
 
-    * **worker deaths** (``BrokenProcessPool``) — a job whose own worker
-      exited by itself (a crash, a fatal signal, the OOM killer) is charged
-      that attempt as a ``crash`` and retried with exponential backoff plus
-      deterministic jitter. Every other job the death touched — queued,
-      running on a worker the pool terminated or the runner killed, or
-      collected from a pool that was already replaced — goes back on the
-      queue at the same attempt, uncharged. A broken pool is replaced once,
-      by whoever collects it first, and never takes its successor down;
-    * **wedged workers** — an optional per-attempt wall-clock timeout
-      (:attr:`RetryPolicy.timeout`), counted from the attempt's announced
-      start: a waiting collector kills every worker whose attempt has run
-      past it, and each such attempt is charged as a ``hang``.
+    * **deaths** — an attempt whose process exits without reporting (a
+      crash, a fatal signal, the OOM killer) is charged as a ``crash`` and
+      retried with exponential backoff plus deterministic jitter;
+    * **hangs** — an optional per-attempt wall-clock timeout
+      (:attr:`RetryPolicy.timeout`), counted from the start of the
+      attempt's process: the slot kills that process, and only that one,
+      and charges the attempt as a ``hang``.
 
     Each job is bounded by :attr:`RetryPolicy.max_attempts` alone; a job
-    that runs out fails with its worker's exit code or signal named in
+    that runs out fails with its process's exit code or signal named in
     :attr:`JobFailure.error`.
 
     Deterministic *simulation* exceptions are different: retrying a
@@ -88,15 +87,15 @@ Checkpoint acceleration
     Both kinds of image are built the same way: an image-build job,
     memoized by image path, runs :func:`~repro.checkpoint.warm.warm_cell`
     and snapshots the result, and every job that restores the image waits
-    on it as its ``prerequisite``. Builds are pool jobs like any other, so
-    they get the same retries, chaos and failure records.
+    on it: it starts once the build lands, and fails with the build's
+    failure. Builds are jobs like any other, so they get the same retries,
+    chaos and failure records.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import concurrent.futures.process
-import functools
+import gc
 import json
 import multiprocessing
 import multiprocessing.connection
@@ -253,19 +252,17 @@ def _entry_result(payload, key: str) -> Optional[Dict]:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the runner treats a pool job that did not come back clean.
+    """How the runner treats an attempt that did not come back clean.
 
     Attributes:
         max_attempts: total attempts per job (1 = never retry). An attempt
-            is charged only when the job's own worker failed it: the worker
-            exited by itself (``crash``) or overran ``timeout`` (``hang``).
-            A job that merely shared a pool with a failing worker is
-            requeued at the same attempt. Deterministic simulation
-            exceptions always surface after one attempt regardless.
-        timeout: per-attempt wall-clock seconds, from the attempt's start
-            in its worker, before it is declared hung (None = wait
-            forever). A hung attempt cannot be cancelled — its worker is
-            wedged — so the worker is killed and its pool replaced.
+            is charged when its process exits without reporting
+            (``crash``) or overruns ``timeout`` (``hang``). Deterministic
+            simulation exceptions always surface after one attempt
+            regardless.
+        timeout: per-attempt wall-clock seconds, from the start of the
+            attempt's process, before it is declared hung and killed (None
+            = wait forever).
         backoff_base: first retry delay, seconds.
         backoff_factor: multiplier per further retry (exponential).
         backoff_max: delay ceiling, seconds.
@@ -302,8 +299,8 @@ class JobFailure:
     """Terminal record of one job the sweep could not complete.
 
     ``kind`` is ``"fatal"`` (deterministic simulation exception), ``"crash"``
-    (the job's worker died, retries exhausted; ``error`` names its exit
-    code or signal) or ``"hang"`` (timeouts, retries exhausted).
+    (the attempt's process died, retries exhausted; ``error`` names its
+    exit code or signal) or ``"hang"`` (timeouts, retries exhausted).
     """
 
     job_id: int
@@ -329,8 +326,9 @@ class JobFailure:
 class SweepJobError(RuntimeError):
     """A job failed terminally; details in :attr:`failure`.
 
-    The underlying exception (the simulation error, ``BrokenProcessPool``,
-    or the final ``TimeoutError``) is chained as ``__cause__``.
+    The underlying exception (the simulation error, the last crashed
+    attempt's ``RuntimeError``, or the final ``TimeoutError``) is chained
+    as ``__cause__``.
     """
 
     def __init__(self, failure: JobFailure) -> None:
@@ -343,7 +341,7 @@ class SweepJobError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepJob:
-    """Picklable spec of one simulation (what a worker process receives).
+    """Spec of one simulation (an attempt's process inherits it).
 
     ``telemetry``/``telemetry_path`` are observational riders: they are NOT
     part of :func:`job_key` (telemetry cannot change results), so a cache
@@ -352,7 +350,7 @@ class SweepJob:
     ``image`` is a warm image on disk. A job with a ``shard`` restores it
     and runs that segment of a sharded cell; a job with a
     ``warm_mechanism`` restores it and forks the cell from its group's
-    image. Each worker restores its own private copy of the (read-only)
+    image. Each attempt restores its own private copy of the (read-only)
     file, so any number of jobs restore one image concurrently. A job with
     neither is the image's build: it warms the system, writes the image
     and returns its header. ``sampled`` switches the job to SMARTS-style
@@ -403,12 +401,14 @@ def _telemetry_partial_path(path: str) -> str:
 
 
 def _execute(job: SweepJob) -> SimulationResult:
-    """Run one job (module-level so the process pool can pickle it).
+    """Run one job (module-level: an attempt's process looks it up at call
+    time, so a wrapper installed before the fork runs there).
 
     An image build writes its image and returns the image header instead
     of a result. Image and sampled jobs import the checkpoint package
-    lazily, so plain sweeps never pay for it; the runner refuses them check
-    and telemetry riders, so they never stream epochs or audit ledgers.
+    lazily, so plain sweeps never pay for it (the runner imports it before
+    forking such a job's attempts); the runner refuses them check and
+    telemetry riders, so they never stream epochs or audit ledgers.
 
     Telemetry-enabled jobs stream epochs to ``<telemetry_path>.partial``
     while running and rename to the final path on success, so a crashed or
@@ -477,38 +477,51 @@ def _execute(job: SweepJob) -> SimulationResult:
     return result
 
 
-#: The pipe end this pool worker announces its attempts on (set by
-#: :func:`_worker_init` in each worker; unused in the runner's process).
-_announce: Optional[multiprocessing.connection.Connection] = None
+#: Every attempt's process is forked: it inherits its job and the
+#: module-global ``_execute`` as they are in this process.
+_FORK = multiprocessing.get_context("fork")
 
 
-def _worker_init(announce: multiprocessing.connection.Connection) -> None:
-    """Pool initializer: keep the pipe end this worker announces on."""
-    global _announce
-    _announce = announce
+def _attempt_main(
+    job: SweepJob,
+    attempt: int,
+    chaos: Optional[ChaosConfig],
+    outcome: multiprocessing.connection.Connection,
+) -> None:
+    """Body of one attempt's process: apply chaos, simulate, report, exit.
 
-
-def _execute_in_worker(
-    job: SweepJob, attempt: int, chaos: Optional[ChaosConfig]
-) -> SimulationResult:
-    """Pool-side entry point: announce the attempt, apply chaos, simulate.
-
-    The announcement is one pipe write far below ``PIPE_BUF``, so a pool's
-    workers share the pipe without a lock, and it is in the pipe before
-    chaos (or anything else) can kill the worker: whatever happens next,
-    the runner knows which attempt this worker was running. The chaos
+    The inherited heap is frozen first: the garbage collector then never
+    walks it, so it is not copied page by page into this process. SIGTERM
+    and SIGINT go back to their defaults, so a handler this process
+    inherited (a campaign's drain) cannot keep it alive. The chaos
     config rides along with the job; decisions are pure functions of (seed,
-    kind, key, attempt). ``_execute`` is looked up at call time, so a
-    wrapper installed before the pool forks runs in every worker.
+    kind, key, attempt). The process sends ``(ok, result or exception,
+    traceback)`` once and leaves through ``os._exit``, so it never touches
+    stdio state inherited from the parent's other threads.
     """
-    _announce.send((os.getpid(), job.key, attempt, time.monotonic()))
+    gc.freeze()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, signal.SIG_DFL)
     if chaos is not None:
         FaultInjector(chaos).apply_in_worker(job.key, attempt)
-    return _execute(job)
+    try:
+        message = (True, _execute(job), None)
+    except Exception as exc:
+        message = (False, exc, traceback_module.format_exc())
+    try:
+        outcome.send(message)
+    except Exception as exc:  # the result or the exception does not pickle
+        error = RuntimeError(f"the attempt's outcome does not pickle: {exc!r}")
+        outcome.send((False, error, traceback_module.format_exc()))
+    os._exit(0)
+
+
+class _RemoteTraceback(Exception):
+    """The traceback an exception had in its attempt's process."""
 
 
 def _exit_text(code: int) -> str:
-    """A worker's exit code in words (negative codes are signals)."""
+    """A process's exit code in words (negative codes are signals)."""
     if code >= 0:
         return f"exited with code {code}"
     try:
@@ -517,176 +530,28 @@ def _exit_text(code: int) -> str:
         return f"was killed by signal {-code}"
 
 
-class _WorkerPool:
-    """One process pool plus what its workers announced.
-
-    ``running`` maps each attempt a worker announced and has not finished,
-    as (key, attempt), to that worker's (pid, start). When the pool breaks,
-    that map and the workers' exit codes say, per job, whether the job's
-    own worker died by itself, was killed (by the pool, or by the runner:
-    as collateral in ``killed``, for overrunning the timeout in ``hung``),
-    or never ran the job at all.
-    """
-
-    def __init__(self, workers: int) -> None:
-        context = multiprocessing.get_context("fork")
-        self._reader, self._writer = context.Pipe(duplex=False)
-        self.executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(self._writer,),
-        )
-        self._lock = threading.Lock()
-        self.processes: Dict[int, multiprocessing.process.BaseProcess] = {}
-        self.running: Dict[Tuple[str, int], Tuple[int, float]] = {}
-        self.hung: Set[int] = set()
-        self.killed: Set[int] = set()
-        self.retired = False  # replaced after a death (see SweepRunner._retire)
-
-    def submit(
-        self, job: SweepJob, attempt: int, chaos: Optional[ChaosConfig]
-    ) -> concurrent.futures.Future:
-        inner = self.executor.submit(_execute_in_worker, job, attempt, chaos)
-        with self._lock:
-            if self._writer is not None:
-                # The fork start method starts every worker at the first
-                # submit: record them, and drop this process's pipe end so
-                # later pools' workers do not inherit it.
-                self.processes = dict(self.executor._processes)
-                self._writer.close()
-                self._writer = None
-        inner.add_done_callback(
-            functools.partial(self._attempt_done, job.key, attempt)
-        )
-        return inner
-
-    def _attempt_done(self, key: str, attempt: int, inner) -> None:
-        """An attempt that returned or raised no longer runs; one ended by
-        the pool's death keeps its entry, which attributes that death."""
-        self._drain()
-        if not inner.cancelled() and not isinstance(
-            inner.exception(), concurrent.futures.BrokenExecutor
-        ):
-            with self._lock:
-                self.running.pop((key, attempt), None)
-
-    def _drain(self) -> None:
-        """Read every announcement waiting in the pipe."""
-        with self._lock:
-            try:
-                while self._reader.poll():
-                    pid, key, attempt, started = self._reader.recv()
-                    self.running[key, attempt] = (pid, started)
-            except (EOFError, OSError):
-                pass  # every worker has exited
-
-    def announced(self, key: str, attempt: int) -> Optional[Tuple[int, float]]:
-        """(pid, start) of the worker running this attempt, if one is."""
-        self._drain()
-        with self._lock:
-            return self.running.get((key, attempt))
-
-    def exit_code(self, pid: int) -> Optional[int]:
-        """The worker's exit code (negative: its signal); None while alive."""
-        process = self.processes[pid]
-        if not multiprocessing.connection.wait([process.sentinel], 0):
-            return None
-        # Dead; the pool's own thread may be reaping it right now.
-        deadline = time.monotonic() + 1.0
-        while process.exitcode is None and time.monotonic() < deadline:
-            time.sleep(0.001)
-        return process.exitcode
-
-    def kill(self, pid: int, reason: Set[int]) -> None:
-        """SIGKILL a live worker, recording why in ``reason``."""
-        if self.exit_code(pid) is None:
-            reason.add(pid)
-            try:
-                self.processes[pid].kill()
-            except OSError:
-                pass
-
-    def _starts(self) -> List[Tuple[int, float]]:
-        """(pid, start) of every running attempt not already killed."""
-        self._drain()
-        with self._lock:
-            return [
-                (pid, started) for pid, started in self.running.values()
-                if pid not in self.hung and pid not in self.killed
-            ]
-
-    def next_deadline(self, timeout: float) -> Optional[float]:
-        """When the earliest running attempt overruns ``timeout``."""
-        starts = [started for _pid, started in self._starts()]
-        return min(starts) + timeout if starts else None
-
-    def kill_overdue(self, timeout: float) -> None:
-        """Kill every worker whose attempt has run past ``timeout``."""
-        now = time.monotonic()
-        for pid, started in self._starts():
-            if now - started >= timeout:
-                self.kill(pid, self.hung)
-
-    def retire(self) -> None:
-        """Release a broken pool: kill its survivors as collateral."""
-        for pid in self.processes:
-            self.kill(pid, self.killed)
-        self.executor.shutdown(wait=False, cancel_futures=True)
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        self.executor.shutdown(wait=wait, cancel_futures=cancel_futures)
-
-
 class SweepFuture:
     """Handle to one submitted job; ``result()`` blocks until it is done.
 
-    For pool-backed jobs, ``result()`` drives the runner's retry loop: it is
-    where timeouts are detected, crashed attempts are re-dispatched, and the
-    completed result is cached and accounted exactly once.
+    The job's slot (or, inline, its submitter) runs its attempts, retries,
+    caching and accounting, and settles the future exactly once.
     """
 
     def __init__(
-        self,
-        job: SweepJob,
-        inner: Optional[concurrent.futures.Future] = None,
-        value: Optional[SimulationResult] = None,
-        runner: Optional["SweepRunner"] = None,
+        self, job: SweepJob, value: Optional[SimulationResult] = None
     ) -> None:
         self.job = job
         self.attempts = 1
         self.started = time.perf_counter()
-        self._inner = inner
-        #: The pool ``_inner`` runs on (None inline).
-        self._pool: Optional[_WorkerPool] = None
-        self._value = value
-        self._runner = runner
-        self._failure: Optional[JobFailure] = None
-        self._resolve_lock = threading.Lock()
-        #: The image build whose image this job restores: no attempt
-        #: starts before it lands.
-        self.prerequisite: Optional["SweepFuture"] = None
-        #: The jobs waiting on this image build.
+        self._outcome: concurrent.futures.Future = concurrent.futures.Future()
+        if value is not None:
+            self._outcome.set_result(value)
+        #: The jobs waiting on this image build: launched when it lands,
+        #: settled as it was when it fails or is cancelled.
         self.dependents: List["SweepFuture"] = []
 
     def done(self) -> bool:
-        inner = self._inner
-        return (
-            self._value is not None
-            or self._failure is not None
-            or (inner is not None and inner.done())
-        )
-
-    def landed(self) -> bool:
-        """Whether the job has succeeded, collected or not (for an image
-        build: its image is on disk)."""
-        inner = self._inner
-        return self._value is not None or (
-            inner is not None
-            and inner.done()
-            and not inner.cancelled()
-            and inner.exception() is None
-        )
+        return self._outcome.done()
 
     def result(self, timeout: Optional[float] = None) -> SimulationResult:
         """The job's result.
@@ -695,15 +560,10 @@ class SweepFuture:
             SweepJobError: the job failed terminally (deterministic
                 simulation error, or retries exhausted); the original
                 exception is chained as ``__cause__``.
+            concurrent.futures.CancelledError: the runner was closed with
+                ``cancel=True`` before the job finished.
         """
-        if self._value is not None:
-            return self._value
-        if self._failure is not None:
-            raise SweepJobError(self._failure)
-        if self._runner is not None:
-            return self._runner._await(self)
-        self._value = self._inner.result(timeout)
-        return self._value
+        return self._outcome.result(timeout)
 
 
 @dataclass(frozen=True)
@@ -781,9 +641,10 @@ class SweepRunner:
     """Fan (config, traces) jobs over worker processes with result caching.
 
     Args:
-        workers: process count; ``None`` = ``os.cpu_count() - 1``; values
-            below 2 run jobs inline in this process (deterministically
-            identical results, no pool overhead).
+        workers: how many jobs run at once, each attempt in a process of
+            its own; ``None`` = ``os.cpu_count() - 1``; values below 2 run
+            jobs inline in this process (deterministically identical
+            results, no process overhead).
         cache_dir: on-disk cache directory; created on first write.
         use_cache: set False to neither read nor write the disk cache
             (in-memory memoization of repeated submissions still applies).
@@ -801,8 +662,8 @@ class SweepRunner:
             *collectors* (``repro.analysis.experiments``) to swallow
             :class:`SweepJobError` per job and render partial artifacts.
         chaos: deterministic fault schedule (tests/CI); None injects
-            nothing. Worker crashes and hangs travel to pool workers with
-            each job, image builds included; cache corruption and the
+            nothing. Crashes and hangs apply in each attempt's process,
+            image builds included; cache corruption and the
             image-build and image-written kills fire in this process
             through :attr:`injector`.
         telemetry: epoch-sampling config attached to every *simulated* job;
@@ -894,8 +755,13 @@ class SweepRunner:
         self.keep_going = keep_going
         self.chaos = chaos
         self.injector = FaultInjector(chaos) if chaos is not None else None
-        self._pool: Optional[_WorkerPool] = None
+        #: The slots: queue the jobs, run at most ``workers`` at once.
+        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._lock = threading.RLock()
+        #: Serializes forks and reaps; guards ``_live``.
+        self._fork_lock = threading.Lock()
+        self._live: Set[multiprocessing.process.BaseProcess] = set()
+        self._cancelled = threading.Event()  # set by close(cancel=True)
         self._futures: Dict[str, SweepFuture] = {}
         self._next_id = 0
         self._started = time.perf_counter()
@@ -906,7 +772,6 @@ class SweepRunner:
         self.jobs_failed = 0  # jobs that failed terminally
         self.jobs_retried = 0  # attempts beyond the first, across all jobs
         self.cache_corrupt = 0  # cache entries quarantined on load
-        self.pool_deaths = 0  # pools replaced after a worker died or hung
         self.warm_images_built = 0  # image builds that landed
         self.checkpoints_quarantined = 0  # corrupt or stale images set aside
         self.failures: List[JobFailure] = []
@@ -929,20 +794,31 @@ class SweepRunner:
         self.close(cancel=exc_type is not None)
 
     def close(self, cancel: bool = False) -> None:
-        """Shut the worker pool down.
+        """Shut the slots down.
 
         Args:
-            cancel: False waits for in-flight jobs; True cancels queued jobs
-                and returns without waiting.
+            cancel: False waits until every submitted job has settled; True
+                kills every live attempt, cancels every job not yet done
+                (``result()`` raises ``CancelledError``) and returns without
+                waiting. A cancelled runner starts no attempt, and no
+                retry, again.
         """
+        if cancel:
+            self._cancelled.set()
+            with self._fork_lock:
+                for process in self._live:
+                    process.kill()
+        else:
+            with self._lock:
+                jobs = [*self._futures.values(), *self._image_builds.values()]
+            concurrent.futures.wait(
+                [future._outcome for future in jobs if future is not None]
+            )
         with self._lock:
             pool, self._pool = self._pool, None
             tempdir, self._image_tempdir = self._image_tempdir, None
         if pool is not None:
-            if cancel:
-                pool.shutdown(wait=False, cancel_futures=True)
-            else:
-                pool.shutdown(wait=True)
+            pool.shutdown(wait=not cancel, cancel_futures=cancel)
         if tempdir is not None:
             tempdir.cleanup()
 
@@ -1030,7 +906,7 @@ class SweepRunner:
         own config and traces. When the image lands, one job per segment
         restores it and runs its segment
         (:func:`~repro.checkpoint.shard.run_shard`), so segments still fan
-        out across the pool. Each segment is individually cached under its
+        out across the slots. Each segment is individually cached under its
         own key, so a resumed campaign re-answers completed segments from
         the cache, and a cell whose segments are all cached never warms.
         An image already on disk is digest-verified and reused; a corrupt
@@ -1097,8 +973,6 @@ class SweepRunner:
                 f", {self.checkpoints_quarantined} corrupt or stale image(s) "
                 "quarantined"
             )
-        if self.pool_deaths:
-            extra += f", {self.pool_deaths} pool death(s)"
         return (
             f"sweep: {self.jobs_submitted} jobs "
             f"({self.jobs_executed} simulated, {self.cache_hits} cache hits, "
@@ -1179,7 +1053,7 @@ class SweepRunner:
                 os.makedirs(os.path.dirname(image) or ".", exist_ok=True)
                 job = SweepJob(self._next_id, key, config, traces, image=image)
                 self._next_id += 1
-                build = SweepFuture(job, runner=self)
+                build = SweepFuture(job)
             self._image_builds[image] = build
         if build is not None:
             self._launch(build)
@@ -1189,66 +1063,43 @@ class SweepRunner:
         self, build: Optional[SweepFuture], futures: Sequence[SweepFuture]
     ) -> None:
         """Launch jobs that restore ``build``'s image: at once if it needs
-        no build or has landed (or inline, where :meth:`_await` waits on
-        the build), else as its dependents, started when it lands."""
+        no build, once it settles otherwise (see :meth:`_after`)."""
         for future in futures:
-            if build is not None:
-                future.prerequisite = build
-                if self.workers >= 2:
-                    with self._lock:
-                        if not build.landed():
-                            build.dependents.append(future)
-                            continue
-            self._launch(future)
+            if build is None:
+                self._launch(future)
+                continue
+            with self._lock:
+                if not build.done():
+                    build.dependents.append(future)
+                    continue
+            self._after(build, future)
 
     def _start_dependents(self, build: SweepFuture) -> None:
-        """Start the jobs waiting on ``build`` if it has landed.
+        """Settle the jobs waiting on ``build``, which has just settled.
 
-        Runs on the pool's result thread when an attempt finishes (a failed
-        one is retried by the thread that collects the build) and when a
-        collected build completes. The dependents are read under the lock
-        once the build has landed, so a job :meth:`_launch_after` attached
-        before then is among them, and one it attached later saw the build
-        landed and launched itself.
+        Runs in the build's slot (or on cancellation). The dependents are
+        taken under the lock after the build settled, so a job
+        :meth:`_launch_after` attached before then is among them, and one
+        it saw later found the build settled and was handled there.
         """
-        if not build.landed():
-            return
         with self._lock:
-            dependents = list(build.dependents)
+            dependents, build.dependents = build.dependents, []
         for future in dependents:
-            self._start_dependent(future)
+            self._after(build, future)
 
-    def _start_dependent(self, future: SweepFuture) -> None:
-        """Submit a job whose image has landed, unless someone else is.
-
-        May run on the pool's result thread, so it never blocks, never
-        runs a job inline and never respawns a pool; a job it skips is
-        submitted by the thread that collects it (see :meth:`_await`).
-        """
-        pool = self._pool
-        if pool is None:
-            return
-        if not future._resolve_lock.acquire(blocking=False):
-            return
-        try:
-            if future._inner is None and not future.done():
-                self._put(future, pool)
-        except (concurrent.futures.BrokenExecutor, RuntimeError):
-            pass  # pool broke or shut down: the collector resubmits
-        finally:
-            future._resolve_lock.release()
-
-    def _await_prerequisite(self, future: SweepFuture) -> None:
-        """Block until the image this job restores has landed; a failed
-        build fails the job with the build's failure."""
-        try:
-            future.prerequisite.result()
-        except SweepJobError as exc:
+    def _after(self, build: SweepFuture, future: SweepFuture) -> None:
+        """Launch a job whose image build has landed; end it as its build
+        ended if the build failed or was cancelled."""
+        outcome = build._outcome
+        if outcome.cancelled():
+            self._cancel(future)
+        elif outcome.exception() is None:
+            self._launch(future)
+        else:
             with self._lock:
                 if self._futures.get(future.job.key) is future:
                     del self._futures[future.job.key]
-            future._failure = exc.failure
-            raise
+            future._outcome.set_exception(outcome.exception())
 
     def _release_image(self, image: str) -> None:
         """A sharded cell was collected: delete its image once unused."""
@@ -1314,108 +1165,66 @@ class SweepRunner:
                 self._emit(job, 0.0, "hit")
                 future = SweepFuture(job, value=cached)
             else:
-                future = SweepFuture(job, runner=self)
+                future = SweepFuture(job)
             self._futures[key] = future
             return future, cached is None
 
     def _launch(self, future: SweepFuture) -> None:
-        """Start a registered job: onto the pool, or run it inline."""
-        if self.workers >= 2:
-            self._submit_attempt(future)
-            return
-        # Inline mode executes at submission (callers may rely on
-        # jobs_executed being current); failures surface from result().
-        try:
-            self._await(future)
-        except SweepJobError:
-            pass
-
-    def _submit_attempt(self, future: SweepFuture) -> None:
-        """Start the job's current attempt (see :meth:`_submit`)."""
+        """Start a registered job: in a slot, or inline."""
         job = future.job
-        if job.builds_image and self.injector is not None:
-            self.injector.on_warm_build(job.image)
-        self._submit(future)
-
-    def _submit(self, future: SweepFuture) -> None:
-        """Put the job's current attempt on the pool, replacing a broken
-        pool first, or run it inline."""
         if self.workers < 2:
-            # Inline execution shares the future-based error path with the
-            # pool so _await classifies both identically. Crash/hang chaos
-            # is never applied inline — it would take down this process.
-            inline: concurrent.futures.Future = concurrent.futures.Future()
-            try:
-                inline.set_result(_execute(future.job))
-            except Exception as exc:  # classified fatal by _await
-                inline.set_exception(exc)
-            future._inner, future._pool = inline, None
+            # Inline mode executes at submission (callers may rely on
+            # jobs_executed being current); failures surface from result().
+            self._run(future)
             return
-        while True:
-            with self._lock:
+        if job.image is not None or job.sampled is not None:
+            # What _execute imports lazily is imported here, before any
+            # fork: a child must never find a module half-imported by
+            # another thread of this process.
+            import repro.checkpoint.shard  # noqa: F401
+        with self._lock:
+            if self._cancelled.is_set():
+                slot = None
+            else:
                 if self._pool is None:
-                    self._pool = _WorkerPool(self.workers)
-                pool = self._pool
-            try:
-                self._put(future, pool)
-                return
-            except concurrent.futures.BrokenExecutor:
-                # The pool broke under another job and nobody has collected
-                # that job yet; replace it and submit to the fresh one.
-                self._retire(pool)
-
-    def _put(self, future: SweepFuture, pool: _WorkerPool) -> None:
-        """Submit the job's current attempt to ``pool``."""
-        future._inner = pool.submit(future.job, future.attempts, self.chaos)
-        future._pool = pool
-        if future.job.builds_image:
-            # The dependents start the moment the image lands.
-            future._inner.add_done_callback(
-                lambda _inner: self._start_dependents(future)
+                    self._pool = concurrent.futures.ThreadPoolExecutor(
+                        self.workers, thread_name_prefix="sweep-slot"
+                    )
+                slot = self._pool.submit(self._run, future)
+        if slot is None:
+            self._cancel(future)
+        else:
+            # A queued job cancelled by close() never runs: settle it here.
+            slot.add_done_callback(
+                lambda slot: slot.cancelled() and self._cancel(future)
             )
 
-    def _await(self, future: SweepFuture) -> SimulationResult:
-        """Drive one job to completion or terminal failure (retry loop)."""
-        with future._resolve_lock:
-            if future._value is not None:
-                return future._value
-            if future._failure is not None:
-                raise SweepJobError(future._failure)
-            job = future.job
-            if future.prerequisite is not None:
-                # Also collects a build that landed in the pool and already
-                # started this job, so every build is accounted.
-                self._await_prerequisite(future)
+    def _cancel(self, future: SweepFuture) -> None:
+        """Settle a job the runner was closed under, and its dependents."""
+        future._outcome.cancel()
+        self._start_dependents(future)
+
+    def _run(self, future: SweepFuture) -> None:
+        """A job's whole life: its attempts and the backoff between them,
+        then its completion or failure, then its dependents."""
+        job = future.job
+        try:
             while True:
-                if future._inner is None:
-                    self._submit_attempt(future)
-                try:
-                    result = future._inner.result(
-                        timeout=self._wait_slice(future)
-                    )
-                except concurrent.futures.TimeoutError:
-                    # Some attempt on this pool may have overrun: kill its
-                    # worker, whoever's it is, and keep waiting.
-                    future._pool.kill_overdue(self.retry.timeout)
-                    continue
-                except concurrent.futures.CancelledError as exc:
-                    # The runner was closed under the attempt.
-                    kind, error = None, exc
-                except concurrent.futures.BrokenExecutor as exc:
-                    kind, error = self._charge(future, exc)
-                except Exception as exc:
-                    # A deterministic simulation error: a retry would fail
-                    # identically, so surface it after this one attempt.
-                    self._fail(future, "fatal", exc)
-                else:
-                    return self._complete(future, result)
-                future._inner = None
+                if job.builds_image and self.injector is not None:
+                    self.injector.on_warm_build(job.image)
+                kind, value = self._attempt(future)
                 if kind is None:
-                    # Not this job's fault: the same attempt, uncharged.
-                    self._submit(future)
-                    continue
-                if future.attempts >= self.retry.max_attempts:
-                    self._fail(future, kind, error)
+                    self._complete(future, value)
+                    break
+                # A deterministic simulation error would only fail the same
+                # way again: it surfaces after this one attempt.
+                exhausted = future.attempts >= self.retry.max_attempts
+                if kind == "fatal" or exhausted:
+                    self._fail(future, kind, value)
+                    break
+                delay = self.retry.delay(job.key, future.attempts + 1)
+                if self._cancelled.wait(delay):
+                    raise concurrent.futures.CancelledError()
                 future.attempts += 1
                 with self._lock:
                     self.jobs_retried += 1
@@ -1424,62 +1233,98 @@ class SweepRunner:
                     time.perf_counter() - future.started,
                     f"retry {future.attempts}/{self.retry.max_attempts} ({kind})",
                 )
-                time.sleep(self.retry.delay(job.key, future.attempts))
+        except concurrent.futures.CancelledError:
+            future._outcome.cancel()
+        except Exception as exc:  # e.g. a retry-consistency violation
+            if not future.done():
+                future._outcome.set_exception(exc)
+        self._start_dependents(future)
 
-    def _wait_slice(self, future: SweepFuture) -> Optional[float]:
-        """How long to wait on an attempt before looking for overruns: until
-        the earliest running attempt on its pool overruns the timeout."""
-        timeout = self.retry.timeout
-        if timeout is None or future._pool is None:
-            return None
-        deadline = future._pool.next_deadline(timeout)
-        if deadline is None:
-            return timeout
-        return max(0.05, deadline - time.monotonic())
+    def _attempt(self, future: SweepFuture) -> Tuple[Optional[str], object]:
+        """Run the job's current attempt: ``(None, result)``, or ``(kind,
+        error)`` with kind ``"fatal"``, ``"crash"`` or ``"hang"``.
 
-    def _charge(
-        self, future: SweepFuture, exc: Exception
-    ) -> Tuple[Optional[str], Exception]:
-        """Why the job's attempt died with its pool: ``"crash"`` when its
-        own worker exited by itself, ``"hang"`` when the runner killed that
-        worker for overrunning, None for anything else; with the error a
-        terminal failure reports."""
-        pool = future._pool
-        self._retire(pool)
-        announced = pool.announced(future.job.key, future.attempts)
-        if announced is None:
-            return None, exc  # the attempt never started on this pool
-        pid = announced[0]
-        if pid in pool.hung:
-            kind, error = "hang", TimeoutError(
-                f"worker {pid} ran attempt {future.attempts} past the "
+        Inline, the attempt runs in this process, and crash and hang chaos
+        are never applied (they would take this process down). Otherwise
+        it is a forked process of its own (:func:`_attempt_main`), so how
+        that process ends is this attempt's outcome and no other's: no
+        report means it died (``crash``), an overrun means the slot killed
+        it (``hang``). Raises ``CancelledError`` once the runner is closed
+        with ``cancel``.
+        """
+        job, attempt = future.job, future.attempts
+        if self.workers < 2:
+            try:
+                return None, _execute(job)
+            except Exception as exc:
+                return "fatal", exc
+        reader, writer = _FORK.Pipe(duplex=False)
+        process = _FORK.Process(
+            target=_attempt_main, args=(job, attempt, self.chaos, writer)
+        )
+        with self._fork_lock:
+            if self._cancelled.is_set():
+                reader.close()
+                writer.close()
+                raise concurrent.futures.CancelledError()
+            # One fork at a time, each closing its write end at once, so no
+            # child inherits another attempt's write end (its reader would
+            # then never see that attempt's process die).
+            process.start()
+            writer.close()
+            self._live.add(process)
+        pid, message = process.pid, None
+        with reader:
+            hung = not reader.poll(self.retry.timeout)
+            if hung:
+                with self._fork_lock:
+                    process.kill()
+            else:
+                try:
+                    message = reader.recv()
+                except EOFError:
+                    pass  # the process died before reporting
+        code = self._reap(process)
+        if message is None and self._cancelled.is_set():
+            raise concurrent.futures.CancelledError()
+        if hung:
+            return "hang", TimeoutError(
+                f"attempt {attempt} (pid {pid}) ran past the "
                 f"{self.retry.timeout:g}s timeout and was killed"
             )
-        else:
-            code = pool.exit_code(pid)
-            if pid in pool.killed or code in (None, 0, -signal.SIGTERM):
-                return None, exc  # stopped by the pool or the runner
-            kind, error = "crash", concurrent.futures.process.BrokenProcessPool(
-                f"worker {pid} {_exit_text(code)} during attempt "
-                f"{future.attempts}"
+        if message is None:
+            return "crash", RuntimeError(
+                f"attempt {attempt} (pid {pid}) {_exit_text(code)}"
             )
-        error.__cause__ = exc
-        return kind, error
+        ok, value, trace = message
+        if ok:
+            return None, value
+        value.__cause__ = _RemoteTraceback(trace)
+        return "fatal", value
+
+    def _reap(self, process: multiprocessing.process.BaseProcess) -> int:
+        """Wait for an attempt's process to exit; returns its exit code."""
+        multiprocessing.connection.wait([process.sentinel])
+        with self._fork_lock:
+            # Process.start() reaps finished children too: not concurrently.
+            process.join()
+            self._live.discard(process)
+        code = process.exitcode
+        process.close()
+        return code
 
     def _complete(
         self, future: SweepFuture, result: SimulationResult
-    ) -> SimulationResult:
+    ) -> None:
         job = future.job
         if job.builds_image:
             with self._lock:
                 self.warm_images_built += 1
             self._emit(job, time.perf_counter() - future.started, "warm")
-            future._value = result
+            future._outcome.set_result(result)
             if self.injector is not None:
                 self.injector.on_cell_image(job.image)
-            self._release(future)
-            self._start_dependents(future)
-            return result
+            return
         with self._lock:
             self.jobs_executed += 1
         self._store_cached(job.key, job.label, result)
@@ -1487,15 +1332,7 @@ class SweepRunner:
             if self.injector.should_corrupt(job.key):
                 self.injector.corrupt_file(self._cache_path(job.key))
         self._emit(job, time.perf_counter() - future.started, "miss")
-        future._value = result
-        self._release(future)
-        return result
-
-    @staticmethod
-    def _release(future: SweepFuture) -> None:
-        """Drop a finished job's last attempt, so a replaced pool it ran on
-        (processes, pipe) can be freed."""
-        future._inner = future._pool = None
+        future._outcome.set_result(result)
 
     def _fail(self, future: SweepFuture, kind: str, exc: Exception) -> None:
         job = future.job
@@ -1519,8 +1356,6 @@ class SweepRunner:
                 del self._futures[job.key]
             if self._image_builds.get(job.image) is future:
                 del self._image_builds[job.image]
-        future._failure = failure
-        self._release(future)
         if job.telemetry_path is not None and not self.retain_failed_telemetry:
             # Without retention, a dead job's half-written epoch stream is
             # just litter; with it, the .partial is the forensic record of
@@ -1534,18 +1369,9 @@ class SweepRunner:
             time.perf_counter() - future.started,
             f"failed ({kind}, {future.attempts} attempt(s))",
         )
-        raise SweepJobError(failure) from exc
-
-    def _retire(self, pool: _WorkerPool) -> None:
-        """Count a pool's death once and replace it only if it is current."""
-        with self._lock:
-            if pool.retired:
-                return
-            pool.retired = True
-            self.pool_deaths += 1
-            if self._pool is pool:
-                self._pool = None
-        pool.retire()
+        error = SweepJobError(failure)
+        error.__cause__ = exc
+        future._outcome.set_exception(error)
 
     def _emit(self, job: SweepJob, elapsed: float, status: str) -> None:
         if self.progress is not None:

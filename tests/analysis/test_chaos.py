@@ -8,11 +8,13 @@ Hang-recovery tests wait out real wall-clock timeouts and are marked
 ``slow`` (run with ``pytest -m slow``, as tools/ci.sh does).
 """
 
+import concurrent.futures
 import dataclasses
 import json
-import multiprocessing.connection
 import os
 import signal
+import sys
+import time
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.analysis.chaos import (
     FaultInjector,
     parse_chaos_spec,
 )
+from repro.analysis import runner as runner_module
 from repro.analysis.runner import (
     CACHE_FORMAT,
     RetryPolicy,
@@ -42,6 +45,64 @@ def bad_job():
     """A job whose simulation fails deterministically (2 cores, 1 trace)."""
     config, traces = tiny_job()
     return dataclasses.replace(config, num_cores=2), traces
+
+
+def crash_needs(chaos, jobs):
+    """Attempts each job needs under ``chaos``: 1 plus its own crash rolls."""
+    injector = FaultInjector(chaos)
+    needs = []
+    for config, traces in jobs:
+        key, need = job_key(config, traces), 1
+        while injector.should_crash(key, need):
+            need += 1
+        needs.append(need)
+    return needs
+
+
+class Starts:
+    """The attempts' start log: one ``<mechanism> <pid>`` line per start."""
+
+    def __init__(self, path):
+        self.path = path
+        #: Runs in each attempt's process after its start is logged, as
+        #: ``script(job, n)`` with n this job's start count; set it before
+        #: submitting, so the forked attempts inherit it.
+        self.script = lambda job, n: None
+
+    def pids(self, mechanism):
+        if not self.path.exists():
+            return []
+        lines = self.path.read_text().splitlines()
+        return [
+            int(pid) for name, pid in map(str.split, lines)
+            if name == mechanism
+        ]
+
+    def wait(self, mechanism, count, timeout=20.0):
+        deadline = time.monotonic() + timeout
+        while len(self.pids(mechanism)) < count:
+            assert time.monotonic() < deadline, (
+                f"{mechanism} did not start {count} time(s)"
+            )
+            time.sleep(0.01)
+
+
+@pytest.fixture
+def starts(tmp_path, monkeypatch):
+    """Log every attempt's start through a wrapper around ``_execute``,
+    installed before any fork so each attempt's process inherits it."""
+    log = Starts(tmp_path / "starts.log")
+    execute = runner_module._execute
+
+    def logged(job):
+        name = job.config.mechanism
+        with open(log.path, "a") as handle:
+            handle.write(f"{name} {os.getpid()}\n")
+        log.script(job, len(log.pids(name)))
+        return execute(job)
+
+    monkeypatch.setattr(runner_module, "_execute", logged)
+    return log
 
 
 class TestChaosSpec:
@@ -172,10 +233,11 @@ class TestCrashRecovery:
             futures = [runner.submit(c, t) for c, t in jobs]
             recovered = [f.result().to_json() for f in futures]
 
+        needs = crash_needs(chaos, jobs)
         assert recovered == reference
         assert runner.jobs_failed == 0 and not runner.failures
-        assert runner.jobs_retried > 0  # chaos actually fired
-        assert runner.pool_deaths > 0
+        assert [future.attempts for future in futures] == needs
+        assert runner.jobs_retried == sum(needs) - len(needs) > 0
 
     def test_worker_crash_retries_and_succeeds(self):
         """The same job: a crash on attempt 1 retries with backoff and
@@ -213,52 +275,119 @@ class TestCrashRecovery:
         self, workers
     ):
         """A job is charged one attempt per crash roll of its own and none
-        for a death it only shared a pool with: its attempts are exactly 1
-        plus its own crash rolls, and every pool death has a roll behind
-        it. Four workers (more than most CI hosts have cores) share one
-        announcement pipe under the same invariant."""
+        for another job's: its attempts are exactly 1 plus its own crash
+        rolls. Four slots (more than most CI hosts have cores), switching
+        threads as often as the interpreter allows, keep the same
+        invariant: a lost update to the shared counters would break it."""
         from repro.analysis.experiments import FIGURE6_MECHANISMS
 
         jobs = [tiny_job(mechanism) for mechanism in FIGURE6_MECHANISMS]
         chaos = ChaosConfig(seed=7, crash=0.5)
-        injector = FaultInjector(chaos)
-        needs = []
-        for config, traces in jobs:
-            key, need = job_key(config, traces), 1
-            while injector.should_crash(key, need):
-                need += 1
-            needs.append(need)
+        needs = crash_needs(chaos, jobs)
         own_crashes = sum(needs) - len(needs)
         assert own_crashes > 0 and max(needs) > 2
-        with SweepRunner(
-            workers=workers, cache_dir=None, chaos=chaos,
-            retry=RetryPolicy(max_attempts=max(needs) + 1, **FAST),
-        ) as runner:
-            futures = [runner.submit(c, t) for c, t in jobs]
-            for future in futures:
-                assert future.result().ipc
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SweepRunner(
+                workers=workers, cache_dir=None, chaos=chaos,
+                retry=RetryPolicy(max_attempts=max(needs) + 1, **FAST),
+            ) as runner:
+                futures = [runner.submit(c, t) for c, t in jobs]
+                for future in futures:
+                    assert future.result(timeout=60).ipc
+        finally:
+            sys.setswitchinterval(interval)
         assert [future.attempts for future in futures] == needs
         assert runner.jobs_failed == 0
         assert runner.jobs_retried == own_crashes
-        assert 0 < runner.pool_deaths <= own_crashes
 
-    def test_worker_killed_between_jobs_charges_no_one(self):
-        """An idle worker's death breaks its pool, but no job ran on it:
-        the next job runs on a fresh pool at its first attempt."""
+    def test_attempt_killed_from_outside_is_charged_crash(
+        self, starts, tmp_path
+    ):
+        """An attempt SIGKILLed from outside (as the OOM killer would) is
+        charged to its own job as a crash naming the signal; the job
+        running in the other slot is untouched and starts once."""
+        release = tmp_path / "release"
+
+        def script(job, n):
+            if job.config.mechanism == "dbi":
+                time.sleep(30)  # until killed
+            deadline = time.monotonic() + 20
+            while not release.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        starts.script = script
+        with SweepRunner(
+            workers=2, cache_dir=None, keep_going=True,
+            retry=RetryPolicy(max_attempts=1, **FAST),
+        ) as runner:
+            victim = runner.submit(*tiny_job("dbi"))
+            other = runner.submit(*tiny_job("baseline"))
+            starts.wait("dbi", 1)
+            starts.wait("baseline", 1)
+            os.kill(starts.pids("dbi")[0], signal.SIGKILL)
+            with pytest.raises(SweepJobError) as excinfo:
+                victim.result()
+            release.touch()
+            assert other.result().ipc
+        failure = excinfo.value.failure
+        assert (failure.kind, failure.attempts) == ("crash", 1)
+        assert "was killed by SIGKILL" in failure.error
+        assert len(starts.pids("baseline")) == 1 and other.attempts == 1
+        assert runner.jobs_retried == 0 and runner.jobs_failed == 1
+
+
+class TestAttemptIsolation:
+    def test_attempts_run_with_default_signal_handlers(
+        self, tmp_path, monkeypatch
+    ):
+        """A SIGTERM or SIGINT handler installed in the runner's process
+        (a campaign's drain) is not inherited by the attempts: a signal
+        sent to an attempt's process ends it."""
+        record = tmp_path / "handlers"
+        execute = runner_module._execute
+
+        def recording(job):
+            with open(record, "a") as handle:
+                for signum in (signal.SIGTERM, signal.SIGINT):
+                    default = signal.getsignal(signum) == signal.SIG_DFL
+                    handle.write(f"{signum.name}={default} ")
+            return execute(job)
+
+        monkeypatch.setattr(runner_module, "_execute", recording)
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            with SweepRunner(workers=2, cache_dir=None) as runner:
+                assert runner.run(*tiny_job()).ipc
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert record.read_text().split() == ["SIGTERM=True", "SIGINT=True"]
+
+    def test_a_hang_costs_only_its_own_attempt(self, starts):
+        """Job A's first attempt hangs while job B runs in the other slot
+        (B holds on until A's retry has started): the slot kills A's
+        process alone, so A is charged one hang and B starts once."""
+
+        def script(job, n):
+            if job.config.mechanism == "dbi" and n == 1:
+                time.sleep(30)
+            if job.config.mechanism == "baseline":
+                starts.wait("dbi", 2)
+
+        starts.script = script
         with SweepRunner(
             workers=2, cache_dir=None,
-            retry=RetryPolicy(max_attempts=3, **FAST),
+            retry=RetryPolicy(max_attempts=2, timeout=2.0, **FAST),
         ) as runner:
-            assert runner.submit(*tiny_job("baseline")).result().ipc
-            pool = runner._pool
-            pid, process = next(iter(pool.processes.items()))
-            os.kill(pid, signal.SIGKILL)
-            assert multiprocessing.connection.wait([process.sentinel], 30)
-            future = runner.submit(*tiny_job("dbi"))
-            assert future.result().ipc
-        assert future.attempts == 1
-        assert runner.pool_deaths == 1
-        assert runner.jobs_retried == 0 and runner.jobs_failed == 0
+            hung = runner.submit(*tiny_job("dbi"))
+            starts.wait("dbi", 1)
+            time.sleep(1.0)  # B's own timeout ends a second after A's
+            other = runner.submit(*tiny_job("baseline"))
+            assert hung.result().ipc and other.result().ipc
+        assert (hung.attempts, other.attempts) == (2, 1)
+        assert len(starts.pids("baseline")) == 1
+        assert runner.jobs_retried == 1 and runner.failures == []
 
 
 class TestFatalErrors:
@@ -440,6 +569,30 @@ class TestCacheCorruption:
 
 
 class TestShutdown:
+    def test_cancel_kills_live_attempts_and_retries_nothing(self, starts):
+        """close(cancel=True) kills the running attempts, cancels the
+        queued job and every retry: nothing starts afterwards."""
+        starts.script = lambda job, n: time.sleep(30)
+        runner = SweepRunner(
+            workers=2, cache_dir=None,
+            retry=RetryPolicy(max_attempts=3, **FAST),
+        )
+        mechanisms = ("baseline", "dbi", "dbi+awb")
+        futures = [runner.submit(*tiny_job(m)) for m in mechanisms]
+        starts.wait("baseline", 1)
+        starts.wait("dbi", 1)
+        runner.close(cancel=True)
+        for future in futures:
+            with pytest.raises(concurrent.futures.CancelledError):
+                future.result(timeout=20)
+        time.sleep(0.2)  # longer than any backoff
+        pids = {m: starts.pids(m) for m in mechanisms}
+        assert [len(pids[m]) for m in mechanisms] == [1, 1, 0]
+        for pid in pids["baseline"] + pids["dbi"]:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # killed and reaped
+        assert runner.jobs_retried == 0 and runner.failures == []
+
     def test_exit_on_exception_cancels_pending_work(self):
         """Satellite: __exit__ under an exception must not block on queued
         jobs — it cancels them and returns."""
@@ -540,8 +693,7 @@ class TestHangRecovery:
             result = future.result()
         assert result.ipc
         assert future.attempts == 2
-        assert runner.pool_deaths >= 1
-        assert runner.jobs_retried >= 1
+        assert runner.jobs_retried == 1
 
     def test_exhausted_hang_reports_hang_kind(self, tmp_path):
         config, traces = tiny_job()

@@ -212,6 +212,24 @@ class TestForkImageBuilds:
         assert all(result.ipc[0] > 0 for result in results)
         assert runner.warm_images_built == 1
 
+    def test_image_bytes_do_not_depend_on_where_it_was_built(
+        self, tmp_path, trace
+    ):
+        """An image built inline and one built in an attempt's process
+        (which inherits its job rather than unpickling it) are the same
+        file, byte for byte."""
+        images = []
+        for workers in (0, 2):
+            ckpt = tmp_path / f"ckpt-{workers}"
+            with make_runner(
+                tmp_path, workers=workers, cache_dir=None,
+                checkpoint_dir=str(ckpt),
+            ) as runner:
+                assert runner.run(quick_config("dbi+awb+clb"), [trace]).ipc
+            (image,) = ckpt.glob("warm-*.ckpt")
+            images.append((image.name, image.read_bytes()))
+        assert images[0] == images[1]
+
     def test_crashed_builds_retry_to_identical_results(self, tmp_path):
         cells = [
             (quick_config(mech), QUICK_SCALE.benchmark_trace(bench, refs=REFS))

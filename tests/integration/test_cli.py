@@ -43,9 +43,8 @@ class TestExperiment:
         import os
 
         monkeypatch.chdir(tmp_path)
-        # max-attempts 1: jobs that reach a pool worker fail outright
-        # (with retries allowed, inline degradation would rescue them all
-        # and nothing would land in the manifest).
+        # max-attempts 1: every job's first attempt crashes, so every job
+        # fails outright and lands in the manifest.
         code = main([
             "experiment", "fig6", "--scale", "quick",
             "--benchmarks", "bzip2", "--workers", "2", "--quiet",
