@@ -11,12 +11,12 @@ Functional tag stores plus the pieces the timing simulator composes:
   the simulation exposes the lookup-amplification of DAWB/VWQ versus DBI.
 * :class:`MshrFile` — miss-status holding registers with same-block merging.
 
-The *dirty bit* lives in :class:`repro.cache.block.CacheBlock` for
-conventional organizations; DBI-based mechanisms leave it unused and track
-dirtiness in :class:`repro.core.dbi.DirtyBlockIndex` instead (paper Figure 1).
+The *dirty bit* lives in the per-way ``_dirty`` list of each :class:`Cache`
+tag store for conventional organizations; DBI-based mechanisms leave it
+unused and track dirtiness in :class:`repro.core.dbi.DirtyBlockIndex` instead
+(paper Figure 1).
 """
 
-from repro.cache.block import CacheBlock
 from repro.cache.cache import Cache, EvictedBlock
 from repro.cache.config import (
     CacheConfig,
@@ -40,7 +40,6 @@ from repro.cache.replacement import (
 
 __all__ = [
     "Cache",
-    "CacheBlock",
     "CacheConfig",
     "EvictedBlock",
     "MshrFile",

@@ -4,13 +4,19 @@ This class is purely functional (no timing): lookups, fills, evictions and
 dirty-bit bookkeeping. The timing simulator (`repro.sim`) and the LLC
 mechanisms (`repro.mechanisms`) wrap it with latencies, MSHRs and tag-port
 contention.
+
+The tag store is three flat lists with one entry per way, at
+``set * associativity + way``: block address (``-1`` marks an empty way),
+the conventional in-tag dirty bit (paper Figure 1a) and the filling core.
+Caches managed by a DBI mechanism never set the dirty bit; the Dirty-Block
+Index is then the sole authority on dirtiness (Figure 1b).
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterator, List, NamedTuple, Optional
 
-from repro.cache.block import CacheBlock
 from repro.cache.config import CacheConfig
 from repro.cache.replacement import ReplacementPolicy, _RecencyStackPolicy, make_policy
 from repro.utils.rng import DeterministicRng
@@ -18,7 +24,8 @@ from repro.utils.stats import StatGroup
 
 
 class EvictedBlock(NamedTuple):
-    """What fell out of the cache on an insertion.
+    """One block's tag entry, read-only: what fell out of the cache on an
+    insertion, or what :meth:`Cache.iter_valid_blocks` yields.
 
     A tuple, because one is built on every eviction: a frozen dataclass paid
     an ``__init__`` frame and one ``object.__setattr__`` per field.
@@ -43,9 +50,6 @@ class Cache:
         >>> cache.insert(0x10)
         >>> cache.contains(0x10)
         True
-
-    A checkpoint image stores the tag store as flat per-field lists
-    (:meth:`__getstate__`); see ``docs/architecture.md`` §11, format 3.
     """
 
     #: Optional dirty-transition observer (full checked mode attaches the
@@ -62,10 +66,11 @@ class Cache:
         stat_name: Optional[str] = None,
     ) -> None:
         self.config = config
-        self.sets: List[List[CacheBlock]] = [
-            [CacheBlock() for _ in range(config.associativity)]
-            for _ in range(config.num_sets)
-        ]
+        entries = config.num_sets * config.associativity
+        # The tag store (module docstring): address, dirty bit, owner core.
+        self._addr: List[int] = [-1] * entries
+        self._dirty: List[bool] = [False] * entries
+        self._owner: List[int] = [-1] * entries
         self.policy = policy or make_policy(
             config.replacement,
             config.num_sets,
@@ -94,49 +99,6 @@ class Cache:
         self._c_dirty_evictions = None
         self._c_fills = None
 
-    # ------------------------------------------------------------- snapshot
-
-    def __getstate__(self) -> Dict:
-        """The instance dict, with ``sets`` as four flat per-field lists.
-
-        Pickled block by block, every ``CacheBlock`` of an image costs one
-        Python-level state-setter call on restore: 299,008 of them for a
-        full-scale 8-core system. Four lists of plain values pickle and
-        load at C speed.
-        """
-        state = self.__dict__.copy()
-        blocks = [block for ways in self.sets for block in ways]
-        state["sets"] = (
-            [block.addr for block in blocks],
-            [block.valid for block in blocks],
-            [block.dirty for block in blocks],
-            [block.owner_core for block in blocks],
-        )
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        """Rebuild the blocks, then restore every attribute in dict order.
-
-        ``object.__setattr__`` per attribute (not a ``__dict__`` update)
-        keeps the restored cache on CPython's inline-attribute fast path,
-        as :func:`repro.checkpoint.snapshot._set_state` does for every
-        other simulator object.
-        """
-        new_block = CacheBlock.__new__
-        blocks = []
-        append = blocks.append
-        for addr, valid, dirty, owner_core in zip(*state["sets"]):
-            block = new_block(CacheBlock)
-            block.addr = addr
-            block.valid = valid
-            block.dirty = dirty
-            block.owner_core = owner_core
-            append(block)
-        assoc = state["_assoc"]
-        sets = [blocks[at : at + assoc] for at in range(0, len(blocks), assoc)]
-        for name, value in state.items():
-            object.__setattr__(self, name, sets if name == "sets" else value)
-
     # ------------------------------------------------------------- presence
 
     def set_index(self, addr: int) -> int:
@@ -145,16 +107,12 @@ class Cache:
     def contains(self, addr: int) -> bool:
         return addr in self._where
 
-    def probe(self, addr: int) -> Optional[CacheBlock]:
-        """Return the block without touching replacement state."""
-        way = self._where.get(addr)
-        if way is None:
-            return None
-        return self.sets[addr & self._set_mask][way]
-
     def is_dirty(self, addr: int) -> bool:
-        block = self.probe(addr)
-        return block is not None and block.dirty
+        """The in-tag dirty bit, without touching stats or replacement state."""
+        way = self._where.get(addr)
+        return way is not None and self._dirty[
+            (addr & self._set_mask) * self._assoc + way
+        ]
 
     # --------------------------------------------------------------- access
 
@@ -201,36 +159,35 @@ class Cache:
         (logical OR) and promotes it.
         """
         set_idx = addr & self._set_mask
+        base = set_idx * self._assoc
         existing_way = self._where.get(addr)
         if existing_way is not None:
-            block = self.sets[set_idx][existing_way]
-            if dirty and not block.dirty and self.observer is not None:
-                self.observer.on_block_dirtied(addr)
-            block.dirty = block.dirty or dirty
+            at = base + existing_way
+            if dirty and not self._dirty[at]:
+                if self.observer is not None:
+                    self.observer.on_block_dirtied(addr)
+                self._dirty[at] = True
             self.policy.on_hit(set_idx, existing_way, core_id)
             return None
 
-        ways = self.sets[set_idx]
-        victim_way = None
-        if self._set_fill[set_idx] < self._assoc:
-            for way, block in enumerate(ways):
-                if not block.valid:
-                    victim_way = way
-                    self._set_fill[set_idx] += 1
-                    break
+        addrs = self._addr
         evicted = None
-        if victim_way is None:
-            victim_way = self.policy.victim_way(set_idx)
-            victim = ways[victim_way]
+        if self._set_fill[set_idx] < self._assoc:
+            at = addrs.index(-1, base, base + self._assoc)
+            self._set_fill[set_idx] += 1
+        else:
+            at = base + self.policy.victim_way(set_idx)
+            victim = addrs[at]
+            victim_dirty = self._dirty[at]
             evicted = _new_evicted(
-                EvictedBlock, (victim.addr, victim.dirty, victim.owner_core)
+                EvictedBlock, (victim, victim_dirty, self._owner[at])
             )
-            del self._where[victim.addr]
+            del self._where[victim]
             counter = self._c_evictions
             if counter is None:
                 counter = self._c_evictions = self.stats.counter("evictions")
             counter.value += 1
-            if victim.dirty:
+            if victim_dirty:
                 counter = self._c_dirty_evictions
                 if counter is None:
                     counter = self._c_dirty_evictions = self.stats.counter(
@@ -238,17 +195,15 @@ class Cache:
                     )
                 counter.value += 1
                 if self.observer is not None:
-                    self.observer.on_dirty_evicted(victim.addr)
+                    self.observer.on_dirty_evicted(victim)
 
-        block = ways[victim_way]
-        block.addr = addr
-        block.valid = True
-        block.dirty = dirty
-        block.owner_core = core_id
+        addrs[at] = addr
+        self._dirty[at] = dirty
+        self._owner[at] = core_id
         if dirty and self.observer is not None:
             self.observer.on_block_dirtied(addr)
-        self._where[addr] = victim_way
-        self.policy.on_insert(set_idx, victim_way, core_id)
+        self._where[addr] = at - base
+        self.policy.on_insert(set_idx, at - base, core_id)
         counter = self._c_fills
         if counter is None:
             counter = self._c_fills = self.stats.counter("fills")
@@ -262,20 +217,21 @@ class Cache:
         way = self._where.get(addr)
         if way is None:
             return False
-        block = self.sets[addr & self._set_mask][way]
-        if not block.dirty and self.observer is not None:
+        at = (addr & self._set_mask) * self._assoc + way
+        if not self._dirty[at] and self.observer is not None:
             self.observer.on_block_dirtied(addr)
-        block.dirty = True
+        self._dirty[at] = True
         return True
 
     def mark_clean(self, addr: int) -> bool:
         """Clear the in-tag dirty bit (e.g. after a proactive writeback)."""
-        block = self.probe(addr)
-        if block is None:
+        way = self._where.get(addr)
+        if way is None:
             return False
-        if block.dirty and self.observer is not None:
+        at = (addr & self._set_mask) * self._assoc + way
+        if self._dirty[at] and self.observer is not None:
             self.observer.on_block_cleaned(addr)
-        block.dirty = False
+        self._dirty[at] = False
         return True
 
     def invalidate(self, addr: int) -> Optional[EvictedBlock]:
@@ -283,23 +239,30 @@ class Cache:
         way = self._where.pop(addr, None)
         if way is None:
             return None
-        set_idx = self.set_index(addr)
-        block = self.sets[set_idx][way]
-        state = EvictedBlock(block.addr, block.dirty, block.owner_core)
-        if block.dirty and self.observer is not None:
+        set_idx = addr & self._set_mask
+        at = set_idx * self._assoc + way
+        state = EvictedBlock(addr, self._dirty[at], self._owner[at])
+        if state.dirty and self.observer is not None:
             self.observer.on_dirty_invalidated(addr)
-        block.invalidate()
+        self._addr[at] = -1
+        self._dirty[at] = False
+        self._owner[at] = -1
         self._set_fill[set_idx] -= 1
         self.policy.on_invalidate(set_idx, way)
         return state
 
     # ------------------------------------------------------------ inspection
 
-    def iter_valid_blocks(self) -> Iterator[CacheBlock]:
-        for ways in self.sets:
-            for block in ways:
-                if block.valid:
-                    yield block
+    def iter_valid_blocks(self) -> Iterator[EvictedBlock]:
+        """Every valid block as a read-only tuple, in set/way order."""
+        for entry in zip(self._addr, self._dirty, self._owner):
+            if entry[0] != -1:
+                yield _new_evicted(EvictedBlock, entry)
+
+    def dirty_blocks(self) -> List[int]:
+        """Addresses of the blocks whose in-tag dirty bit is set, in set/way
+        order."""
+        return list(compress(self._addr, self._dirty))
 
     @property
     def occupancy(self) -> int:
@@ -307,16 +270,8 @@ class Cache:
 
     @property
     def dirty_count(self) -> int:
-        # One comprehension, not a generator over iter_valid_blocks: checked
-        # mode and telemetry read this every sweep/epoch.
-        return len(
-            [
-                None
-                for ways in self.sets
-                for block in ways
-                if block.valid and block.dirty
-            ]
-        )
+        # An empty way's dirty bit is clear, so no validity test is needed.
+        return self._dirty.count(True)
 
     def lru_half_ways(self, set_idx: int) -> List[int]:
         """LRU-half ways of a set (for VWQ's Set State Vector).
@@ -345,8 +300,21 @@ class Cache:
         nearing eviction. With ``n`` valid blocks, the first ``ceil(n/2)``
         in recency order qualify (a lone block is its own LRU).
         """
-        ways = self.sets[set_idx]
-        valid_in_order = [w for w in self.recency_order(set_idx) if ways[w].valid]
-        if not valid_in_order:
-            return []
+        addrs = self._addr
+        base = set_idx * self._assoc
+        valid_in_order = [
+            w for w in self.recency_order(set_idx) if addrs[base + w] != -1
+        ]
         return valid_in_order[: (len(valid_in_order) + 1) // 2]
+
+    def lru_half_dirty(self, set_idx: int) -> bool:
+        """Does the set hold a dirty block among :meth:`lru_valid_ways`?"""
+        dirty = self._dirty
+        base = set_idx * self._assoc
+        return any(dirty[base + way] for way in self.lru_valid_ways(set_idx))
+
+    def lru_half_holds_dirty(self, addr: int) -> bool:
+        """Is ``addr`` dirty and among its set's :meth:`lru_valid_ways`?"""
+        if not self.is_dirty(addr):
+            return False
+        return self._where[addr] in self.lru_valid_ways(addr & self._set_mask)

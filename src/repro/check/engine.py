@@ -182,11 +182,7 @@ class CheckEngine:
         dbi = getattr(mechanism, "dbi", None)
         if dbi is not None and not mechanism.uses_tag_dirty_bits:
             return dbi.all_dirty_blocks()
-        return [
-            block.addr
-            for block in self.system.llc.iter_valid_blocks()
-            if block.dirty
-        ]
+        return self.system.llc.dirty_blocks()
 
     def run_checks(self, where: str = "on demand") -> None:
         """One full sweep of the registry (plus ledger agreement in full)."""

@@ -66,47 +66,44 @@ def check_cache_structure(cache, label: str = None) -> None:
     """``cache-structure`` for one :class:`repro.cache.cache.Cache`.
 
     Proved from the lookup map plus one count of valid blocks. Every
-    ``_where`` entry must name a valid block holding its address, in the set
-    the address hashes to; distinct addresses then name distinct blocks, so
-    the map is one-to-one into the valid blocks. If the valid blocks number
+    ``_where`` entry must name a way holding its address, in the set the
+    address hashes to; distinct addresses then name distinct ways, so the
+    map is one-to-one into the valid blocks. If the valid blocks number
     exactly ``len(_where)`` it is a bijection, which leaves no block cached
     twice, sitting in the wrong set or missing from the map. Only a cache
-    that fails pays the per-block scan that names the fault.
+    that fails pays the per-way scan that names the fault.
     """
-    sets = cache.sets
+    addrs = cache._addr
     where = cache._where
     mask = cache._set_mask
-    assoc = cache.config.associativity
+    assoc = cache._assoc
     for addr, way in where.items():
-        if not 0 <= way < assoc:
-            break
-        block = sets[addr & mask][way]
-        if not block.valid or block.addr != addr:
+        if not 0 <= way < assoc or addrs[(addr & mask) * assoc + way] != addr:
             break
     else:
-        valid = len([None for ways in sets for block in ways if block.valid])
-        if valid == len(where):
+        if len(addrs) - addrs.count(-1) == len(where):
             return
     _name_cache_fault(cache, label or cache.stats.name)
 
 
 def _name_cache_fault(cache, label: str) -> None:
-    """Per-block scan behind a failed ``cache-structure`` check."""
+    """Per-way scan behind a failed ``cache-structure`` check."""
     name = "cache-structure"
+    assoc = cache._assoc
     valid = {}
-    for set_idx, ways in enumerate(cache.sets):
-        for way, block in enumerate(ways):
-            if not block.valid:
-                continue
-            if block.addr in valid:
-                _fail(name, f"{label}: block {block.addr:#x} cached twice")
-            valid[block.addr] = (set_idx, way)
-            if cache.set_index(block.addr) != set_idx:
-                _fail(
-                    name,
-                    f"{label}: block {block.addr:#x} sits in set {set_idx} "
-                    f"but hashes to set {cache.set_index(block.addr)}",
-                )
+    for at, addr in enumerate(cache._addr):
+        if addr == -1:
+            continue
+        set_idx, way = divmod(at, assoc)
+        if addr in valid:
+            _fail(name, f"{label}: block {addr:#x} cached twice")
+        valid[addr] = (set_idx, way)
+        if cache.set_index(addr) != set_idx:
+            _fail(
+                name,
+                f"{label}: block {addr:#x} sits in set {set_idx} "
+                f"but hashes to set {cache.set_index(addr)}",
+            )
     for addr, way in cache._where.items():
         if addr not in valid:
             _fail(name, f"{label}: lookup map lists absent block {addr:#x}")
@@ -202,7 +199,7 @@ def check_dbi_tag_agreement(mechanism, llc) -> None:
     tagless = not mechanism.uses_tag_dirty_bits
     write_through = getattr(mechanism, "write_through", False)
     if (tagless or write_through) and llc.dirty_count:
-        dirty = [b.addr for b in llc.iter_valid_blocks() if b.dirty][:4]
+        dirty = llc.dirty_blocks()[:4]
         _fail(
             name,
             f"{mechanism.name}: {llc.dirty_count} in-tag dirty bit(s) set "
@@ -235,9 +232,7 @@ def check_dramcache_dirty_domain(level) -> None:
             _fail(name, "tag backend carries a DBI instance")
         return
     if level.tags.dirty_count:
-        dirty = [
-            b.addr for b in level.tags.iter_valid_blocks() if b.dirty
-        ][:4]
+        dirty = level.tags.dirty_blocks()[:4]
         _fail(
             name,
             f"dbi backend: {level.tags.dirty_count} in-tag dirty bit(s) set "

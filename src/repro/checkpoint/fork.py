@@ -45,7 +45,7 @@ def _adopt_dirty_state(new_mechanism, llc) -> None:
     """Move the warm image's in-tag dirty bits into the new mechanism."""
     if new_mechanism.uses_tag_dirty_bits and not new_mechanism.write_through:
         return  # in-tag bits are already exactly where this mechanism keeps them
-    dirty = [block.addr for block in llc.iter_valid_blocks() if block.dirty]
+    dirty = llc.dirty_blocks()
     for addr in dirty:
         llc.mark_clean(addr)
     if new_mechanism.write_through:

@@ -57,12 +57,7 @@ class TagDirtyBackend:
         return self.tags.dirty_count
 
     def dirty_blocks(self) -> Set[int]:
-        return {
-            block.addr
-            for ways in self.tags.sets
-            for block in ways
-            if block.valid and block.dirty
-        }
+        return set(self.tags.dirty_blocks())
 
 
 class DbiDirtyBackend:

@@ -57,8 +57,7 @@ class DawbMechanism(LlcMechanism):
         if counter is None:
             counter = self._c_row_probes = self.stats.counter("row_probes")
         counter.value += 1
-        block = self.llc.probe(addr)
-        if block is not None and block.dirty:
+        if self.llc.is_dirty(addr):
             self.llc.mark_clean(addr)
             counter = self._c_proactive_writebacks
             if counter is None:

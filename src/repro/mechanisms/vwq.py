@@ -43,8 +43,7 @@ class VwqMechanism(LlcMechanism):
         store by hardware; consulting it costs no tag-port bandwidth, so we
         model it as a free functional check.
         """
-        ways = self.llc.sets[set_idx]
-        return any(ways[way].dirty for way in self.llc.lru_valid_ways(set_idx))
+        return self.llc.lru_half_dirty(set_idx)
 
     def _after_dirty_eviction(self, addr: int) -> None:
         row = self.mapper.global_row_id(addr)
@@ -73,18 +72,11 @@ class VwqMechanism(LlcMechanism):
         """Background lookup restricted to the set's LRU half."""
         self._count_tag_lookup(-1)
         self.stats.counter("row_probes").increment()
-        set_idx = self.llc.set_index(addr)
-        ways = self.llc.sets[set_idx]
-        found = False
-        for way in self.llc.lru_valid_ways(set_idx):
-            block = ways[way]
-            if block.addr == addr and block.dirty:
-                self.llc.mark_clean(addr)
-                found = True
-                self.stats.counter("proactive_writebacks").increment()
-                self._send_memory_write(addr, "vwq-probe")
-                break
-        if not found:
+        if self.llc.lru_half_holds_dirty(addr):
+            self.llc.mark_clean(addr)
+            self.stats.counter("proactive_writebacks").increment()
+            self._send_memory_write(addr, "vwq-probe")
+        else:
             self.stats.counter("wasted_probes").increment()
         if last_of_round:
             self._rows_in_flight.discard(row)

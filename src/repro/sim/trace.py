@@ -10,6 +10,7 @@ wraps them with metadata and integrity checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, List, Sequence, Tuple
 
 #: (non-memory instruction gap, is_write, block address)
@@ -54,7 +55,7 @@ class Trace:
     @property
     def total_instructions(self) -> int:
         """Instructions represented: every gap plus one per memory op."""
-        return sum(gap for gap, _w, _a in self.records) + len(self.records)
+        return sum(map(itemgetter(0), self.records)) + len(self.records)
 
     @property
     def memory_references(self) -> int:

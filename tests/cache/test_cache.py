@@ -45,9 +45,9 @@ class TestBasicOperations:
 
     def test_probe_does_not_touch_stats(self):
         cache = make_cache()
-        cache.insert(5)
-        cache.probe(5)
-        cache.probe(6)
+        cache.insert(5, dirty=True)
+        assert cache.is_dirty(5) and not cache.is_dirty(6)
+        assert cache.contains(5) and not cache.contains(6)
         assert cache.stats.as_dict().get("test.lookups", 0) == 0
 
     def test_invalidate(self):
@@ -195,16 +195,17 @@ def test_structural_invariants_under_random_traffic(ops):
     for addr, dirty in ops:
         cache.insert(addr, dirty=dirty)
         assert cache.occupancy <= 16
-        # Every indexed block is valid and in the right set.
-        for ways in cache.sets:
-            seen = set()
-            for block in ways:
-                if block.valid:
-                    assert block.addr not in seen
-                    seen.add(block.addr)
-                    assert cache.set_index(block.addr) is not None
+        # Every valid block is cached once, in the set it hashes to, at the
+        # way the lookup map names.
+        blocks = [block.addr for block in cache.iter_valid_blocks()]
+        assert len(blocks) == len(set(blocks)) == cache.occupancy
+        for at, block_addr in enumerate(cache._addr):
+            if block_addr != -1:
+                assert divmod(at, 4) == (
+                    cache.set_index(block_addr), cache._where[block_addr]
+                )
         if cache.contains(addr):
-            assert cache.probe(addr).addr == addr
+            assert addr in blocks
 
 
 @settings(max_examples=50, deadline=None)

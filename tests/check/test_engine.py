@@ -116,7 +116,8 @@ class TestViolationSurfacing:
     def test_in_tag_dirty_bit_under_dbi_fails_the_sweep(self):
         system = System(small_config("dbi"), [random_trace()], check="cheap")
         system.run()
-        block = next(system.llc.iter_valid_blocks())
-        block.dirty = True  # DBI mechanisms must keep tags clean
+        llc = system.llc
+        first_valid = next(at for at, addr in enumerate(llc._addr) if addr != -1)
+        llc._dirty[first_valid] = True  # DBI mechanisms must keep tags clean
         with pytest.raises(InvariantViolation, match=r"\[dbi-tag-agreement\]"):
             system.check_engine.run_checks("post-run corruption")

@@ -55,8 +55,9 @@ def _corrupt_dramcache_structure(system):
 
 def _corrupt_dramcache_dirty_domain(system):
     # dbi backend: an in-tag dirty bit usurps the DBI's authority.
-    block = next(system.dram_cache.tags.iter_valid_blocks())
-    block.dirty = True
+    tags = system.dram_cache.tags
+    first_valid = next(at for at, addr in enumerate(tags._addr) if addr != -1)
+    tags._dirty[first_valid] = True
 
 
 def _corrupt_mshr_bounds(system):

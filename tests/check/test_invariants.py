@@ -78,18 +78,17 @@ class TestCacheStructure:
         cache = make_cache()
         cache.insert(0)
         cache.insert(16)  # same set as 0 (16 sets)
-        twin = cache.sets[0][cache._where.pop(16)]
-        twin.addr = 0
+        cache._addr[cache._where.pop(16)] = 0  # set 0 starts at entry 0
         with expect_detail("block 0x0 cached twice"):
             check_cache_structure(cache)
 
     def test_block_in_wrong_set_detected(self):
         cache = make_cache()
         cache.insert(5)
-        block = cache.sets[cache.set_index(5)][cache._where[5]]
+        at = cache.set_index(5) * cache.config.associativity + cache._where[5]
         # Teleport the block: its address now hashes to a different set.
-        block.addr += 1
-        cache._where[block.addr] = cache._where.pop(5)
+        cache._addr[at] = 6
+        cache._where[6] = cache._where.pop(5)
         with expect_detail("block 0x6 sits in set 5 but hashes to set 6"):
             check_cache_structure(cache)
 
@@ -125,7 +124,8 @@ class TestCacheStructure:
         cache = make_cache()
         cache.insert(9)
         cache.insert(25)  # same set, next way
-        cache.sets[9][cache._where[9]].valid = False  # addr left behind
+        at = 9 * cache.config.associativity + cache._where[9]
+        cache._addr[at] = -1  # the way empties, the map entry stays
         del cache._where[25]  # evens the valid count out
         with expect_detail("lookup map lists absent block 0x9"):
             check_cache_structure(cache)

@@ -19,7 +19,6 @@ import zlib
 import pytest
 
 from repro.analysis.scaling import QUICK_SCALE
-from repro.cache.block import CacheBlock
 from repro.checkpoint import (
     SNAPSHOT_FORMAT,
     CheckpointError,
@@ -283,7 +282,8 @@ class TestStateSetter:
 
 
 class TestCacheState:
-    """A cache pickles its tag store as four flat field lists (format 3)."""
+    """A cache's tag store is three flat per-way lists, pickled as they are
+    (format 5)."""
 
     @staticmethod
     def caches(system):
@@ -295,10 +295,7 @@ class TestCacheState:
 
     @staticmethod
     def fields(cache):
-        return [
-            [(b.addr, b.valid, b.dirty, b.owner_core) for b in ways]
-            for ways in cache.sets
-        ]
+        return cache._addr, cache._dirty, cache._owner
 
     def test_restored_warmed_cache_is_identical(self):
         # Full checks put observers on the LLC and on the level's tags.
@@ -314,9 +311,6 @@ class TestCacheState:
         assert all(cache.occupancy for cache, _ in pairs)
         for cache, copy in pairs:
             assert self.fields(copy) == self.fields(cache)
-            assert all(
-                type(block) is CacheBlock for ways in copy.sets for block in ways
-            )
             assert copy._where == cache._where
             assert copy._set_fill == cache._set_fill
             assert copy.policy._stacks == cache.policy._stacks
@@ -327,11 +321,12 @@ class TestCacheState:
 
 
 #: ``_set_state`` calls restoring a freshly built quick 2-core
-#: ``dbi+awb+clb`` System (the first 2-core mix). Measured 184 on CPython
-#: 3.11; format 2, which pickled every CacheBlock as its own object, made
-#: 4,861 (4,672 of them blocks). The margin of 26 (14%) leaves room for a
-#: few new simulator objects, not for a tag store: the smallest cache of
-#: that system, an L1, has 32 blocks.
+#: ``dbi+awb+clb`` System (the first 2-core mix). Measured 189 on CPython
+#: 3.11 (each of the five caches is one call; its tag store is plain lists);
+#: format 2, which pickled every tag entry as its own ``CacheBlock`` object,
+#: made 4,861 (4,672 of them blocks). The margin of 21 (11%) leaves room for
+#: a few new simulator objects, not for a tag store of objects: the smallest
+#: cache of that system, an L1, has 32 blocks.
 SET_STATE_CEILING = 210
 
 
@@ -350,7 +345,6 @@ def test_restore_sends_no_block_through_the_state_setter(monkeypatch):
     # The image names the setter by module path, so restore finds this one.
     monkeypatch.setattr("repro.checkpoint.snapshot._set_state", counting)
     restore_system(data)
-    assert CacheBlock not in calls
     assert len(calls) <= SET_STATE_CEILING, (
         f"{len(calls)} objects restored through _set_state "
         f"(ceiling {SET_STATE_CEILING})"
