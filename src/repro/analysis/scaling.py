@@ -162,9 +162,11 @@ class ScaleProfile:
                 f"unknown benchmark {name!r}; choose from "
                 f"{sorted(SPEC_PROFILES)}"
             )
+        if refs is None:
+            refs = self.refs_single_core
         return generate_trace(
             SPEC_PROFILES[name],
-            refs or self.refs_single_core,
+            refs,
             seed=seed,
             footprint_divisor=self.divisor,
         )
@@ -173,10 +175,14 @@ class ScaleProfile:
               seed: int = 0xDB1,
               refs_per_core: Optional[int] = None) -> List[WorkloadMix]:
         """Category-balanced multi-programmed mixes at this scale."""
+        if count is None:
+            count = self.mixes_per_system
+        if refs_per_core is None:
+            refs_per_core = self.refs_per_core_multi
         return category_mixes(
             num_cores=num_cores,
-            count=count or self.mixes_per_system,
-            refs_per_core=refs_per_core or self.refs_per_core_multi,
+            count=count,
+            refs_per_core=refs_per_core,
             seed=seed,
             footprint_divisor=self.divisor,
         )
@@ -184,16 +190,18 @@ class ScaleProfile:
     def mix_specs(self, num_cores: int, count: Optional[int] = None,
                   seed: int = 0xDB1) -> List[MixSpec]:
         """Mix identities (no traces) — cheap even at paper width."""
-        return category_mix_specs(
-            num_cores, count or self.mixes_per_system, seed=seed
-        )
+        if count is None:
+            count = self.mixes_per_system
+        return category_mix_specs(num_cores, count, seed=seed)
 
     def mix_for(self, spec: MixSpec, seed: int = 0xDB1,
                 refs_per_core: Optional[int] = None) -> WorkloadMix:
         """Materialize one mix spec's traces at this scale."""
+        if refs_per_core is None:
+            refs_per_core = self.refs_per_core_multi
         return mix_from_spec(
             spec,
-            refs_per_core or self.refs_per_core_multi,
+            refs_per_core,
             seed=seed,
             footprint_divisor=self.divisor,
         )

@@ -70,6 +70,7 @@ from repro.campaign.plan import (
 from repro.sim.system import MODEL_VERSION
 from repro.utils.atomic import atomic_write_json, atomic_write_text
 from repro.utils.locks import FileLock, LockHeldError
+from repro.utils.validation import check_positive
 from repro.workloads.mix import mix_table_fingerprint, paper_mix_count
 
 #: Bump when the manifest schema changes.
@@ -168,6 +169,8 @@ class CampaignConfig:
                 "(fork-from-warm epoch streams would be full of "
                 "discontinuities); run two campaigns"
             )
+        if self.refs is not None:
+            check_positive("refs", self.refs)
         if self.shards < 0 or self.shards == 1:
             raise ValueError(
                 f"shards must be 0 (whole runs) or >= 2, got {self.shards}"
@@ -265,7 +268,7 @@ class CampaignConfig:
             count = paper_mix_count(cores) if self.full_width else None
             tables[str(cores)] = mix_table_fingerprint(
                 scale.mix_specs(cores, count),
-                self.refs or scale.refs_per_core_multi,
+                scale.refs_per_core_multi if self.refs is None else self.refs,
                 footprint_divisor=scale.divisor,
             )
         if tables:

@@ -275,7 +275,8 @@ def cell_traces(
             raise ValueError(f"cell {cell.cell_id!r} has no benchmark")
         return [
             scale.benchmark_trace(
-                cell.benchmark, refs=refs or scale.refs_per_core_multi
+                cell.benchmark,
+                refs=scale.refs_per_core_multi if refs is None else refs,
             )
         ]
     if cell.mix_index is None:

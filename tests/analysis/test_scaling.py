@@ -1,5 +1,7 @@
 """Unit tests for scale profiles."""
 
+import pytest
+
 from repro.analysis.scaling import (
     DEFAULT_SCALE,
     FULL_SCALE,
@@ -57,3 +59,31 @@ class TestScaleProfiles:
         dbi = QUICK_SCALE.system_config("dbi")
         assert baseline.resolve_llc().replacement == "lru"
         assert dbi.resolve_llc().replacement == "tadip"
+
+
+class TestExplicitZeroCounts:
+    """An explicit 0 is a bad argument, not a request for the default."""
+
+    def test_benchmark_trace_rejects_zero_refs(self):
+        with pytest.raises(ValueError, match="num_refs must be positive"):
+            QUICK_SCALE.benchmark_trace("lbm", refs=0)
+
+    def test_mixes_reject_zero_count_and_refs(self):
+        with pytest.raises(ValueError, match="count must be positive"):
+            QUICK_SCALE.mixes(2, count=0)
+        with pytest.raises(ValueError, match="refs_per_core must be positive"):
+            QUICK_SCALE.mixes(2, count=1, refs_per_core=0)
+
+    def test_mix_specs_reject_zero_count(self):
+        with pytest.raises(ValueError, match="count must be positive"):
+            QUICK_SCALE.mix_specs(2, count=0)
+
+    def test_mix_for_rejects_zero_refs(self):
+        spec = QUICK_SCALE.mix_specs(2)[0]
+        with pytest.raises(ValueError, match="refs_per_core must be positive"):
+            QUICK_SCALE.mix_for(spec, refs_per_core=0)
+
+    def test_none_still_means_the_scale_default(self):
+        trace = QUICK_SCALE.benchmark_trace("lbm")
+        assert len(trace.records) == QUICK_SCALE.refs_single_core
+        assert len(QUICK_SCALE.mix_specs(2)) == QUICK_SCALE.mixes_per_system

@@ -31,6 +31,7 @@ from repro.campaign.orchestrator import (
     report_path,
     results_path,
 )
+from repro.campaign.plan import plan_fingerprint
 from repro.sim.system import MODEL_VERSION
 
 REFS = 300
@@ -392,3 +393,26 @@ class TestStatus:
         status = campaign_status(directory)
         assert status["cells_done"] == 2
         assert status["completed"] is True
+
+
+class TestConfigRefs:
+    @pytest.mark.parametrize("refs", [0, -5])
+    def test_non_positive_refs_rejected_by_name(self, refs):
+        with pytest.raises(ValueError, match="refs must be positive"):
+            make_config(refs=refs)
+
+    #: Plan fingerprints of two valid 1- and 2-core configurations, one on
+    #: the scale's default length and one with explicit refs. Rejecting an
+    #: explicit 0 must not re-plan either; a deliberate re-plan re-pins them.
+    PINNED_FINGERPRINTS = {
+        None: "31decd9874bf2829174715be06b05fcaff7c625f"
+              "7045d750be94a1f94856bfd7",
+        300: "d6fdc462195f7e09cb6e8bce629d462ec922c087"
+             "8ff1690c1297f1adbe5125e7",
+    }
+
+    @pytest.mark.parametrize("refs", sorted(PINNED_FINGERPRINTS, key=str))
+    def test_valid_configs_keep_their_plan_fingerprints(self, refs):
+        config = make_config(core_counts=(1, 2), refs=refs)
+        fingerprint = plan_fingerprint(config.plan_identity(), config.plan())
+        assert fingerprint == self.PINNED_FINGERPRINTS[refs]

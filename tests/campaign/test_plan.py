@@ -192,3 +192,15 @@ class TestFullWidthPlans:
         )
         with pytest.raises(ValueError, match="ingest"):
             cell_traces(QUICK, cells[0])
+
+
+class TestCellTracesRefs:
+    def test_alone_cell_rejects_zero_refs(self):
+        cells = plan_cells(
+            QUICK, ["lbm"], ["baseline"], [2], full_width=True
+        )
+        alone = next(c for c in cells if c.category == "alone")
+        with pytest.raises(ValueError, match="num_refs must be positive"):
+            cell_traces(QUICK, alone, refs=0, full_width=True)
+        (trace,) = cell_traces(QUICK, alone, full_width=True)
+        assert len(trace.records) == QUICK.refs_per_core_multi

@@ -1,7 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.__main__ import main
 
 
@@ -25,6 +30,28 @@ class TestRun:
     def test_unknown_benchmark_raises(self):
         with pytest.raises(ValueError):
             main(["run", "gcc", "dbi", "--refs", "100"])
+
+    def test_zero_refs_exits_non_zero(self):
+        # --refs 0 once ran the scale's full default trace.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "lbm", "baseline",
+             "--refs", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode != 0
+        assert "num_refs must be positive, got 0" in result.stderr
+        assert "IPC" not in result.stdout
+
+    def test_campaign_zero_refs_exits_2(self, capsys, tmp_path):
+        code = main([
+            "campaign", "plan", "--dir", str(tmp_path / "c"),
+            "--benchmarks", "lbm", "--mechanisms", "baseline",
+            "--refs", "0",
+        ])
+        assert code == 2
+        assert "refs must be positive, got 0" in capsys.readouterr().err
 
 
 class TestExperiment:

@@ -69,10 +69,12 @@ DISPATCHES_PER_REF_CEILING = 1.1
 
 
 #: Calls per generated reference while drawing a trace (mcf and bzip2,
-#: seed 1, 12000 references). Measured 1.007 and 1.010 on CPython 3.11: one
-#: ``math.log`` per gap, every stream drawn a batch at a time. A method
-#: chain per draw made 14.5 and 16.0; the ceiling leaves room for more
-#: per-batch calls but not for one more call per reference.
+#: seed 1, 12000 references). Measured 1.106 and 1.142 on CPython 3.11: one
+#: ``math.log`` per gap, every stream drawn a batch at a time, and about
+#: three calls per lane step of each ``DeterministicRng.raw`` batch (a
+#: scalar ``raw`` loop made 1.007 and 1.010). A method chain per draw made
+#: 14.5 and 16.0; the ceiling leaves room for more per-batch calls but not
+#: for one more call per reference.
 TRACE_GEN_CALLS_PER_REF_CEILING = 1.5
 
 

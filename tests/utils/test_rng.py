@@ -100,7 +100,7 @@ class TestDistributions:
         with pytest.raises(ValueError):
             rng.geometric(-1.0)
 
-    @pytest.mark.parametrize("size", [0, 1, 2, 50, 2048])
+    @pytest.mark.parametrize("size", [0, 1, 2, 50, 2048, 5000])
     def test_shuffle_matches_one_randint_per_position(self, size):
         # The shuffle draws its swaps in one batch; it must permute and
         # consume the stream exactly as one randint(0, i) call per position.

@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from repro.utils.rng import DeterministicRng
+from repro.utils.rng import LANE, MIN_LANES, DeterministicRng
 from repro.workloads.mix import (
     CORE_ADDRESS_STRIDE,
     category_mix_specs,
@@ -214,12 +214,37 @@ def test_mixes_match_the_per_draw_oracle():
         )
 
 
-@pytest.mark.parametrize("seed", [0, 1, 0xDB1, 2**64 - 1])
+#: Batch sizes for ``raw``: the scalar loop alone, either side of the
+#: smallest lane batch, whole lanes and a lane plus or minus one, and
+#: trace-sized batches with and without a scalar tail.
+RAW_COUNTS = (
+    0, 1, 5, 63, 64, 65,
+    LANE * MIN_LANES - 1, LANE * MIN_LANES, LANE * MIN_LANES + 1,
+    1000, 1023, 1024, 1025, 4096, 8192, 12345,
+)
+
+
+def test_raw_counts_cross_the_lane_threshold():
+    assert min(RAW_COUNTS) < LANE * MIN_LANES < max(RAW_COUNTS)
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 0xDB1, 2**64 - 1, (1 << 63) | 0xDB1]
+)
 def test_raw_equals_next_u64_draws(seed):
     batch, single = DeterministicRng(seed), DeterministicRng(seed)
-    for count in (0, 1, 5, 1000):
-        assert batch.raw(count) == [single.next_u64() for _ in range(count)]
-        assert batch._state == single._state
+    for count in RAW_COUNTS:
+        assert batch.raw(count) == [single.next_u64() for _ in range(count)], (
+            seed, count
+        )
+        assert batch._state == single._state, (seed, count)
+
+
+def test_raw_rejects_a_negative_count():
+    rng = DeterministicRng(1)
+    with pytest.raises(ValueError, match="count must be non-negative, got -3"):
+        rng.raw(-3)
+    assert rng._state == DeterministicRng(1)._state
 
 
 #: (kind, pattern kwargs) covering every pattern and both region revisits,
