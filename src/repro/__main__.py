@@ -106,33 +106,42 @@ def _cmd_run_sampled(args, config, trace) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _trace_and_config(args):
+    """The trace and system config ``run``/``profile`` arguments describe."""
     from repro.analysis.scaling import SCALES
-    from repro.sim.system import System
 
     scale = SCALES[args.scale]
     trace = scale.benchmark_trace(args.benchmark, refs=args.refs)
     overrides = {}
     if args.dram_cache is not None:
         overrides["dram_cache"] = scale.dram_cache_study_config(args.dram_cache)
-    config = scale.system_config(args.mechanism, **overrides)
+    return trace, scale.system_config(args.mechanism, **overrides)
+
+
+def _cmd_run(args) -> int:
+    from repro.sim.system import System
+
+    try:
+        trace, config = _trace_and_config(args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if args.sampled is not None:
         return _cmd_run_sampled(args, config, trace)
-    telemetry = None
-    if args.telemetry:
-        from repro.telemetry.sampler import TelemetryConfig
+    try:
+        telemetry = None
+        if args.telemetry:
+            from repro.telemetry.sampler import TelemetryConfig
 
-        telemetry = TelemetryConfig(
-            epoch_cycles=args.epoch_cycles,
-            jsonl_path=args.telemetry,
-            meta=(("benchmark", args.benchmark), ("mechanism", args.mechanism)),
-        )
-    system = System(
-        config,
-        [trace],
-        check=args.check,
-        telemetry=telemetry,
-    )
+            telemetry = TelemetryConfig(
+                epoch_cycles=args.epoch_cycles,
+                jsonl_path=args.telemetry,
+                meta=(("benchmark", args.benchmark), ("mechanism", args.mechanism)),
+            )
+        system = System(config, [trace], check=args.check, telemetry=telemetry)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     result = system.run()
     print(f"benchmark          {args.benchmark}")
     print(f"mechanism          {args.mechanism}")
@@ -540,22 +549,26 @@ def _cmd_reliability(args) -> int:
         if args.mechanisms
         else ("baseline", "dbi", "dbi+awb+clb")
     )
-    alphas = (
-        [Fraction(a.strip()) for a in args.alphas.split(",")]
-        if args.alphas
-        else (Fraction(1, 4), Fraction(1, 2))
-    )
-    result = run_reliability(
-        scale,
-        benchmark=args.benchmark,
-        mechanisms=mechanisms,
-        alphas=alphas,
-        faults=args.faults,
-        interval=args.interval,
-        seed=args.seed,
-        double_bit_fraction=args.double_bit_fraction,
-        refs=args.refs,
-    )
+    try:
+        alphas = (
+            [Fraction(a.strip()) for a in args.alphas.split(",")]
+            if args.alphas
+            else (Fraction(1, 4), Fraction(1, 2))
+        )
+        result = run_reliability(
+            scale,
+            benchmark=args.benchmark,
+            mechanisms=mechanisms,
+            alphas=alphas,
+            faults=args.faults,
+            interval=args.interval,
+            seed=args.seed,
+            double_bit_fraction=args.double_bit_fraction,
+            refs=args.refs,
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     print(result.to_text())
     violations = sum(
         counts["protection_violations"] for counts in result.raw.values()
@@ -570,24 +583,21 @@ def _cmd_reliability(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.analysis.scaling import SCALES
     from repro.sim.profiler import profile_system
     from repro.sim.system import System
 
-    scale = SCALES[args.scale]
-    trace = scale.benchmark_trace(args.benchmark, refs=args.refs)
-    overrides = {}
-    if args.dram_cache is not None:
-        overrides["dram_cache"] = scale.dram_cache_study_config(args.dram_cache)
-    config = scale.system_config(args.mechanism, **overrides)
-    telemetry = None
-    if args.telemetry:
-        from repro.telemetry.sampler import TelemetryConfig
+    try:
+        trace, config = _trace_and_config(args)
+        telemetry = None
+        if args.telemetry:
+            from repro.telemetry.sampler import TelemetryConfig
 
-        telemetry = TelemetryConfig(epoch_cycles=args.epoch_cycles)
-    profile = profile_system(
-        System(config, [trace], check=args.check, telemetry=telemetry)
-    )
+            telemetry = TelemetryConfig(epoch_cycles=args.epoch_cycles)
+        system = System(config, [trace], check=args.check, telemetry=telemetry)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    profile = profile_system(system)
     events = profile.result.events_processed
     wall = profile.wall_seconds
     if args.json:

@@ -129,6 +129,7 @@ from repro.sim.system import (
 from repro.sim.trace import Trace
 from repro.telemetry.sampler import TelemetryConfig
 from repro.utils.atomic import atomic_write_json, publish_file
+from repro.utils.validation import check_non_negative
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checkpoint.sampled import SampledConfig
@@ -728,7 +729,9 @@ class SweepRunner:
         checkpoint_dir: Optional[str] = None,
         sampled: Optional["SampledConfig"] = None,
     ) -> None:
-        self.workers = default_workers() if workers is None else max(0, workers)
+        if workers is not None:
+            check_non_negative("workers", workers)
+        self.workers = default_workers() if workers is None else workers
         self.cache_dir = cache_dir if (use_cache and cache_dir) else None
         self.telemetry = telemetry
         self.telemetry_dir = telemetry_dir or self.cache_dir or DEFAULT_TELEMETRY_DIR

@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional
 from repro.cache.config import CacheConfig
 from repro.cache.replacement import ReplacementPolicy, _RecencyStackPolicy, make_policy
 from repro.utils.rng import DeterministicRng
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
 
 
 class EvictedBlock(NamedTuple):
@@ -34,6 +34,12 @@ class EvictedBlock(NamedTuple):
     addr: int
     dirty: bool
     owner_core: int
+
+
+class CacheStats(StatRecord):
+    """One cache level's counts (demand lookups and fills)."""
+
+    __slots__ = ("lookups", "hits", "misses", "evictions", "dirty_evictions", "fills")
 
 
 #: ``_new_evicted(EvictedBlock, (addr, dirty, owner_core))`` builds one
@@ -80,7 +86,7 @@ class Cache:
         )
         # stat_name disambiguates instances sharing one config (a system has
         # one L1 *config* but one L1 cache — and stat group — per core).
-        self.stats = StatGroup(stat_name or config.name)
+        self.stats = CacheStats(stat_name or config.name)
         # addr -> way, for O(1) presence checks (the set is derivable).
         self._where: Dict[int, int] = {}
         self._set_mask = config.num_sets - 1
@@ -88,16 +94,6 @@ class Cache:
         # Valid blocks per set; lets a full set (the steady state) go
         # straight to the victim instead of scanning every way for a hole.
         self._set_fill = [0] * config.num_sets
-        # Hot-path counters, bound to their Counter object on first use so
-        # per-access increments skip the StatGroup dict lookup. Bound lazily
-        # (not in __init__) so the set of exported stats — and hence results
-        # — stays byte-identical to creation-on-first-increment.
-        self._c_lookups = None
-        self._c_hits = None
-        self._c_misses = None
-        self._c_evictions = None
-        self._c_dirty_evictions = None
-        self._c_fills = None
 
     # ------------------------------------------------------------- presence
 
@@ -120,21 +116,13 @@ class Cache:
         """Demand lookup: updates recency on hit, PSEL voting on miss."""
         set_idx = addr & self._set_mask
         way = self._where.get(addr)
-        counter = self._c_lookups
-        if counter is None:
-            counter = self._c_lookups = self.stats.counter("lookups")
-        counter.value += 1
+        stats = self.stats
+        stats.lookups += 1
         if way is not None:
-            counter = self._c_hits
-            if counter is None:
-                counter = self._c_hits = self.stats.counter("hits")
-            counter.value += 1
+            stats.hits += 1
             self.policy.on_hit(set_idx, way, core_id)
             return True
-        counter = self._c_misses
-        if counter is None:
-            counter = self._c_misses = self.stats.counter("misses")
-        counter.value += 1
+        stats.misses += 1
         policy = self.policy
         if policy.duels:
             policy.note_miss(set_idx, core_id)
@@ -183,17 +171,9 @@ class Cache:
                 EvictedBlock, (victim, victim_dirty, self._owner[at])
             )
             del self._where[victim]
-            counter = self._c_evictions
-            if counter is None:
-                counter = self._c_evictions = self.stats.counter("evictions")
-            counter.value += 1
+            self.stats.evictions += 1
             if victim_dirty:
-                counter = self._c_dirty_evictions
-                if counter is None:
-                    counter = self._c_dirty_evictions = self.stats.counter(
-                        "dirty_evictions"
-                    )
-                counter.value += 1
+                self.stats.dirty_evictions += 1
                 if self.observer is not None:
                     self.observer.on_dirty_evicted(victim)
 
@@ -204,10 +184,7 @@ class Cache:
             self.observer.on_block_dirtied(addr)
         self._where[addr] = at - base
         self.policy.on_insert(set_idx, at - base, core_id)
-        counter = self._c_fills
-        if counter is None:
-            counter = self._c_fills = self.stats.counter("fills")
-        counter.value += 1
+        self.stats.fills += 1
         return evicted
 
     # ------------------------------------------------------------ dirty bits

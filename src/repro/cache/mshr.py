@@ -9,7 +9,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
+
+
+class MshrStats(StatRecord):
+    """Merged and new misses, and the occupancy at each new miss."""
+
+    __slots__ = ("merged", "allocated", "occupancy_count", "occupancy_sum")
+    DISTRIBUTIONS = ("occupancy",)
 
 
 class MshrFile:
@@ -23,11 +30,7 @@ class MshrFile:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._pending: Dict[int, List[Callable[[int], None]]] = {}
-        self.stats = StatGroup(name)
-        # Per-miss stats, bound lazily (see Cache for rationale).
-        self._c_merged = None
-        self._c_allocated = None
-        self._d_occupancy = None
+        self.stats = MshrStats(name)
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -57,29 +60,15 @@ class MshrFile:
         waiters = pending.get(addr)
         if waiters is not None:
             waiters.append(on_fill)
-            counter = self._c_merged
-            if counter is None:
-                counter = self._c_merged = self.stats.counter("merged")
-            counter.value += 1
+            self.stats.merged += 1
             return False
         if self.capacity and len(pending) >= self.capacity:
             raise RuntimeError("MSHR file full; caller must check can_allocate")
         pending[addr] = [on_fill]
-        counter = self._c_allocated
-        if counter is None:
-            counter = self._c_allocated = self.stats.counter("allocated")
-        counter.value += 1
-        dist = self._d_occupancy
-        if dist is None:
-            dist = self._d_occupancy = self.stats.distribution("occupancy")
-        # Distribution.record, inlined (one allocation per L1 miss).
-        sample = len(pending)
-        dist.count += 1
-        dist.total += sample
-        if dist.minimum is None or sample < dist.minimum:
-            dist.minimum = sample
-        if dist.maximum is None or sample > dist.maximum:
-            dist.maximum = sample
+        stats = self.stats
+        stats.allocated += 1
+        stats.occupancy_count += 1
+        stats.occupancy_sum += len(pending)
         return True
 
     def complete(self, addr: int) -> int:

@@ -16,7 +16,7 @@ from collections import deque
 from typing import Callable, Deque, Tuple
 
 from repro.utils.events import EventQueue
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
 
 
 class PortPriority(enum.IntEnum):
@@ -30,6 +30,20 @@ class PortPriority(enum.IntEnum):
 # ``EnumType.__getattr__``, and the members are the same objects.
 DEMAND = PortPriority.DEMAND
 BACKGROUND = PortPriority.BACKGROUND
+
+
+class PortStats(StatRecord):
+    """Tag-port requests per priority, grants and the queue depth at each
+    grant."""
+
+    __slots__ = (
+        "requests_demand",
+        "requests_background",
+        "grants",
+        "queue_depth_count",
+        "queue_depth_sum",
+    )
+    DISTRIBUTIONS = ("queue_depth",)
 
 
 class TagPort:
@@ -50,17 +64,11 @@ class TagPort:
         self.queue = queue
         self.occupancy = occupancy
         self.busy_until = 0
-        self.stats = StatGroup(name)
+        self.stats = PortStats(name)
         self._waiting: Tuple[Deque[Callable[[], None]], ...] = (deque(), deque())
         # A grant pass is queued. It is never cancelled, so a flag (not an
         # Event) is all it needs.
         self._grant_pending = False
-        # Per-priority request counters, bound on first use (lazily, so the
-        # exported stat set matches creation-on-first-increment) — the old
-        # per-request f-string + StatGroup lookup showed up in profiles.
-        self._c_requests = [None, None]
-        self._c_grants = None
-        self._d_queue_depth = None
 
     @property
     def queued(self) -> int:
@@ -70,12 +78,10 @@ class TagPort:
         self, callback: Callable[[], None], priority: PortPriority = DEMAND
     ) -> None:
         """Queue a lookup; ``callback`` runs when the port grants it."""
-        counter = self._c_requests[priority]
-        if counter is None:
-            counter = self._c_requests[priority] = self.stats.counter(
-                f"requests_{priority.name.lower()}"
-            )
-        counter.value += 1
+        if priority is DEMAND:
+            self.stats.requests_demand += 1
+        else:
+            self.stats.requests_background += 1
         self._waiting[priority].append(callback)
         if not self._grant_pending:
             # Arm the grant pass (what _pump does, without the extra frame).
@@ -108,21 +114,10 @@ class TagPort:
         else:
             return
         self.busy_until = now + self.occupancy
-        counter = self._c_grants
-        if counter is None:
-            counter = self._c_grants = self.stats.counter("grants")
-        counter.value += 1
-        depth = self._d_queue_depth
-        if depth is None:
-            depth = self._d_queue_depth = self.stats.distribution("queue_depth")
-        # Distribution.record, inlined (one grant per tag lookup).
-        sample = len(demand) + len(background)
-        depth.count += 1
-        depth.total += sample
-        if depth.minimum is None or sample < depth.minimum:
-            depth.minimum = sample
-        if depth.maximum is None or sample > depth.maximum:
-            depth.maximum = sample
+        stats = self.stats
+        stats.grants += 1
+        stats.queue_depth_count += 1
+        stats.queue_depth_sum += len(demand) + len(background)
         callback()
         if demand or background:
             self._pump()

@@ -70,7 +70,7 @@ from repro.campaign.plan import (
 from repro.sim.system import MODEL_VERSION
 from repro.utils.atomic import atomic_write_json, atomic_write_text
 from repro.utils.locks import FileLock, LockHeldError
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_non_negative, check_positive
 from repro.workloads.mix import mix_table_fingerprint, paper_mix_count
 
 #: Bump when the manifest schema changes.
@@ -171,6 +171,7 @@ class CampaignConfig:
             )
         if self.refs is not None:
             check_positive("refs", self.refs)
+        check_non_negative("workers", self.workers)
         if self.shards < 0 or self.shards == 1:
             raise ValueError(
                 f"shards must be 0 (whole runs) or >= 2, got {self.shards}"

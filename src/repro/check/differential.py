@@ -295,13 +295,11 @@ def run_timing_serialized(
                 entry.region_id: entry.bitvector
                 for entry in level.dbi.iter_valid_entries()
             }
-        level_counter = level.stats.counter
-        dramcache_reads = level_counter("reads").value
-        dramcache_writes = level_counter("writes").value
-        dramcache_offchip = level_counter("offchip_writes").value
+        dramcache_reads = level.stats.reads
+        dramcache_writes = level.stats.writes
+        dramcache_offchip = level.stats.offchip_writes
 
-    counter = mechanism.stats.counter
-    dram_counter = memory.stats.counter
+    stats = mechanism.stats
     return TimingSnapshot(
         llc_blocks=llc_blocks,
         llc_dirty=llc_dirty,
@@ -311,11 +309,11 @@ def run_timing_serialized(
         l1_dirty=[state[1] for state in l1_states],
         l2_blocks=[state[0] for state in l2_states],
         l2_dirty=[state[1] for state in l2_states],
-        read_requests=counter("read_requests").value,
-        writeback_requests=counter("writeback_requests").value,
-        memory_writebacks=counter("memory_writebacks").value,
-        dram_writes_performed=dram_counter("dram_writes_performed").value,
-        dram_writes_coalesced=dram_counter("writes_coalesced").value,
+        read_requests=stats.read_requests,
+        writeback_requests=stats.writeback_requests,
+        memory_writebacks=stats.memory_writebacks,
+        dram_writes_performed=memory.stats.dram_writes_performed,
+        dram_writes_coalesced=memory.stats.writes_coalesced,
         dramcache_blocks=dramcache_blocks,
         dramcache_dirty=dramcache_dirty,
         dramcache_dbi_entries=dramcache_dbi_entries,

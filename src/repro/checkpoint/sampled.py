@@ -172,12 +172,12 @@ def _read_raw_stats(system: System) -> Tuple[Dict, Dict, Dict]:
     dists: Dict[str, Tuple[int, int]] = {}
     for group in system._all_stat_groups():
         prefix = group.name
-        for counter in group._counters.values():
-            counters[f"{prefix}.{counter.name}"] = counter.value
-        for rate in group._rates.values():
-            rates[f"{prefix}.{rate.name}"] = (rate.hits, rate.total)
-        for dist in group._distributions.values():
-            dists[f"{prefix}.{dist.name}"] = (dist.count, dist.total)
+        for name, value in group.counters():
+            counters[f"{prefix}.{name}"] = value
+        for name, hits, total in group.rates():
+            rates[f"{prefix}.{name}"] = (hits, total)
+        for name, count, total in group.distributions():
+            dists[f"{prefix}.{name}"] = (count, total)
     return counters, rates, dists
 
 

@@ -91,8 +91,10 @@ from repro.utils.atomic import atomic_write_bytes
 #: lists; format 4 holds no cancellable queue entries: the controller's wake
 #: is its bound ``_wake``, tracked by ``_wake_at``, and ``Event`` is
 #: audit-only; format 5 has no ``CacheBlock``: a cache's tag store is its
-#: own per-way lists (``_addr``, ``_dirty``, ``_owner``), pickled as they are.
-SNAPSHOT_FORMAT = 5
+#: own per-way lists (``_addr``, ``_dirty``, ``_owner``), pickled as they are;
+#: format 6 holds each component's stats as one slot record
+#: (:class:`repro.utils.stats.StatRecord`), not ``Counter`` objects.
+SNAPSHOT_FORMAT = 6
 
 #: zlib level of the payload (see the module docstring).
 COMPRESSION_LEVEL = 1

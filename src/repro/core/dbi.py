@@ -20,7 +20,7 @@ from repro.core.config import DbiConfig
 from repro.core.replacement import make_dbi_policy
 from repro.utils.bits import iter_set_bits, popcount
 from repro.utils.rng import DeterministicRng
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
 
 
 class DbiEntry:
@@ -61,6 +61,21 @@ class DbiEviction:
     dirty_blocks: Tuple[int, ...]
 
 
+class DbiStats(StatRecord):
+    """Queries, writes and entry churn of one DBI."""
+
+    __slots__ = (
+        "queries",
+        "writes",
+        "evictions",
+        "evicted_dirty_blocks",
+        "entry_insertions",
+        "entries_emptied",
+        "flushes",
+        "flushed_entries",
+    )
+
+
 class DirtyBlockIndex:
     """Set-associative index of dirty blocks, keyed by DRAM-row region.
 
@@ -95,12 +110,9 @@ class DirtyBlockIndex:
         )
         # stat_name disambiguates instances in one system (the LLC
         # mechanism's DBI vs. the DRAM-cache level's DBI).
-        self.stats = StatGroup(stat_name or "dbi")
+        self.stats = DbiStats(stat_name or "dbi")
         # region_id -> way for O(1) lookup; the set index is derivable.
         self._where = {}
-        # Per-query counters, bound lazily (see Cache for rationale).
-        self._c_queries = None
-        self._c_writes = None
 
     # -------------------------------------------------------------- queries
 
@@ -110,15 +122,9 @@ class DirtyBlockIndex:
             return None
         return self.sets[self.config.set_of(region_id)][way]
 
-    def _count_query(self) -> None:
-        counter = self._c_queries
-        if counter is None:
-            counter = self._c_queries = self.stats.counter("queries")
-        counter.value += 1
-
     def is_dirty(self, block_addr: int) -> bool:
         """Paper's DBI semantics: valid entry AND bit set."""
-        self._count_query()
+        self.stats.queries += 1
         return self.peek_dirty(block_addr)
 
     @property
@@ -155,7 +161,7 @@ class DirtyBlockIndex:
         This is the single-lookup row enumeration that makes AWB cheap
         (paper Section 3.1, Figure 3).
         """
-        self._count_query()
+        self.stats.queries += 1
         region_id = self.config.region_of(block_addr)
         entry = self._entry(region_id)
         if entry is None:
@@ -175,10 +181,7 @@ class DirtyBlockIndex:
             existing one — the caller must write those blocks back to memory
             and transition them dirty → clean in the cache. None otherwise.
         """
-        counter = self._c_writes
-        if counter is None:
-            counter = self._c_writes = self.stats.counter("writes")
-        counter.value += 1
+        self.stats.writes += 1
         region_id = self.config.region_of(block_addr)
         offset = self.config.offset_of(block_addr)
         set_idx = self.config.set_of(region_id)
@@ -210,10 +213,9 @@ class DirtyBlockIndex:
                 ),
             )
             del self._where[victim.region_id]
-            self.stats.counter("evictions").increment()
-            self.stats.counter("evicted_dirty_blocks").increment(
-                len(evicted.dirty_blocks)
-            )
+            # A valid entry holds at least one dirty bit, so this adds >= 1.
+            self.stats.evictions += 1
+            self.stats.evicted_dirty_blocks += len(evicted.dirty_blocks)
             if self.observer is not None:
                 # The displaced entry's blocks stay cached but transition
                 # dirty -> clean; the mechanism writes each back (Sec 2.2.4).
@@ -225,7 +227,7 @@ class DirtyBlockIndex:
         entry.bitvector = 1 << offset
         self._where[region_id] = target_way
         self.policy.on_insert(set_idx, target_way)
-        self.stats.counter("entry_insertions").increment()
+        self.stats.entry_insertions += 1
         if self.observer is not None:
             self.observer.on_block_dirtied(block_addr)
         return evicted
@@ -268,7 +270,7 @@ class DirtyBlockIndex:
             entry.invalidate()
             del self._where[region_id]
             self.policy.on_invalidate(set_idx, way)
-            self.stats.counter("entries_emptied").increment()
+            self.stats.entries_emptied += 1
         return True
 
     def drop_region(self, block_addr: int) -> List[int]:
@@ -304,7 +306,7 @@ class DirtyBlockIndex:
         memory schedulers can steer writes using this without touching the
         tag store.
         """
-        self._count_query()
+        self.stats.queries += 1
         return region_id in self._where
 
     def any_dirty_in_range(self, start_block: int, end_block: int) -> bool:
@@ -316,7 +318,7 @@ class DirtyBlockIndex:
         """
         if end_block <= start_block:
             return False
-        self._count_query()
+        self.stats.queries += 1
         first_region = self.config.region_of(start_block)
         last_region = self.config.region_of(end_block - 1)
         granularity = self.config.granularity
@@ -356,8 +358,8 @@ class DirtyBlockIndex:
                 entry.invalidate()
         count = len(self._where)
         self._where.clear()
-        self.stats.counter("flushes").increment()
-        self.stats.counter("flushed_entries").increment(count)
+        self.stats.flushes += 1
+        self.stats.add("flushed_entries", count)
         return groups
 
     # ----------------------------------------------------------- inspection

@@ -33,7 +33,7 @@ class Bank:
         # Precharge is blocked until write recovery (tWR) elapses, so a
         # row *change* after a write waits; same-row accesses do not.
         self.write_recovery_until = 0
-        # Plain per-bank access tallies (not StatGroup counters: they feed
+        # Plain per-bank access tallies (not stat-record fields: they feed
         # the telemetry sampler only and must never enter exported stats).
         self.row_hits = 0
         self.row_conflicts = 0

@@ -36,7 +36,7 @@ from repro.dram.request import MemoryRequest
 from repro.dram.scheduler import select_fr_fcfs
 from repro.dram.writebuffer import WriteBuffer
 from repro.utils.events import EventQueue
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
 
 
 class Phase(enum.Enum):
@@ -51,6 +51,32 @@ class Phase(enum.Enum):
 # objects, so ``controller.phase`` still holds a ``Phase``.
 _READ = Phase.READ
 _WRITE_DRAIN = Phase.WRITE_DRAIN
+
+
+class DramStats(StatRecord):
+    """One channel's requests, DRAM accesses, row-hit rates and read
+    latency."""
+
+    __slots__ = (
+        "reads",
+        "reads_forwarded_from_write_buffer",
+        "writes",
+        "writes_coalesced",
+        "writes_rejected",
+        "write_drain_phases",
+        "activates",
+        "bus_turnarounds",
+        "dram_writes_performed",
+        "dram_reads_performed",
+        "write_row_hit_rate_hits",
+        "write_row_hit_rate_total",
+        "read_row_hit_rate_hits",
+        "read_row_hit_rate_total",
+        "read_latency_count",
+        "read_latency_sum",
+    )
+    RATES = ("write_row_hit_rate", "read_row_hit_rate")
+    DISTRIBUTIONS = ("read_latency",)
 
 
 class MemoryController:
@@ -75,47 +101,28 @@ class MemoryController:
         self._last_was_write: Optional[bool] = None
         # Recent ACTIVATE issue times, newest last (tRRD / tFAW windows).
         self._recent_activates: List[int] = []
-        self.stats = StatGroup(name)
+        self.stats = DramStats(name)
         # Cycle of the one pending ``_wake`` entry on the queue, or None.
         self._wake_at: Optional[int] = None
         # Blocked-until memo: the candidate list whose last scan found
         # nothing ready, and the cycle its first candidate becomes ready.
         self._blocked_list: Optional[List[MemoryRequest]] = None
         self._blocked_until = 0
-        # Hot-path stats, bound to their Counter/RateStat object on first
-        # use (lazily, so the exported stat set stays byte-identical to
-        # creation-on-first-increment).
-        self._c_reads = None
-        self._c_writes = None
-        self._c_activates = None
-        self._c_bus_turnarounds = None
-        self._c_dram_writes = None
-        self._c_dram_reads = None
-        self._r_write_row_hit = None
-        self._r_read_row_hit = None
-        self._d_read_latency = None
-        self._c_writes_rejected = None
 
     # ------------------------------------------------------------------ API
 
     def enqueue_read(self, request: MemoryRequest) -> None:
         """Accept a demand read. Forwards from the write buffer when possible."""
         now = request.arrival_time = self.queue.now
-        counter = self._c_reads
-        if counter is None:
-            counter = self._c_reads = self.stats.counter("reads")
-        counter.value += 1
+        stats = self.stats
+        stats.reads += 1
         addr = request.block_addr
         if addr in self.write_buffer._by_addr:
             # Data is newer in the write buffer than in DRAM; forward it.
-            self.stats.counter("reads_forwarded_from_write_buffer").increment()
+            stats.reads_forwarded_from_write_buffer += 1
             when = request.complete_time = now + self.config.t_burst
-            dist = self._d_read_latency
-            if dist is None:
-                dist = self._d_read_latency = self.stats.distribution(
-                    "read_latency"
-                )
-            dist.record(when - now)
+            stats.read_latency_count += 1
+            stats.read_latency_sum += when - now
             if request.on_complete is not None:
                 self.queue.schedule(when, request.fire_completion)
             return
@@ -146,17 +153,12 @@ class MemoryController:
         addr = request.block_addr
         if addr in write_buffer._by_addr:
             write_buffer.add(request)  # coalesce
-            self.stats.counter("writes_coalesced").increment()
+            self.stats.writes_coalesced += 1
             return True
         entries = write_buffer._entries
         capacity = write_buffer.capacity
         if len(entries) >= capacity:
-            counter = self._c_writes_rejected
-            if counter is None:
-                counter = self._c_writes_rejected = self.stats.counter(
-                    "writes_rejected"
-                )
-            counter.value += 1
+            self.stats.writes_rejected += 1
             return False
         mapper = self.mapper
         row_seq = addr >> mapper._row_shift
@@ -165,14 +167,11 @@ class MemoryController:
         write_buffer.add(request)
         if self._blocked_list is entries:
             self._unblock(request)
-        counter = self._c_writes
-        if counter is None:
-            counter = self._c_writes = self.stats.counter("writes")
-        counter.value += 1
+        self.stats.writes += 1
         if self.phase is _READ:
             if len(entries) >= capacity:
                 self.phase = _WRITE_DRAIN
-                self.stats.counter("write_drain_phases").increment()
+                self.stats.write_drain_phases += 1
         elif len(entries) <= self.config.drain_low_watermark:
             self.phase = _READ
         self._schedule_wake(now)
@@ -278,7 +277,7 @@ class MemoryController:
             if phase is _READ:
                 if len(wb_entries) >= capacity:
                     self.phase = phase = _WRITE_DRAIN
-                    self.stats.counter("write_drain_phases").increment()
+                    self.stats.write_drain_phases += 1
             elif len(wb_entries) <= low_watermark:
                 self.phase = phase = _READ
             if phase is _WRITE_DRAIN:
@@ -336,12 +335,7 @@ class MemoryController:
             last_was_write = self._last_was_write
             if last_was_write is not None and last_was_write != is_write:
                 burst_start += config.t_turnaround
-                counter = self._c_bus_turnarounds
-                if counter is None:
-                    counter = self._c_bus_turnarounds = self.stats.counter(
-                        "bus_turnarounds"
-                    )
-                counter.value += 1
+                self.stats.bus_turnarounds += 1
             if data_ready > burst_start:
                 burst_start = data_ready
             finish = burst_start + config.t_burst
@@ -356,49 +350,21 @@ class MemoryController:
                 request.complete_time = finish
                 bank.write_recovery_until = finish + config.t_wr
                 del write_buffer._by_addr[request.block_addr]
-                rate = self._r_write_row_hit
-                if rate is None:
-                    rate = self._r_write_row_hit = self.stats.rate(
-                        "write_row_hit_rate"
-                    )
-                rate.total += 1
+                stats = self.stats
+                stats.write_row_hit_rate_total += 1
                 if row_hit:
-                    rate.hits += 1
-                counter = self._c_dram_writes
-                if counter is None:
-                    counter = self._c_dram_writes = self.stats.counter(
-                        "dram_writes_performed"
-                    )
-                counter.value += 1
+                    stats.write_row_hit_rate_hits += 1
+                stats.dram_writes_performed += 1
             else:
-                rate = self._r_read_row_hit
-                if rate is None:
-                    rate = self._r_read_row_hit = self.stats.rate(
-                        "read_row_hit_rate"
-                    )
-                rate.total += 1
+                stats = self.stats
+                stats.read_row_hit_rate_total += 1
                 if row_hit:
-                    rate.hits += 1
-                counter = self._c_dram_reads
-                if counter is None:
-                    counter = self._c_dram_reads = self.stats.counter(
-                        "dram_reads_performed"
-                    )
-                counter.value += 1
+                    stats.read_row_hit_rate_hits += 1
+                stats.dram_reads_performed += 1
                 # The read's data reaches the requester after the bus queue.
                 when = request.complete_time = finish + config.bus_queue_latency
-                dist = self._d_read_latency
-                if dist is None:
-                    dist = self._d_read_latency = self.stats.distribution(
-                        "read_latency"
-                    )
-                sample = when - request.arrival_time
-                dist.count += 1
-                dist.total += sample
-                if dist.minimum is None or sample < dist.minimum:
-                    dist.minimum = sample
-                if dist.maximum is None or sample > dist.maximum:
-                    dist.maximum = sample
+                stats.read_latency_count += 1
+                stats.read_latency_sum += when - request.arrival_time
                 if request.on_complete is not None:
                     queue.schedule(when, request.fire_completion)
         self._wake_at = wake_at
@@ -408,7 +374,4 @@ class MemoryController:
         self._recent_activates.append(when)
         if len(self._recent_activates) > 4:
             del self._recent_activates[0]
-        counter = self._c_activates
-        if counter is None:
-            counter = self._c_activates = self.stats.counter("activates")
-        counter.value += 1
+        self.stats.activates += 1

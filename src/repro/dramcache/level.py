@@ -40,7 +40,7 @@ from repro.dramcache.backends import make_backend
 from repro.dramcache.config import DramCacheConfig
 from repro.utils.events import EventQueue
 from repro.utils.rng import DeterministicRng
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
 
 #: Cycles between attempts to re-enqueue a write a controller rejected
 #: (same cadence as the LLC mechanisms' writeback retry).
@@ -52,6 +52,29 @@ def _complete_outer(outer: MemoryRequest, inner: MemoryRequest) -> None:
     outer.complete_time = inner.complete_time
     if outer.on_complete is not None:
         outer.fire_completion()
+
+
+class DramCacheStats(StatRecord):
+    """The DRAM-cache level's traffic: reads, writes, fills and off-chip
+    writebacks."""
+
+    __slots__ = (
+        "reads",
+        "read_hits",
+        "read_misses",
+        "read_merges",
+        "offchip_reads",
+        "fills_superseded",
+        "fills",
+        "writes",
+        "write_hits",
+        "write_fills",
+        "dirty_evictions",
+        "awb_drains",
+        "dbi_forced_writebacks",
+        "stacked_victim_reads",
+        "offchip_writes",
+    )
 
 
 class DramCacheLevel:
@@ -77,37 +100,20 @@ class DramCacheLevel:
         self.stacked = MemoryController(queue, config.stacked, name="stacked")
         self.backend = make_backend(config, self.tags, rng)
         self.dbi = self.backend.dbi
-        self.stats = StatGroup(config.name)
+        self.stats = DramCacheStats(config.name)
         # addr -> outer requests waiting on one off-chip fetch.
         self._pending_reads: Dict[int, List[MemoryRequest]] = {}
         self._offchip_overflow: Deque[int] = deque()
         self._offchip_retry_pending = False
         self._stacked_overflow: Deque[int] = deque()
         self._stacked_retry_pending = False
-        # Hot-path counters, bound lazily (see Cache for rationale).
-        self._c_reads = None
-        self._c_read_hits = None
-        self._c_read_misses = None
-        self._c_writes = None
-        self._c_write_hits = None
-        self._c_write_fills = None
-        self._c_offchip_reads = None
-        self._c_offchip_writes = None
-        self._c_fills = None
-        self._c_dirty_evictions = None
-        self._c_awb_drains = None
-        self._c_dbi_forced_writebacks = None
-        self._c_stacked_victim_reads = None
 
     # ------------------------------------------------------------ read path
 
     def enqueue_read(self, request: MemoryRequest) -> None:
         """Demand read from the LLC mechanism (its memory-side interface)."""
         request.arrival_time = self.queue.now
-        counter = self._c_reads
-        if counter is None:
-            counter = self._c_reads = self.stats.counter("reads")
-        counter.value += 1
+        self.stats.reads += 1
         queue = self.queue
         queue.schedule(
             queue.now + self.config.tag_latency, partial(self._read_tags_done, request)
@@ -116,30 +122,21 @@ class DramCacheLevel:
     def _read_tags_done(self, request: MemoryRequest) -> None:
         addr = request.block_addr
         if self.tags.lookup(addr, request.core_id):
-            counter = self._c_read_hits
-            if counter is None:
-                counter = self._c_read_hits = self.stats.counter("read_hits")
-            counter.value += 1
+            self.stats.read_hits += 1
             self.stacked.enqueue_read(
                 MemoryRequest(
                     addr, False, request.core_id, 0, partial(_complete_outer, request)
                 )
             )
             return
-        counter = self._c_read_misses
-        if counter is None:
-            counter = self._c_read_misses = self.stats.counter("read_misses")
-        counter.value += 1
+        self.stats.read_misses += 1
         waiters = self._pending_reads.get(addr)
         if waiters is not None:
             waiters.append(request)
-            self.stats.counter("read_merges").increment()
+            self.stats.read_merges += 1
             return
         self._pending_reads[addr] = [request]
-        counter = self._c_offchip_reads
-        if counter is None:
-            counter = self._c_offchip_reads = self.stats.counter("offchip_reads")
-        counter.value += 1
+        self.stats.offchip_reads += 1
         self.offchip.enqueue_read(
             MemoryRequest(addr, False, request.core_id, 0, self._fill_arrived)
         )
@@ -150,12 +147,9 @@ class DramCacheLevel:
         if self.tags.contains(addr):
             # A writeback installed (newer) data while the fetch was in
             # flight; the off-chip copy is stale — do not overwrite it.
-            self.stats.counter("fills_superseded").increment()
+            self.stats.fills_superseded += 1
         else:
-            counter = self._c_fills
-            if counter is None:
-                counter = self._c_fills = self.stats.counter("fills")
-            counter.value += 1
+            self.stats.fills += 1
             self._install(addr, fill.core_id, dirty=False)
             self._send_stacked_write(addr)
         for outer in waiters:
@@ -172,10 +166,7 @@ class DramCacheLevel:
     def enqueue_write(self, request: MemoryRequest) -> bool:
         """Writeback from the LLC mechanism; always accepted."""
         request.arrival_time = self.queue.now
-        counter = self._c_writes
-        if counter is None:
-            counter = self._c_writes = self.stats.counter("writes")
-        counter.value += 1
+        self.stats.writes += 1
         queue = self.queue
         queue.schedule(
             queue.now + self.config.tag_latency,
@@ -185,20 +176,14 @@ class DramCacheLevel:
 
     def _write_tags_done(self, addr: int, core_id: int) -> None:
         if self.tags.contains(addr):
-            counter = self._c_write_hits
-            if counter is None:
-                counter = self._c_write_hits = self.stats.counter("write_hits")
-            counter.value += 1
+            self.stats.write_hits += 1
             self.tags.touch(addr, core_id)
             if self.backend.tag_dirty:
                 self.backend.mark_dirty(addr)
             else:
                 self._forced_writebacks(self.backend.mark_dirty(addr))
         else:
-            counter = self._c_write_fills
-            if counter is None:
-                counter = self._c_write_fills = self.stats.counter("write_fills")
-            counter.value += 1
+            self.stats.write_fills += 1
             self._install(addr, core_id, dirty=True)
         self._send_stacked_write(addr)
 
@@ -212,23 +197,12 @@ class DramCacheLevel:
         if victim is not None:
             demand, drains = self.backend.on_evict(victim)
             if demand:
-                counter = self._c_dirty_evictions
-                if counter is None:
-                    counter = self._c_dirty_evictions = self.stats.counter(
-                        "dirty_evictions"
-                    )
-                counter.value += 1
+                self.stats.dirty_evictions += 1
                 for block in demand:
                     self._writeback_block(block, "evict")
-            if drains:
-                counter = self._c_awb_drains
-                if counter is None:
-                    counter = self._c_awb_drains = self.stats.counter(
-                        "awb_drains"
-                    )
-                for block in drains:
-                    counter.value += 1
-                    self._writeback_block(block, "awb-drain")
+            for block in drains:
+                self.stats.awb_drains += 1
+                self._writeback_block(block, "awb-drain")
         if dirty and not self.backend.tag_dirty:
             # Marking after the victim is resolved keeps the DBI's
             # cached-blocks-only invariant during the entry displacement.
@@ -236,39 +210,22 @@ class DramCacheLevel:
 
     def _forced_writebacks(self, blocks: List[int]) -> None:
         """A displaced DBI entry's blocks: cleaned in place, data off-chip."""
-        if not blocks:
-            return
-        counter = self._c_dbi_forced_writebacks
-        if counter is None:
-            counter = self._c_dbi_forced_writebacks = self.stats.counter(
-                "dbi_forced_writebacks"
-            )
         for block in blocks:
-            counter.value += 1
+            self.stats.dbi_forced_writebacks += 1
             self._writeback_block(block, "dbi-displace")
 
     def _writeback_block(self, addr: int, cause: str = "evict") -> None:
         """Move one dirty block's data from the stacked array to off-chip."""
         # The data must be read out of the stacked array first; the read is
         # fire-and-forget (it consumes stacked bandwidth, nothing waits).
-        counter = self._c_stacked_victim_reads
-        if counter is None:
-            counter = self._c_stacked_victim_reads = self.stats.counter(
-                "stacked_victim_reads"
-            )
-        counter.value += 1
+        self.stats.stacked_victim_reads += 1
         self.stacked.enqueue_read(MemoryRequest(addr, False))
         self._send_offchip_write(addr, cause)
 
     # ------------------------------------------------------- memory writes
 
     def _send_offchip_write(self, addr: int, cause: str = "evict") -> None:
-        counter = self._c_offchip_writes
-        if counter is None:
-            counter = self._c_offchip_writes = self.stats.counter(
-                "offchip_writes"
-            )
-        counter.value += 1
+        self.stats.offchip_writes += 1
         if self.checker is not None:
             self.checker.on_memory_writeback(addr, cause)
         accepted = self.offchip.enqueue_write(MemoryRequest(addr, True))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.core.dbi import DirtyBlockIndex
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
 from repro.utils.validation import check_positive
 
 
@@ -38,12 +38,18 @@ class DmaTransferReport:
         return self.conventional_tag_lookups / self.dbi_queries
 
 
+class DmaStats(StatRecord):
+    """Transfers prepared, blocks flushed and DBI queries spent."""
+
+    __slots__ = ("transfers", "blocks_flushed", "dbi_queries")
+
+
 class BulkDmaEngine:
     """Coherence front-end for device-initiated bulk reads."""
 
     def __init__(self, dbi: DirtyBlockIndex) -> None:
         self.dbi = dbi
-        self.stats = StatGroup("dma")
+        self.stats = DmaStats("dma")
 
     def prepare_read(self, start_block: int, num_blocks: int) -> DmaTransferReport:
         """Make [start, start+num_blocks) safe for a device read.
@@ -70,9 +76,9 @@ class BulkDmaEngine:
                     flushed.append(block)
             queries += 1  # the bit-vector read
 
-        self.stats.counter("transfers").increment()
-        self.stats.counter("blocks_flushed").increment(len(flushed))
-        self.stats.counter("dbi_queries").increment(queries)
+        self.stats.transfers += 1
+        self.stats.add("blocks_flushed", len(flushed))
+        self.stats.dbi_queries += queries  # at least one region is queried
         return DmaTransferReport(
             start_block=start_block,
             num_blocks=num_blocks,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.dbi import DirtyBlockIndex
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -34,6 +34,18 @@ class DispatchDecision(enum.Enum):
 
     DRAM_CACHE = "dram_cache"  # forced (dirty) or chosen (less loaded)
     OFF_CHIP = "off_chip"
+
+
+class DramCacheModelStats(StatRecord):
+    """Writes, dirty evictions and drains of the untimed DRAM-cache model."""
+
+    __slots__ = ("writes", "dbi_forced_writebacks", "dirty_evictions", "awb_drains")
+
+
+class DispatchStats(StatRecord):
+    """Where the dispatcher sent each read."""
+
+    __slots__ = ("reads", "forced_to_cache", "balanced_to_off_chip")
 
 
 @dataclass
@@ -60,7 +72,7 @@ class DramCacheModel:
         check_positive("capacity_blocks", self.capacity_blocks)
         # addr -> None, in recency order: front is LRU, back is MRU.
         self._present: "OrderedDict[int, None]" = OrderedDict()
-        self.stats = StatGroup("dram_cache")
+        self.stats = DramCacheModelStats("dram_cache")
 
     def contains(self, block_addr: int) -> bool:
         return block_addr in self._present
@@ -95,28 +107,26 @@ class DramCacheModel:
     def write(self, block_addr: int) -> None:
         """A store to the DRAM cache: allocate + mark dirty."""
         self.install(block_addr, dirty=True)
-        self.stats.counter("writes").increment()
+        self.stats.writes += 1
 
     def _mark_dirty(self, block_addr: int) -> None:
         eviction = self.dbi.mark_dirty(block_addr)
         if eviction is None:
             return
         # Displaced DBI entry: its blocks become clean (written downstream).
-        self.stats.counter("dbi_forced_writebacks").increment(
-            len(eviction.dirty_blocks)
-        )
+        self.stats.dbi_forced_writebacks += len(eviction.dirty_blocks)
 
     def _evict(self, victim: int) -> None:
         """Aggressive writeback on dirty eviction, like the timed level."""
         if not self.dbi.is_dirty(victim):
             return
         self.dbi.mark_clean(victim)
-        self.stats.counter("dirty_evictions").increment()
+        self.stats.dirty_evictions += 1
         for addr in self.dbi.dirty_blocks_in_region(victim):
             # Region-mates stay present but are cleaned alongside the
             # victim — their data leaves in the same off-chip row batch.
             self.dbi.mark_clean(addr)
-            self.stats.counter("awb_drains").increment()
+            self.stats.awb_drains += 1
 
 
 class DramCacheDispatcher:
@@ -141,21 +151,21 @@ class DramCacheDispatcher:
         self.threshold = queue_penalty_threshold
         self.cache_queue = 0
         self.off_chip_queue = 0
-        self.stats = StatGroup("dispatch")
+        self.stats = DispatchStats("dispatch")
 
     def dispatch_read(self, block_addr: int) -> DispatchDecision:
         """Decide where one read goes and account queue occupancy."""
-        self.stats.counter("reads").increment()
+        self.stats.reads += 1
         if self.cache.dbi.is_dirty(block_addr):
             # Only the DRAM cache has the current data.
-            self.stats.counter("forced_to_cache").increment()
+            self.stats.forced_to_cache += 1
             self.cache.touch(block_addr)
             self.cache_queue += 1
             return DispatchDecision.DRAM_CACHE
 
         # Clean everywhere: balance load.
         if self.cache_queue - self.off_chip_queue >= self.threshold:
-            self.stats.counter("balanced_to_off_chip").increment()
+            self.stats.balanced_to_off_chip += 1
             self.off_chip_queue += 1
             return DispatchDecision.OFF_CHIP
         self.cache.touch(block_addr)
@@ -176,8 +186,7 @@ class DramCacheDispatcher:
     @property
     def off_chip_share(self) -> float:
         """Fraction of reads the dispatcher managed to offload."""
-        flat = self.stats.as_dict()
-        reads = flat.get("dispatch.reads", 0)
+        reads = self.stats.reads
         if not reads:
             return 0.0
-        return flat.get("dispatch.balanced_to_off_chip", 0) / reads
+        return self.stats.balanced_to_off_chip / reads

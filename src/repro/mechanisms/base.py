@@ -27,7 +27,7 @@ from repro.dram.address import AddressMapper
 from repro.dram.controller import MemoryController
 from repro.dram.request import MemoryRequest
 from repro.utils.events import EventQueue
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
 
 #: Cycles between attempts to re-enqueue a writeback the controller rejected.
 WRITEBACK_RETRY_INTERVAL = 50
@@ -46,6 +46,36 @@ def _invoke(callback: Callable[[int], None], addr: int) -> None:
 def _deliver_block(on_data: Callable[[int], None], request) -> None:
     """Picklable ``MemoryRequest.on_complete`` that forwards the block."""
     on_data(request.block_addr)
+
+
+class MechanismStats(StatRecord):
+    """The LLC mechanism's counts: the shared read/writeback paths, then
+    the fields only some mechanisms count (DAWB/VWQ row probing, DBI
+    evictions, AWB, CLB and Skip Cache bypasses)."""
+
+    __slots__ = (
+        "read_requests",
+        "read_hits",
+        "read_misses",
+        "fill_merges",
+        "writeback_requests",
+        "memory_writebacks",
+        "tag_lookups",
+        "tag_lookups_core",
+        "coalesced_rounds",
+        "ssv_filtered",
+        "row_probes",
+        "proactive_writebacks",
+        "wasted_probes",
+        "clb_predicted_misses",
+        "clb_dirty_aborts",
+        "bypassed_lookups",
+        "bypassed_hits",
+        "awb_writebacks",
+        "dbi_evictions",
+        "dbi_eviction_writebacks",
+    )
+    PER_CORE = ("tag_lookups_core",)
 
 
 class LlcMechanism:
@@ -79,19 +109,10 @@ class LlcMechanism:
         self.port = port
         self.memory = memory
         self.mapper = mapper
-        self.stats = StatGroup("mech")
+        self.stats = MechanismStats("mech")
         self._pending_fills: Dict[int, List[Callable[[int], None]]] = {}
         self._writeback_overflow: Deque[int] = deque()
         self._retry_pending = False
-        # Hot-path counters, bound lazily so the exported stat set stays
-        # byte-identical to creation-on-first-increment.
-        self._c_read_requests = None
-        self._c_read_hits = None
-        self._c_read_misses = None
-        self._c_writeback_requests = None
-        self._c_memory_writebacks = None
-        self._c_tag_lookups = None
-        self._c_tag_lookups_core: Dict[int, object] = {}
         self._llc_hit_latency = llc.config.hit_latency
         self._llc_miss_detect_latency = llc.config.miss_detect_latency
         # Per-core fill continuations, ``partial(self._fill_request_done,
@@ -102,10 +123,7 @@ class LlcMechanism:
 
     def read(self, core_id: int, addr: int, on_data: Callable[[int], None]) -> None:
         """Demand read from an L2 miss; ``on_data(addr)`` fires when served."""
-        counter = self._c_read_requests
-        if counter is None:
-            counter = self._c_read_requests = self.stats.counter("read_requests")
-        counter.value += 1
+        self.stats.read_requests += 1
         # _lookup_for_read, inlined: every L2 miss comes through here.
         self.port.request(partial(self._read_granted, core_id, addr, on_data), DEMAND)
 
@@ -119,19 +137,13 @@ class LlcMechanism:
     ) -> None:
         self._count_tag_lookup(core_id)
         if self.llc.lookup(addr, core_id):
-            counter = self._c_read_hits
-            if counter is None:
-                counter = self._c_read_hits = self.stats.counter("read_hits")
-            counter.value += 1
+            self.stats.read_hits += 1
             if self.trains_predictor:
                 self._train_predictor(core_id, addr, True)
             queue = self.queue
             queue.schedule(queue.now + self._llc_hit_latency, partial(on_data, addr))
             return
-        counter = self._c_read_misses
-        if counter is None:
-            counter = self._c_read_misses = self.stats.counter("read_misses")
-        counter.value += 1
+        self.stats.read_misses += 1
         if self.trains_predictor:
             self._train_predictor(core_id, addr, False)
         queue = self.queue
@@ -147,7 +159,7 @@ class LlcMechanism:
         waiters = self._pending_fills.get(addr)
         if waiters is not None:
             waiters.append(on_data)
-            self.stats.counter("fill_merges").increment()
+            self.stats.fill_merges += 1
             return
         self._pending_fills[addr] = [on_data]
         if self.recorder is not None:
@@ -183,12 +195,7 @@ class LlcMechanism:
 
     def writeback(self, core_id: int, addr: int) -> None:
         """Writeback request from the previous cache level (L2 dirty evict)."""
-        counter = self._c_writeback_requests
-        if counter is None:
-            counter = self._c_writeback_requests = self.stats.counter(
-                "writeback_requests"
-            )
-        counter.value += 1
+        self.stats.writeback_requests += 1
         self.port.request(partial(self._writeback_granted, core_id, addr), DEMAND)
 
     def _writeback_granted(self, core_id: int, addr: int) -> None:
@@ -235,12 +242,7 @@ class LlcMechanism:
         the ledger counts it and the drain recorder uses it to tell demand
         writebacks from background drains.
         """
-        counter = self._c_memory_writebacks
-        if counter is None:
-            counter = self._c_memory_writebacks = self.stats.counter(
-                "memory_writebacks"
-            )
-        counter.value += 1
+        self.stats.memory_writebacks += 1
         if self.checker is not None:
             self.checker.on_memory_writeback(addr, cause)
         if self.recorder is not None:
@@ -269,17 +271,14 @@ class LlcMechanism:
     # -------------------------------------------------------------- stats
 
     def _count_tag_lookup(self, core_id: int) -> None:
-        counter = self._c_tag_lookups
-        if counter is None:
-            counter = self._c_tag_lookups = self.stats.counter("tag_lookups")
-        counter.value += 1
+        stats = self.stats
+        stats.tag_lookups += 1
         if core_id >= 0:
-            per_core = self._c_tag_lookups_core.get(core_id)
-            if per_core is None:
-                per_core = self._c_tag_lookups_core[core_id] = self.stats.counter(
-                    f"tag_lookups_core{core_id}"
-                )
-            per_core.value += 1
+            per_core = stats.tag_lookups_core
+            try:
+                per_core[core_id] += 1
+            except KeyError:
+                per_core[core_id] = 1
 
     def telemetry_gauges(self) -> Dict[str, Callable[[], float]]:
         """Instantaneous probes for the epoch sampler (stat-free reads only).

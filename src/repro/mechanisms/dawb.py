@@ -26,10 +26,6 @@ class DawbMechanism(LlcMechanism):
         # from the same row adds nothing until the first round completes
         # (the writeback-queue coalescing of [27]).
         self._rows_in_flight = set()
-        # Per-probe counters, bound on first increment.
-        self._c_row_probes = None
-        self._c_proactive_writebacks = None
-        self._c_wasted_probes = None
 
     def telemetry_gauges(self):
         gauges = super().telemetry_gauges()
@@ -39,7 +35,7 @@ class DawbMechanism(LlcMechanism):
     def _after_dirty_eviction(self, addr: int) -> None:
         row = self.mapper.global_row_id(addr)
         if row in self._rows_in_flight:
-            self.stats.counter("coalesced_rounds").increment()
+            self.stats.coalesced_rounds += 1
             return
         self._rows_in_flight.add(row)
         span = [other for other in self.mapper.row_span(addr) if other != addr]
@@ -53,25 +49,12 @@ class DawbMechanism(LlcMechanism):
     def _probe_for_writeback(self, addr: int, row: int, last_of_round: bool) -> None:
         """One background tag lookup; write the block back iff dirty."""
         self._count_tag_lookup(-1)
-        counter = self._c_row_probes
-        if counter is None:
-            counter = self._c_row_probes = self.stats.counter("row_probes")
-        counter.value += 1
+        self.stats.row_probes += 1
         if self.llc.is_dirty(addr):
             self.llc.mark_clean(addr)
-            counter = self._c_proactive_writebacks
-            if counter is None:
-                counter = self._c_proactive_writebacks = self.stats.counter(
-                    "proactive_writebacks"
-                )
-            counter.value += 1
+            self.stats.proactive_writebacks += 1
             self._send_memory_write(addr, "dawb-probe")
         else:
-            counter = self._c_wasted_probes
-            if counter is None:
-                counter = self._c_wasted_probes = self.stats.counter(
-                    "wasted_probes"
-                )
-            counter.value += 1
+            self.stats.wasted_probes += 1
         if last_of_round:
             self._rows_in_flight.discard(row)

@@ -54,12 +54,6 @@ class DbiMechanism(LlcMechanism):
         self.enable_clb = enable_clb
         self.predictor = predictor
         self.trains_predictor = predictor is not None
-        # Per-read and per-writeback counters, bound on first increment.
-        self._c_clb_predicted_misses = None
-        self._c_bypassed_lookups = None
-        self._c_awb_writebacks = None
-        self._c_dbi_evictions = None
-        self._c_dbi_eviction_writebacks = None
         if enable_clb and predictor is None:
             raise ValueError("CLB requires a miss predictor")
         parts = ["dbi"]
@@ -80,10 +74,7 @@ class DbiMechanism(LlcMechanism):
     # ------------------------------------------------------------ read path
 
     def read(self, core_id: int, addr: int, on_data: Callable[[int], None]) -> None:
-        counter = self._c_read_requests
-        if counter is None:
-            counter = self._c_read_requests = self.stats.counter("read_requests")
-        counter.value += 1
+        self.stats.read_requests += 1
         if not self.enable_clb:
             self._lookup_for_read(core_id, addr, on_data)
             return
@@ -93,12 +84,7 @@ class DbiMechanism(LlcMechanism):
             return
         # Predicted miss: consult the DBI (small, fast, off the tag port)
         # before daring to bypass — dirty blocks must be served by the cache.
-        counter = self._c_clb_predicted_misses
-        if counter is None:
-            counter = self._c_clb_predicted_misses = self.stats.counter(
-                "clb_predicted_misses"
-            )
-        counter.value += 1
+        self.stats.clb_predicted_misses += 1
         self.queue.schedule_after(
             self.dbi.config.latency,
             partial(self._clb_dbi_checked, core_id, addr, on_data),
@@ -109,7 +95,7 @@ class DbiMechanism(LlcMechanism):
     ) -> None:
         if self.dbi.is_dirty(addr):
             # Figure 4's "block is dirty?" yes-arm: access the cache normally.
-            self.stats.counter("clb_dirty_aborts").increment()
+            self.stats.clb_dirty_aborts += 1
             self._lookup_for_read(core_id, addr, on_data)
             return
         # Clean or absent: memory's copy is usable either way. Bypass the
@@ -121,17 +107,12 @@ class DbiMechanism(LlcMechanism):
         # its reuse signal and set-dueling PSELs keep their (true) miss
         # votes — starving or polluting either silently flips follower sets
         # to the wrong insertion policy.
-        counter = self._c_bypassed_lookups
-        if counter is None:
-            counter = self._c_bypassed_lookups = self.stats.counter(
-                "bypassed_lookups"
-            )
-        counter.value += 1
+        self.stats.bypassed_lookups += 1
         if self.llc.contains(addr):
             # Bypassed-but-resident: the lookup was skipped but no reload
             # was needed, so this is not an LLC miss. Counted separately so
             # llc_mpki can exclude it (CLB leaves MPKI unchanged, Sec 6.1).
-            self.stats.counter("bypassed_hits").increment()
+            self.stats.bypassed_hits += 1
             self.llc.touch(addr, core_id)
         else:
             self.llc.policy.note_miss(self.llc.set_index(addr), core_id)
@@ -178,15 +159,10 @@ class DbiMechanism(LlcMechanism):
         The DBI bit vector names them exactly, so every background lookup
         hits a truly dirty block (Figure 3) — contrast DAWB's full-row scan.
         """
-        counter = self._c_awb_writebacks
         for other in self.dbi.dirty_blocks_in_region(addr):
             # Clear eagerly so overlapping evictions cannot double-write.
             self.dbi.mark_clean(other)
-            if counter is None:
-                counter = self._c_awb_writebacks = self.stats.counter(
-                    "awb_writebacks"
-                )
-            counter.value += 1
+            self.stats.awb_writebacks += 1
             self.port.request(
                 partial(self._writeback_probe, other, "awb"),
                 BACKGROUND,
@@ -206,16 +182,8 @@ class DbiMechanism(LlcMechanism):
         their bits. Each writeback needs one (background) tag lookup to read
         the data; this is the "free" DRAM-aware writeback of plain DBI.
         """
-        counter = self._c_dbi_evictions
-        if counter is None:
-            counter = self._c_dbi_evictions = self.stats.counter("dbi_evictions")
-        counter.value += 1
-        counter = self._c_dbi_eviction_writebacks
-        if counter is None:
-            counter = self._c_dbi_eviction_writebacks = self.stats.counter(
-                "dbi_eviction_writebacks"
-            )
-        counter.value += len(eviction.dirty_blocks)
+        self.stats.dbi_evictions += 1
+        self.stats.dbi_eviction_writebacks += len(eviction.dirty_blocks)
         for block in eviction.dirty_blocks:
             self.port.request(
                 partial(self._writeback_probe, block, "dbi-displace"),

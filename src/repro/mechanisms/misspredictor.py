@@ -15,8 +15,14 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
 from repro.utils.validation import check_positive, check_range
+
+
+class PredictorStats(StatRecord):
+    """Epochs rolled and accesses predicted to miss."""
+
+    __slots__ = ("epochs", "miss_predictions")
 
 
 class MissPredictor:
@@ -42,7 +48,7 @@ class MissPredictor:
         self.epoch_cycles = epoch_cycles
         self.sample_modulus = min(sample_modulus, num_sets)
         self.sample_offset = sample_offset % self.sample_modulus
-        self.stats = StatGroup("predictor")
+        self.stats = PredictorStats("predictor")
         self._epoch_start = 0
         self._misses: List[int] = [0] * num_cores
         self._accesses: List[int] = [0] * num_cores
@@ -70,7 +76,7 @@ class MissPredictor:
             self._misses[core] = 0
             self._accesses[core] = 0
         self._epoch_start = now
-        self.stats.counter("epochs").increment()
+        self.stats.epochs += 1
 
     def record_outcome(self, core_id: int, set_idx: int, hit: bool, now: int) -> None:
         """Train on an observed lookup outcome (monitor sets only)."""
@@ -88,5 +94,5 @@ class MissPredictor:
             return False
         prediction = self._predict_miss[core_id]
         if prediction:
-            self.stats.counter("miss_predictions").increment()
+            self.stats.miss_predictions += 1
         return prediction

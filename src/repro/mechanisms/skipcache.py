@@ -40,11 +40,11 @@ class SkipCacheMechanism(LlcMechanism):
     # ------------------------------------------------------------ read path
 
     def read(self, core_id: int, addr: int, on_data: Callable[[int], None]) -> None:
-        self.stats.counter("read_requests").increment()
+        self.stats.read_requests += 1
         set_idx = self.llc.set_index(addr)
         if self.predictor.predicts_miss(core_id, set_idx, self.queue.now):
             # Write-through guarantees memory is never stale: bypass safely.
-            self.stats.counter("bypassed_lookups").increment()
+            self.stats.bypassed_lookups += 1
             self._fetch_without_fill(core_id, addr, on_data)
             return
         self._lookup_for_read(core_id, addr, on_data)

@@ -48,14 +48,14 @@ class VwqMechanism(LlcMechanism):
     def _after_dirty_eviction(self, addr: int) -> None:
         row = self.mapper.global_row_id(addr)
         if row in self._rows_in_flight:
-            self.stats.counter("coalesced_rounds").increment()
+            self.stats.coalesced_rounds += 1
             return
         probes = []
         for other in self.mapper.row_span(addr):
             if other == addr:
                 continue
             if not self._ssv_bit(self.llc.set_index(other)):
-                self.stats.counter("ssv_filtered").increment()
+                self.stats.ssv_filtered += 1
                 continue
             probes.append(other)
         if not probes:
@@ -71,12 +71,12 @@ class VwqMechanism(LlcMechanism):
     def _probe_lru_ways(self, addr: int, row: int, last_of_round: bool) -> None:
         """Background lookup restricted to the set's LRU half."""
         self._count_tag_lookup(-1)
-        self.stats.counter("row_probes").increment()
+        self.stats.row_probes += 1
         if self.llc.lru_half_holds_dirty(addr):
             self.llc.mark_clean(addr)
-            self.stats.counter("proactive_writebacks").increment()
+            self.stats.proactive_writebacks += 1
             self._send_memory_write(addr, "vwq-probe")
         else:
-            self.stats.counter("wasted_probes").increment()
+            self.stats.wasted_probes += 1
         if last_of_round:
             self._rows_in_flight.discard(row)

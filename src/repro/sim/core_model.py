@@ -25,7 +25,22 @@ from typing import Callable, Dict, Optional
 
 from repro.sim.trace import Trace
 from repro.utils.events import EventQueue
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
+
+
+class CoreStats(StatRecord):
+    """One core's memory operations, issue stalls and load latencies."""
+
+    __slots__ = (
+        "loads",
+        "stores",
+        "window_stalls",
+        "mshr_stalls",
+        "instructions_measured",
+        "load_latency_count",
+        "load_latency_sum",
+    )
+    DISTRIBUTIONS = ("load_latency",)
 
 
 class OooCore:
@@ -64,13 +79,7 @@ class OooCore:
         self.on_warmed = on_warmed
         self.warmed = warmup_instructions == 0
         self._measure_start_cycle = 0
-        self.stats = StatGroup(f"core{core_id}")
-        # Per-instruction counters, bound lazily (see Cache for rationale).
-        self._c_loads = None
-        self._c_stores = None
-        self._c_window_stalls = None
-        self._c_mshr_stalls = None
-        self._d_load_latency = None
+        self.stats = CoreStats(f"core{core_id}")
 
         self._records = trace.records
         self._pos = 0
@@ -135,6 +144,7 @@ class OooCore:
         outstanding = self._outstanding
         hierarchy = self.hierarchy
         core_id = self.core_id
+        stats = self.stats
         while not self.finished:
             gap, is_write, addr = records[self._pos]
             mem_instr_index = self._instr_count + gap
@@ -149,19 +159,11 @@ class OooCore:
                     break
                 if oldest <= mem_instr_index - self.window:
                     self._waiting = True
-                    counter = self._c_window_stalls
-                    if counter is None:
-                        counter = self._c_window_stalls = self.stats.counter(
-                            "window_stalls"
-                        )
-                    counter.value += 1
+                    stats.window_stalls += 1
                     return
             if not is_write and len(outstanding) >= self.max_outstanding_loads:
                 self._waiting = True
-                counter = self._c_mshr_stalls
-                if counter is None:
-                    counter = self._c_mshr_stalls = self.stats.counter("mshr_stalls")
-                counter.value += 1
+                stats.mshr_stalls += 1
                 return
 
             if issue_at > now:
@@ -177,16 +179,10 @@ class OooCore:
             self._issue_time = now + 1
 
             if is_write:
-                counter = self._c_stores
-                if counter is None:
-                    counter = self._c_stores = self.stats.counter("stores")
-                counter.value += 1
+                stats.stores += 1
                 hierarchy.store(core_id, addr)
             else:
-                counter = self._c_loads
-                if counter is None:
-                    counter = self._c_loads = self.stats.counter("loads")
-                counter.value += 1
+                stats.loads += 1
                 if not hierarchy.load(
                     core_id, addr, partial(self._load_done, mem_instr_index)
                 ):
@@ -209,19 +205,9 @@ class OooCore:
         """Fill callback (addr-taking, picklable) of the load ``instr_index``."""
         issue_cycle = self._outstanding.pop(instr_index, None)
         if issue_cycle is not None:
-            dist = self._d_load_latency
-            if dist is None:
-                dist = self._d_load_latency = self.stats.distribution(
-                    "load_latency"
-                )
-            # Distribution.record, inlined (one per completed load).
-            sample = self.queue.now - issue_cycle
-            dist.count += 1
-            dist.total += sample
-            if dist.minimum is None or sample < dist.minimum:
-                dist.minimum = sample
-            if dist.maximum is None or sample > dist.maximum:
-                dist.maximum = sample
+            stats = self.stats
+            stats.load_latency_count += 1
+            stats.load_latency_sum += self.queue.now - issue_cycle
         if self.measured_ipc is None and self._instr_count >= self.instruction_limit:
             self._maybe_record()
         if self._waiting and not self.finished:
@@ -243,7 +229,7 @@ class OooCore:
         measured_instructions = self.instruction_limit - self.warmup_instructions
         self.measured_cycles = max(1, finish_time - self._measure_start_cycle)
         self.measured_ipc = measured_instructions / self.measured_cycles
-        self.stats.counter("instructions_measured").increment(measured_instructions)
+        self.stats.add("instructions_measured", measured_instructions)
         if self.on_measured is not None:
             self.on_measured(self)
         if not self.keep_running:

@@ -28,7 +28,23 @@ from repro.cache.cache import Cache
 from repro.cache.config import CacheConfig
 from repro.cache.mshr import MshrFile
 from repro.utils.events import EventQueue
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
+
+
+class HierarchyCoreStats(StatRecord):
+    """One core's traffic through its private L1 and L2."""
+
+    __slots__ = (
+        "l1_hits",
+        "l1_misses",
+        "l2_hits",
+        "l2_misses",
+        "llc_reads",
+        "l1_writebacks",
+        "l2_writebacks",
+        "store_hits",
+        "store_misses",
+    )
 
 
 class Hierarchy:
@@ -36,10 +52,8 @@ class Hierarchy:
 
     The per-access paths are flattened: latencies are read once, each
     core's fill continuations (``partial(self._llc_data, core_id)`` and
-    ``partial(self._store_fill, core_id)``) are built once, per-core
-    counters are bound inline (lazily, so the exported stat set stays
-    byte-identical to creation-on-first-increment), and every delay goes to
-    ``EventQueue.schedule`` as an absolute time.
+    ``partial(self._store_fill, core_id)``) are built once, and every delay
+    goes to ``EventQueue.schedule`` as an absolute time.
     """
 
     def __init__(
@@ -56,7 +70,7 @@ class Hierarchy:
         self.l1s: List[Cache] = []
         self.l2s: List[Cache] = []
         self.l1_mshrs: List[MshrFile] = []
-        self.core_stats: List[StatGroup] = []
+        self.core_stats: List[HierarchyCoreStats] = []
         for core in range(num_cores):
             # Per-core stat names: with the shared config name, core 1's
             # "l1.*" keys would clobber core 0's in the flattened result.
@@ -65,43 +79,22 @@ class Hierarchy:
             # Same-block merging; capacity is enforced at the core model
             # (max_outstanding_loads), keeping the two coupled but deadlock-free.
             self.l1_mshrs.append(MshrFile(capacity=0, name=f"l1mshr{core}"))
-            self.core_stats.append(StatGroup(f"hier_core{core}"))
+            self.core_stats.append(HierarchyCoreStats(f"hier_core{core}"))
         self._l1_miss_detect = l1_config.miss_detect_latency
         self._l2_hit = l2_config.hit_latency
         self._l2_miss_detect = l2_config.miss_detect_latency
         cores = range(num_cores)
         self._llc_data_of = [partial(self._llc_data, core) for core in cores]
         self._store_fill_of = [partial(self._store_fill, core) for core in cores]
-        # Per-(core, stat) counters, bound on first use.
-        self._bound: List[dict] = [{} for _ in range(num_cores)]
-
-    def _count(self, core_id: int, name: str) -> None:
-        """Bump a per-core counter, binding it on first use.
-
-        The per-access paths try the bound counter inline and call this only
-        when the name is not bound yet.
-        """
-        bound = self._bound[core_id]
-        counter = bound.get(name)
-        if counter is None:
-            counter = bound[name] = self.core_stats[core_id].counter(name)
-        counter.value += 1
 
     # ------------------------------------------------------------- loads
 
     def load(self, core_id: int, addr: int, on_complete: Callable[[int], None]) -> bool:
         """Issue a load. Returns True iff it hit in the L1 (synchronous)."""
-        bound = self._bound[core_id]
         if self.l1s[core_id].lookup(addr, core_id):
-            try:
-                bound["l1_hits"].value += 1
-            except KeyError:
-                self._count(core_id, "l1_hits")
+            self.core_stats[core_id].l1_hits += 1
             return True
-        try:
-            bound["l1_misses"].value += 1
-        except KeyError:
-            self._count(core_id, "l1_misses")
+        self.core_stats[core_id].l1_misses += 1
         if self.l1_mshrs[core_id].allocate(addr, on_complete):
             queue = self.queue
             queue.schedule(
@@ -111,31 +104,20 @@ class Hierarchy:
         return False
 
     def _access_l2(self, core_id: int, addr: int) -> None:
-        bound = self._bound[core_id]
         queue = self.queue
         if self.l2s[core_id].lookup(addr, core_id):
-            try:
-                bound["l2_hits"].value += 1
-            except KeyError:
-                self._count(core_id, "l2_hits")
+            self.core_stats[core_id].l2_hits += 1
             queue.schedule(
                 queue.now + self._l2_hit, partial(self._fill_l1, core_id, addr)
             )
             return
-        try:
-            bound["l2_misses"].value += 1
-        except KeyError:
-            self._count(core_id, "l2_misses")
+        self.core_stats[core_id].l2_misses += 1
         queue.schedule(
             queue.now + self._l2_miss_detect, partial(self._read_llc, core_id, addr)
         )
 
     def _read_llc(self, core_id: int, addr: int) -> None:
-        bound = self._bound[core_id]
-        try:
-            bound["llc_reads"].value += 1
-        except KeyError:
-            self._count(core_id, "llc_reads")
+        self.core_stats[core_id].llc_reads += 1
         self.mechanism.read(core_id, addr, self._llc_data_of[core_id])
 
     # -------------------------------------------------------------- fills
@@ -144,7 +126,7 @@ class Hierarchy:
         """LLC data arrived: fill the L2, then the L1."""
         evicted = self.l2s[core_id].insert(addr, core_id, False)
         if evicted is not None and evicted.dirty:
-            self._count(core_id, "l2_writebacks")
+            self.core_stats[core_id].l2_writebacks += 1
             self.mechanism.writeback(core_id, evicted.addr)
         self._fill_l1(core_id, addr)
 
@@ -161,33 +143,26 @@ class Hierarchy:
 
     def _writeback_to_l2(self, core_id: int, addr: int) -> None:
         """A dirty L1 victim lands in the L2 (writeback-allocate)."""
-        self._count(core_id, "l1_writebacks")
+        self.core_stats[core_id].l1_writebacks += 1
         l2 = self.l2s[core_id]
         if l2.mark_dirty(addr):  # present: now dirty
             l2.touch(addr, core_id)
             return
         evicted = l2.insert(addr, core_id, True)
         if evicted is not None and evicted.dirty:
-            self._count(core_id, "l2_writebacks")
+            self.core_stats[core_id].l2_writebacks += 1
             self.mechanism.writeback(core_id, evicted.addr)
 
     # -------------------------------------------------------------- stores
 
     def store(self, core_id: int, addr: int) -> None:
         """Write-allocate store; never blocks the core (store buffer)."""
-        bound = self._bound[core_id]
         l1 = self.l1s[core_id]
         if l1.lookup(addr, core_id):
-            try:
-                bound["store_hits"].value += 1
-            except KeyError:
-                self._count(core_id, "store_hits")
+            self.core_stats[core_id].store_hits += 1
             l1.mark_dirty(addr)
             return
-        try:
-            bound["store_misses"].value += 1
-        except KeyError:
-            self._count(core_id, "store_misses")
+        self.core_stats[core_id].store_misses += 1
         if self.l1_mshrs[core_id].allocate(addr, self._store_fill_of[core_id]):
             queue = self.queue
             queue.schedule(

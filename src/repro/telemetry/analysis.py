@@ -26,7 +26,7 @@ def series(records: Sequence[EpochRecord], key: str) -> List[float]:
 def rate_series(
     records: Sequence[EpochRecord], name: str
 ) -> List[Optional[float]]:
-    """Per-epoch ratio of a RateStat, e.g. ``dram.write_row_hit_rate``.
+    """Per-epoch ratio of a rate stat, e.g. ``dram.write_row_hit_rate``.
 
     Computed from the epoch's hits/total deltas; epochs in which the rate's
     denominator saw no traffic yield None.

@@ -7,8 +7,8 @@ Sampling contract (enforced by ``tests/telemetry/``):
   or past :attr:`TelemetrySampler.next_cycle`. An epoch record therefore
   covers every event with ``last_sample < time <= cycle`` — boundaries are
   deterministic functions of the event schedule, never of wall clock.
-* The sampler only reads: raw ``Counter.value`` / ``RateStat`` fields,
-  plain integer attributes, and container lengths. It never calls
+* The sampler only reads: the int slots of the stat records, plain
+  integer attributes, and container lengths. It never calls
   ``is_dirty``/``lookup``-style methods that count their own invocations,
   so enabled and disabled runs export byte-identical final statistics.
 * Counter deltas are monotonic except across the warmup statistics reset
@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
 
 #: Bump when the JSONL record schema changes; readers reject newer formats.
 JSONL_FORMAT = 1
@@ -132,7 +132,7 @@ class TelemetrySampler:
     def __init__(
         self,
         config: TelemetryConfig,
-        groups: Sequence[StatGroup] = (),
+        groups: Sequence[StatRecord] = (),
         counters: Sequence[CounterProbe] = (),
         gauges: Sequence[GaugeProbe] = (),
     ) -> None:
@@ -156,14 +156,14 @@ class TelemetrySampler:
         snap: Dict[str, float] = {}
         for group in self._groups:
             prefix = group.name
-            for counter in group._counters.values():
-                snap[f"{prefix}.{counter.name}"] = counter.value
-            for rate in group._rates.values():
-                snap[f"{prefix}.{rate.name}.hits"] = rate.hits
-                snap[f"{prefix}.{rate.name}.total"] = rate.total
-            for dist in group._distributions.values():
-                snap[f"{prefix}.{dist.name}.count"] = dist.count
-                snap[f"{prefix}.{dist.name}.sum"] = dist.total
+            for name, value in group.counters():
+                snap[f"{prefix}.{name}"] = value
+            for name, hits, total in group.rates():
+                snap[f"{prefix}.{name}.hits"] = hits
+                snap[f"{prefix}.{name}.total"] = total
+            for name, count, total in group.distributions():
+                snap[f"{prefix}.{name}.count"] = count
+                snap[f"{prefix}.{name}.sum"] = total
         for key, probe in self._counters:
             snap[key] = probe()
         return snap

@@ -16,17 +16,14 @@ from repro.utils.bits import (
 )
 from repro.utils.events import Event, EventQueue
 from repro.utils.rng import DeterministicRng
-from repro.utils.stats import Counter, Distribution, RateStat, StatGroup
+from repro.utils.stats import StatRecord
 from repro.utils.validation import check_positive, check_power_of_two, check_range
 
 __all__ = [
     "Event",
     "EventQueue",
     "DeterministicRng",
-    "Counter",
-    "Distribution",
-    "RateStat",
-    "StatGroup",
+    "StatRecord",
     "bit_length_of",
     "ceil_div",
     "ilog2",

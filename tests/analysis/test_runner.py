@@ -189,6 +189,11 @@ class TestDefaults:
     def test_default_workers_positive(self):
         assert default_workers() >= 1
 
+    def test_negative_workers_rejected_by_name(self):
+        # A negative count once ran every job inline, as 0 does.
+        with pytest.raises(ValueError, match="workers must be non-negative"):
+            SweepRunner(workers=-3, cache_dir=None)
+
     def test_summary_mentions_counts(self):
         runner = SweepRunner(workers=0, cache_dir=None)
         config, traces = tiny_job()

@@ -401,6 +401,10 @@ class TestConfigRefs:
         with pytest.raises(ValueError, match="refs must be positive"):
             make_config(refs=refs)
 
+    def test_negative_workers_rejected_by_name(self):
+        with pytest.raises(ValueError, match="workers must be non-negative, got -3"):
+            make_config(workers=-3)
+
     #: Plan fingerprints of two valid 1- and 2-core configurations, one on
     #: the scale's default length and one with explicit refs. Rejecting an
     #: explicit 0 must not re-plan either; a deliberate re-plan re-pins them.

@@ -158,10 +158,15 @@ class TestForkSweep:
         path = os.path.join(ckpt, image)
         # An image warmed on another workload: were it restored, the forked
         # cell would report that workload's results. It is planted once
-        # stamped by another model version and once by the retired format 2.
+        # stamped by another model version and once each by the retired
+        # formats 2 and 5 (5 held stats as Counter objects).
         other = QUICK_SCALE.benchmark_trace("lbm", refs=REFS)
         stale = snapshot_system(warm_cell(warm_config_for(config), [other]))
-        planted = (restamp(stale, MODEL_VERSION + 1), reformat(stale, 2))
+        planted = (
+            restamp(stale, MODEL_VERSION + 1),
+            reformat(stale, 2),
+            reformat(stale, 5),
+        )
         for attempt, blob in enumerate(planted, start=1):
             with open(path, "wb") as handle:
                 handle.write(blob)

@@ -204,7 +204,7 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="newer"):
             restore_system(data)
 
-    @pytest.mark.parametrize("fmt", [1, 2, 3])
+    @pytest.mark.parametrize("fmt", [1, 2, 3, 4, 5])
     def test_older_format_rejected(self, fmt):
         header = json.dumps({"format": fmt}).encode()
         data = MAGIC + struct.pack("<I", len(header)) + header
@@ -318,6 +318,23 @@ class TestCacheState:
             assert list(vars(copy)) == list(vars(cache))
         assert restored.llc.observer is restored.check_engine
         assert restored.dram_cache.tags.observer is not None
+
+
+def test_restored_stats_keep_values_and_remembered_set():
+    system = make_system("dbi+awb+clb")
+    restored = restore_system(split_run(system))
+    groups = system._all_stat_groups()
+    copies = restored._all_stat_groups()
+    # The split falls after the warmup reset, which remembered the stats
+    # exported so far.
+    assert any(group._kept for group in groups)
+    assert len(copies) == len(groups)
+    for group, copy in zip(groups, copies):
+        assert type(copy) is type(group)
+        assert copy._kept == group._kept
+        values = [getattr(group, field) for field in group.FIELDS]
+        assert [getattr(copy, field) for field in copy.FIELDS] == values
+        assert copy.as_dict() == group.as_dict()
 
 
 #: ``_set_state`` calls restoring a freshly built quick 2-core

@@ -77,12 +77,12 @@ class TestFaultInjection:
         DBI's query counters (results stay byte-identical)."""
         dbi, domain = make_domain()
         dbi.mark_dirty(7)
-        queries_before = dbi.stats.counter("queries").value
+        queries_before = dbi.stats.queries
         domain.is_ecc_protected(7)
         domain.inject_single_bit_fault(7)
         domain.inject_double_bit_fault(7)
         domain.protection_invariant_holds()
-        assert dbi.stats.counter("queries").value == queries_before
+        assert dbi.stats.queries == queries_before
 
 
 class TestUntrackedDomain:

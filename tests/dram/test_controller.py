@@ -53,14 +53,14 @@ class TestReads:
         first, second = run_reads(queue, controller, [0, 1])  # same row
         gap = second.complete_time - first.complete_time
         assert gap == SMALL.t_burst  # pipelined row hits stream on the bus
-        assert controller.stats.rate("read_row_hit_rate").hits == 1
+        assert controller.stats.read_row_hit_rate_hits == 1
 
     def test_row_conflict_recorded(self, queue, controller):
         # Same bank (bank 0): global rows 0 and 4 with 4 banks.
         run_reads(queue, controller, [0, 4 * 16])
-        rate = controller.stats.rate("read_row_hit_rate")
-        assert rate.hits == 0
-        assert rate.total == 2
+        stats = controller.stats
+        assert stats.read_row_hit_rate_hits == 0
+        assert stats.read_row_hit_rate_total == 2
 
     def test_bank_parallelism(self, queue, controller):
         # Rows 0 and 1 live in different banks; preps overlap, bursts serialize.
@@ -70,8 +70,8 @@ class TestReads:
 
     def test_read_counter(self, queue, controller):
         run_reads(queue, controller, [0, 16, 32])
-        assert controller.stats.counter("reads").value == 3
-        assert controller.stats.counter("dram_reads_performed").value == 3
+        assert controller.stats.reads == 3
+        assert controller.stats.dram_reads_performed == 3
 
 
 class TestWrites:
@@ -81,7 +81,7 @@ class TestWrites:
         assert controller.pending_writes == 1
         queue.run()  # idle drain: no reads pending, so the write is performed
         assert controller.pending_writes == 0
-        assert controller.stats.counter("dram_writes_performed").value == 1
+        assert controller.stats.dram_writes_performed == 1
 
     def test_read_request_rejected_before_it_is_counted(self, queue, controller):
         read = MemoryRequest(block_addr=0, is_write=False)
@@ -100,7 +100,7 @@ class TestWrites:
         assert controller.phase is Phase.WRITE_DRAIN
         queue.run()
         assert controller.phase is Phase.READ
-        assert controller.stats.counter("write_drain_phases").value == 1
+        assert controller.stats.write_drain_phases == 1
 
     def test_full_buffer_rejects_new_write(self, queue, controller):
         for addr in range(SMALL.write_buffer_entries):
@@ -110,21 +110,21 @@ class TestWrites:
             MemoryRequest(block_addr=999 * 16, is_write=True)
         )
         assert not rejected
-        assert controller.stats.counter("writes_rejected").value == 1
+        assert controller.stats.writes_rejected == 1
 
     def test_coalescing_write_accepted_even_when_full(self, queue, controller):
         for addr in range(SMALL.write_buffer_entries):
             controller.enqueue_write(MemoryRequest(block_addr=addr * 16, is_write=True))
         assert controller.enqueue_write(MemoryRequest(block_addr=0, is_write=True))
-        assert controller.stats.counter("writes_coalesced").value == 1
+        assert controller.stats.writes_coalesced == 1
 
     def test_same_row_writes_drain_as_row_hits(self, queue, controller):
         for column in range(4):
             controller.enqueue_write(MemoryRequest(block_addr=column, is_write=True))
         queue.run()
-        rate = controller.stats.rate("write_row_hit_rate")
-        assert rate.total == 4
-        assert rate.hits == 3  # first opens the row, the rest hit
+        stats = controller.stats
+        assert stats.write_row_hit_rate_total == 4
+        assert stats.write_row_hit_rate_hits == 3  # first opens the row, the rest hit
 
 
 class TestForwarding:
@@ -135,10 +135,10 @@ class TestForwarding:
             MemoryRequest(block_addr=5, is_write=False, on_complete=completed.append)
         )
         queue.run()
-        assert controller.stats.counter("reads_forwarded_from_write_buffer").value == 1
+        assert controller.stats.reads_forwarded_from_write_buffer == 1
         assert len(completed) == 1
         # Forwarded reads never touch a bank.
-        assert controller.stats.counter("dram_reads_performed").value == 0
+        assert controller.stats.dram_reads_performed == 0
 
 
 class TestInterference:

@@ -103,7 +103,7 @@ def test_no_dirty_data_is_ever_lost(ops, backend, granularity):
     if level.dbi is not None:
         level.dbi.observer = recorder
     drive_serialized(level, queue, ops)
-    offchip_writes = level.stats.counter("offchip_writes").value
+    offchip_writes = level.stats.offchip_writes
     assert recorder.dirtied == offchip_writes + len(level.dirty_blocks())
     # Dirtiness only ever refers to blocks the level actually holds.
     contents = {b.addr for b in level.tags.iter_valid_blocks()}

@@ -10,6 +10,45 @@ import repro
 from repro.__main__ import main
 
 
+def run_cli(*argv):
+    """``python -m repro *argv`` in a subprocess."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def assert_usage_error(result, message):
+    """A bad argument: its message alone on stderr, exit status 2."""
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.strip() == message
+    assert "Traceback" not in result.stderr
+
+
+class TestBadArguments:
+    """``run``, ``profile``, ``reliability`` and ``experiment`` report a bad
+    argument as ``campaign`` does."""
+
+    def test_profile_zero_refs_exits_2(self):
+        result = run_cli("profile", "lbm", "baseline", "--refs", "0")
+        assert_usage_error(result, "num_refs must be positive, got 0")
+
+    def test_reliability_zero_refs_exits_2(self):
+        result = run_cli("reliability", "--refs", "0")
+        assert_usage_error(result, "num_refs must be positive, got 0")
+
+    def test_reliability_bad_alpha_exits_2(self):
+        result = run_cli("reliability", "--refs", "1000", "--alphas", "3/2")
+        assert_usage_error(result, "coverage must be in [0, 1], got 3/2")
+
+    def test_experiment_negative_workers_exits_2(self):
+        result = run_cli("experiment", "fig6", "--workers", "-3")
+        assert_usage_error(result, "workers must be non-negative, got -3")
+        assert result.stdout == ""
+
+
 class TestList:
     def test_lists_catalogues(self, capsys):
         assert main(["list"]) == 0
@@ -27,21 +66,14 @@ class TestRun:
         assert "IPC" in out
         assert "memory WPKI" in out
 
-    def test_unknown_benchmark_raises(self):
-        with pytest.raises(ValueError):
-            main(["run", "gcc", "dbi", "--refs", "100"])
+    def test_unknown_benchmark_exits_2(self, capsys):
+        assert main(["run", "gcc", "dbi", "--refs", "100"]) == 2
+        assert "unknown benchmark 'gcc'" in capsys.readouterr().err
 
     def test_zero_refs_exits_non_zero(self):
         # --refs 0 once ran the scale's full default trace.
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "lbm", "baseline",
-             "--refs", "0"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert result.returncode != 0
-        assert "num_refs must be positive, got 0" in result.stderr
+        result = run_cli("run", "lbm", "baseline", "--refs", "0")
+        assert_usage_error(result, "num_refs must be positive, got 0")
         assert "IPC" not in result.stdout
 
     def test_campaign_zero_refs_exits_2(self, capsys, tmp_path):

@@ -99,3 +99,49 @@ class TestClbMpkiAccounting:
             "trace too small to trigger CLB bypasses; regression test is vacuous"
         )
         assert clb.llc_mpki == pytest.approx(tadip.llc_mpki, rel=0.02)
+
+
+class TestExportRule:
+    """A stat is exported iff it was incremented at least once, by every
+    reader of the stat records."""
+
+    #: Stats a baseline run never increments (no row probes, no DBI, no
+    #: bypass).
+    NEVER = {"mech.row_probes", "mech.dbi_evictions", "mech.bypassed_lookups"}
+
+    def run_baseline(self):
+        from repro.sim.system import System
+        from repro.telemetry.sampler import TelemetryConfig
+
+        trace = random_trace(refs=400, write_fraction=0.4)
+        system = System(
+            small_config("baseline"),
+            [trace],
+            telemetry=TelemetryConfig(epoch_cycles=1_000),
+        )
+        return system, system.run()
+
+    def test_never_incremented_stats_are_absent_everywhere(self):
+        from repro.checkpoint.sampled import _read_raw_stats
+
+        system, result = self.run_baseline()
+        assert self.NEVER.isdisjoint(result.stats)
+        assert self.NEVER.isdisjoint(system.telemetry._cumulative())
+        counters, rates, dists = _read_raw_stats(system)
+        assert self.NEVER.isdisjoint(counters)
+        # The raw reads cover exactly the exported keys.
+        rebuilt = set(counters)
+        for key in rates:
+            rebuilt |= {key, f"{key}.hits", f"{key}.total"}
+        for key in dists:
+            rebuilt |= {f"{key}.mean", f"{key}.count"}
+        assert rebuilt == set(result.stats)
+
+    def test_reset_keeps_every_exported_stat_as_zero(self):
+        system, result = self.run_baseline()
+        for group in system._all_stat_groups():
+            before = group.as_dict()
+            group.reset()
+            after = group.as_dict()
+            assert list(after) == list(before)
+            assert all(value == 0 for value in after.values())

@@ -12,13 +12,16 @@ from repro.telemetry.sampler import (
     TelemetrySampler,
     read_jsonl,
 )
-from repro.utils.stats import StatGroup
+from repro.utils.stats import StatRecord
+
+
+class GroupStats(StatRecord):
+    __slots__ = ("events", "hits_hits", "hits_total")
+    RATES = ("hits",)
 
 
 def make_sampler(**kwargs):
-    group = StatGroup("g")
-    group.counter("events")
-    group.rate("hits")
+    group = GroupStats("g")
     config = TelemetryConfig(**{"epoch_cycles": 100, **kwargs})
     instructions = {"value": 0}
     sampler = TelemetrySampler(
@@ -69,15 +72,15 @@ class TestFraming:
 
     def test_deltas_are_per_epoch_not_cumulative(self):
         sampler, group, _ = make_sampler()
-        group.counter("events").increment(5)
+        group.events += 5
         sampler.sample(100)
-        group.counter("events").increment(3)
+        group.events += 3
         sampler.sample(200)
         assert [r.deltas.get("g.events") for r in sampler.records] == [5, 3]
 
     def test_zero_deltas_are_omitted(self):
         sampler, group, _ = make_sampler()
-        group.counter("events").increment()
+        group.events += 1
         sampler.sample(100)
         sampler.sample(200)
         assert "g.events" not in sampler.records[-1].deltas
@@ -100,10 +103,10 @@ class TestFraming:
 class TestStatsReset:
     def test_negative_delta_flags_record(self):
         sampler, group, _ = make_sampler()
-        group.counter("events").increment(10)
+        group.events += 10
         sampler.sample(100)
         group.reset()
-        group.counter("events").increment(2)
+        group.events += 2
         sampler.sample(200)
         record = sampler.records[-1]
         assert record.stats_reset
@@ -112,14 +115,34 @@ class TestStatsReset:
 
     def test_following_epoch_is_clean_again(self):
         sampler, group, _ = make_sampler()
-        group.counter("events").increment(10)
+        group.events += 10
         sampler.sample(100)
         group.reset()
         sampler.sample(200)
-        group.counter("events").increment(4)
+        group.events += 4
         sampler.sample(300)
         assert not sampler.records[-1].stats_reset
         assert sampler.records[-1].deltas["g.events"] == 4
+
+
+class TestCumulative:
+    """The sampler reads exactly the stats the record exports."""
+
+    def test_never_incremented_stats_are_absent(self):
+        sampler, group, _ = make_sampler()
+        assert sampler._cumulative() == {"instructions": 0}
+        group.events += 2
+        assert sampler._cumulative() == {"instructions": 0, "g.events": 2}
+
+    def test_stats_zeroed_by_a_reset_stay(self):
+        sampler, group, _ = make_sampler()
+        group.hits_total += 1
+        group.reset()
+        assert sampler._cumulative() == {
+            "g.hits.hits": 0,
+            "g.hits.total": 0,
+            "instructions": 0,
+        }
 
 
 class TestRing:
@@ -160,8 +183,9 @@ class TestJsonl:
         sampler, group, instructions = make_sampler(
             jsonl_path=path, meta=(("benchmark", "lbm"),)
         )
-        group.counter("events").increment(5)
-        group.rate("hits").record(True)
+        group.events += 5
+        group.hits_total += 1
+        group.hits_hits += 1
         instructions["value"] = 42
         sampler.sample(100)
         sampler.finalize(150)
@@ -208,7 +232,7 @@ class TestJsonl:
     def test_streaming_skips_interleaved_blank_lines(self, tmp_path):
         path = str(tmp_path / "gaps.jsonl")
         sampler, group, instructions = make_sampler(jsonl_path=path)
-        group.counter("events").increment(3)
+        group.events += 3
         instructions["value"] = 10
         sampler.sample(100)
         instructions["value"] = 25
@@ -243,7 +267,7 @@ class TestTornTail:
     def write_stream(self, path, epochs=3):
         sampler, group, instructions = make_sampler(jsonl_path=str(path))
         for i in range(1, epochs + 1):
-            group.counter("events").increment(5)
+            group.events += 5
             instructions["value"] = 10 * i
             sampler.sample(100 * i)
         sampler.close()
