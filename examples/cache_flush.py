@@ -66,7 +66,9 @@ def main() -> None:
     tag_walk_lookups = num_blocks  # must inspect every tag entry
 
     cache, dbi = build_dbi_cache(num_blocks, traffic)
-    dbi_dirty = dbi.all_dirty_blocks()
+    tracked = dbi.tracked_dirty_blocks
+    # One row-batched group per DBI entry, in (set, way) order.
+    dbi_dirty = [addr for group in dbi.flush() for addr in group]
     dbi_lookups = len(dbi_dirty)  # one data-read lookup per dirty block only
 
     print("Full-cache flush cost (tag lookups):")
@@ -82,7 +84,7 @@ def main() -> None:
     batched = sum(1 for a, b in zip(rows, rows[1:]) if a == b)
     print(f"\nDBI flush order row locality: {batched / max(1, len(rows) - 1):.0%} "
           f"of consecutive writebacks share a DRAM row")
-    print(f"(DBI tracks {dbi.tracked_dirty_blocks} dirty blocks; the rest "
+    print(f"(DBI tracks {tracked} dirty blocks; the rest "
           f"were proactively written back when their entries were displaced)")
 
 

@@ -768,6 +768,9 @@ def _cmd_dramcache(args) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.analysis.scaling import SCALES
+
+    scales = sorted(SCALES)
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -776,7 +779,7 @@ def main(argv=None) -> int:
     run_parser = sub.add_parser("run", help="simulate one benchmark")
     run_parser.add_argument("benchmark")
     run_parser.add_argument("mechanism")
-    run_parser.add_argument("--scale", default="quick")
+    run_parser.add_argument("--scale", default="quick", choices=scales)
     run_parser.add_argument("--refs", type=int, default=None)
     run_parser.add_argument(
         "--check", choices=("off", "cheap", "full"), default="off",
@@ -807,7 +810,7 @@ def main(argv=None) -> int:
 
     exp_parser = sub.add_parser("experiment", help="regenerate a paper artifact")
     exp_parser.add_argument("name")
-    exp_parser.add_argument("--scale", default="quick")
+    exp_parser.add_argument("--scale", default="quick", choices=scales)
     exp_parser.add_argument(
         "--workers", type=int, default=None,
         help="simulation worker processes (default: cpu_count - 1; "
@@ -896,7 +899,7 @@ def main(argv=None) -> int:
         "reliability",
         help="soft-error study: heterogeneous-ECC data loss, DBI vs untracked",
     )
-    rel_parser.add_argument("--scale", default="quick")
+    rel_parser.add_argument("--scale", default="quick", choices=scales)
     rel_parser.add_argument(
         "--benchmark", default="lbm",
         help="benchmark trace to run under injection (default: lbm)",
@@ -936,7 +939,7 @@ def main(argv=None) -> int:
     )
     prof_parser.add_argument("benchmark")
     prof_parser.add_argument("mechanism")
-    prof_parser.add_argument("--scale", default="quick")
+    prof_parser.add_argument("--scale", default="quick", choices=scales)
     prof_parser.add_argument(
         "--refs", type=int, default=None,
         help="memory references in the trace (default: scale profile's)",
@@ -982,7 +985,7 @@ def main(argv=None) -> int:
              "(e.g. an artifact from 'run --telemetry' or "
              "'experiment --telemetry')",
     )
-    tl_parser.add_argument("--scale", default="quick")
+    tl_parser.add_argument("--scale", default="quick", choices=scales)
     tl_parser.add_argument(
         "--refs", type=int, default=None,
         help="memory references in the trace (default: scale profile's)",
@@ -1012,7 +1015,7 @@ def main(argv=None) -> int:
         "check-diff",
         help="validate mechanisms against the untimed reference model",
     )
-    diff_parser.add_argument("--scale", default="quick")
+    diff_parser.add_argument("--scale", default="quick", choices=scales)
     diff_parser.add_argument(
         "--benchmarks", default=None,
         help="comma-separated benchmark traces to replay, one per core "
@@ -1066,7 +1069,7 @@ def main(argv=None) -> int:
         help="DRAM-cache dirty-tracking trade-off: tag dirty bits vs DBI "
              "with aggressive whole-row writeback",
     )
-    dc_parser.add_argument("--scale", default="quick")
+    dc_parser.add_argument("--scale", default="quick", choices=scales)
     dc_parser.add_argument(
         "--benchmarks", default=None,
         help="comma-separated benchmark subset (default: lbm,milc,mcf)",
@@ -1121,7 +1124,7 @@ def main(argv=None) -> int:
             help="campaign preset (scale, workloads, shards, sensitivity); "
                  "explicit flags override preset fields",
         )
-        cp.add_argument("--scale", default=None)
+        cp.add_argument("--scale", default=None, choices=scales)
         cp.add_argument(
             "--benchmarks", default=None,
             help="comma-separated benchmarks for single-core cells "

@@ -273,30 +273,6 @@ class DirtyBlockIndex:
             self.stats.entries_emptied += 1
         return True
 
-    def drop_region(self, block_addr: int) -> List[int]:
-        """Invalidate a whole entry, returning the blocks that were dirty.
-
-        Used when a DBI eviction is performed atomically (plain-DBI path) or
-        when flushing (Section 7, cache flushing).
-        """
-        region_id = self.config.region_of(block_addr)
-        way = self._where.get(region_id)
-        if way is None:
-            return []
-        set_idx = self.config.set_of(region_id)
-        entry = self.sets[set_idx][way]
-        blocks = [
-            self.config.block_of(region_id, bit)
-            for bit in iter_set_bits(entry.bitvector)
-        ]
-        if self.observer is not None:
-            for block in blocks:
-                self.observer.on_block_cleaned(block)
-        entry.invalidate()
-        del self._where[region_id]
-        self.policy.on_invalidate(set_idx, way)
-        return blocks
-
     # ----------------------------------------- Section 7 extension queries
 
     def region_has_dirty(self, region_id: int) -> bool:
@@ -308,31 +284,6 @@ class DirtyBlockIndex:
         """
         self.stats.queries += 1
         return region_id in self._where
-
-    def any_dirty_in_range(self, start_block: int, end_block: int) -> bool:
-        """Is any block in [start_block, end_block) dirty?
-
-        Paper Section 7 ("Direct Memory Access"): a bulk DMA read must not
-        bypass dirty cached data; one ranged DBI query covers the whole
-        transfer instead of per-block tag lookups.
-        """
-        if end_block <= start_block:
-            return False
-        self.stats.queries += 1
-        first_region = self.config.region_of(start_block)
-        last_region = self.config.region_of(end_block - 1)
-        granularity = self.config.granularity
-        for region_id in range(first_region, last_region + 1):
-            entry = self._entry(region_id)
-            if entry is None:
-                continue
-            region_base = region_id * granularity
-            low = max(0, start_block - region_base)
-            high = min(granularity, end_block - region_base)
-            window = ((1 << (high - low)) - 1) << low
-            if entry.bitvector & window:
-                return True
-        return False
 
     def flush(self) -> List[List[int]]:
         """Drop every entry, returning dirty blocks grouped by region.

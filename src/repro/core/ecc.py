@@ -28,6 +28,11 @@ from typing import Dict, Optional
 
 from repro.core.dbi import DirtyBlockIndex
 from repro.utils.rng import DeterministicRng
+from repro.utils.validation import (
+    check_non_negative,
+    check_positive,
+    check_range,
+)
 
 
 @dataclass(frozen=True)
@@ -195,6 +200,15 @@ class SoftErrorConfig:
     seed: int = 0x5EED
     double_bit_fraction: float = 0.0
     coverage: Optional[Fraction] = None
+
+    def __post_init__(self) -> None:
+        check_non_negative("faults", self.faults)
+        check_positive("interval", self.interval)
+        check_non_negative("start", self.start)
+        check_range("double_bit_fraction", self.double_bit_fraction, 0, 1)
+        if self.coverage is not None:
+            # 0 is meaningful: parity everywhere, every dirty upset lost.
+            check_range("coverage", self.coverage, 0, 1)
 
 
 class SoftErrorInjector:

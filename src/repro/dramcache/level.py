@@ -9,11 +9,13 @@ without the hierarchy or the mechanisms changing.
 Datapath, all on the calendar event queue:
 
 * **read**: tag lookup after ``tag_latency``. Hit → stacked-array read, data
-  returned when the stacked bank delivers. Miss → off-chip read; the fill
-  installs the tag (evicting a victim through the dirty backend) and writes
-  the block into the stacked array while the waiting requests are answered
-  directly from the off-chip data (fill bypass). Concurrent misses to one
-  block merge onto a single off-chip fetch.
+  returned when the stacked bank delivers (or, with a Section 7
+  :attr:`~DramCacheLevel.dispatcher` attached, an off-chip read when the
+  block is clean and the stacked queue is the longer one). Miss → off-chip
+  read; the fill installs the tag (evicting a victim through the dirty
+  backend) and writes the block into the stacked array while the waiting
+  requests are answered directly from the off-chip data (fill bypass).
+  Concurrent misses to one block merge onto a single off-chip fetch.
 * **writeback** (from the LLC): tag lookup, then either a dirty-hit update
   or a write-allocate install; either way the block's data is written into
   the stacked array.
@@ -82,6 +84,9 @@ class DramCacheLevel:
 
     #: Optional CheckEngine tap on off-chip writebacks (full checked mode).
     checker = None
+    #: Optional read-hit router (``extensions.dram_cache``); None keeps
+    #: every hit on the stacked array.
+    dispatcher = None
 
     def __init__(
         self,
@@ -123,7 +128,14 @@ class DramCacheLevel:
         addr = request.block_addr
         if self.tags.lookup(addr, request.core_id):
             self.stats.read_hits += 1
-            self.stacked.enqueue_read(
+            # Decided here, after every earlier same-cycle writeback's tag
+            # step, so a dispatcher sees the block's current dirtiness.
+            memory = (
+                self.stacked
+                if self.dispatcher is None
+                else self.dispatcher.route(addr)
+            )
+            memory.enqueue_read(
                 MemoryRequest(
                     addr, False, request.core_id, 0, partial(_complete_outer, request)
                 )

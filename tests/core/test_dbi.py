@@ -164,20 +164,6 @@ class TestEviction:
         assert flat["dbi.evicted_dirty_blocks"] == 1
 
 
-class TestDropRegion:
-    def test_drop_returns_dirty_blocks(self):
-        dbi = make_dbi(granularity=16)
-        dbi.mark_dirty(3)
-        dbi.mark_dirty(9)
-        dropped = dbi.drop_region(0)
-        assert dropped == [3, 9]
-        assert dbi.entry_count == 0
-
-    def test_drop_absent_region(self):
-        dbi = make_dbi()
-        assert dbi.drop_region(0) == []
-
-
 class TestCapacityBound:
     def test_dirty_blocks_never_exceed_alpha_fraction(self):
         """Property 3 from the paper: DBI bounds the dirty working set."""

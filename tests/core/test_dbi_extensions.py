@@ -2,9 +2,6 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.core.config import DbiConfig
 from repro.core.dbi import DirtyBlockIndex
 
@@ -31,54 +28,17 @@ class TestRegionHasDirty:
         assert not dbi.region_has_dirty(1)
 
 
-class TestRangeQuery:
-    def test_detects_dirty_inside_range(self):
-        dbi = make_dbi()
-        dbi.mark_dirty(100)
-        assert dbi.any_dirty_in_range(90, 110)
-        assert dbi.any_dirty_in_range(100, 101)
-
-    def test_misses_outside_range(self):
-        dbi = make_dbi()
-        dbi.mark_dirty(100)
-        assert not dbi.any_dirty_in_range(0, 100)  # end-exclusive
-        assert not dbi.any_dirty_in_range(101, 200)
-
-    def test_spans_multiple_regions(self):
-        dbi = make_dbi()
-        dbi.mark_dirty(250)
-        assert dbi.any_dirty_in_range(0, 1024)
-
-    def test_empty_range(self):
-        dbi = make_dbi()
-        dbi.mark_dirty(5)
-        assert not dbi.any_dirty_in_range(5, 5)
-        assert not dbi.any_dirty_in_range(10, 5)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        marks=st.lists(st.integers(min_value=0, max_value=511), max_size=30),
-        start=st.integers(min_value=0, max_value=511),
-        span=st.integers(min_value=0, max_value=128),
-    )
-    def test_matches_bruteforce(self, marks, start, span):
-        dbi = make_dbi()
-        for addr in marks:
-            dbi.mark_dirty(addr)
-        live = set(dbi.all_dirty_blocks())
-        end = start + span
-        expected = any(start <= addr < end for addr in live)
-        assert dbi.any_dirty_in_range(start, end) == expected
-
-
 class TestFlush:
     def test_flush_returns_all_dirty_grouped(self):
         dbi = make_dbi()
         for addr in (3, 7, 30, 200):
             dbi.mark_dirty(addr)
+        before = dbi.all_dirty_blocks()
         groups = dbi.flush()
-        flat = sorted(addr for group in groups for addr in group)
-        assert flat == [3, 7, 30, 200]
+        flat = [addr for group in groups for addr in group]
+        assert sorted(flat) == [3, 7, 30, 200]
+        # Same (set, way) order as all_dirty_blocks(), one group per entry.
+        assert flat == before
         # Each group belongs to exactly one region.
         for group in groups:
             assert len({addr // 16 for addr in group}) == 1

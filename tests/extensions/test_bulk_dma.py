@@ -80,4 +80,3 @@ def test_transfer_safety_property(marks, start, span):
     in_range = {a for a in before if start <= a < start + span}
     assert set(report.dirty_blocks_flushed) == in_range
     assert after == before - in_range
-    assert not dbi.any_dirty_in_range(start, start + span)

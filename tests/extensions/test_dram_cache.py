@@ -1,134 +1,172 @@
-"""Tests for the DBI-based DRAM-cache dispatcher (paper Section 7)."""
+"""Tests for the DBI-based DRAM-cache dispatcher (paper Section 7).
 
-from fractions import Fraction
+Every test drives a real ``dbi``-backend :class:`DramCacheLevel` with the
+dispatcher attached, so the routing is checked against the timed level's
+own dirtiness and its controllers' own queues.
+"""
 
 import pytest
 
-from repro.core.config import DbiConfig
-from repro.core.dbi import DirtyBlockIndex
-from repro.extensions.dram_cache import (
-    DispatchDecision,
-    DramCacheDispatcher,
-    DramCacheModel,
+from repro.dram.request import MemoryRequest
+from repro.extensions.dram_cache import DramCacheDispatcher
+from repro.sim.system import System
+
+from tests.check.conftest import random_trace, small_config
+from tests.dramcache.conftest import (
+    Completions,
+    make_level,
+    read,
+    small_level_config,
+    write,
 )
+
+#: Fire-and-forget stacked reads queued ahead of a routed hit: more than the
+#: stacked array can issue during one tag lookup, so the gap holds.
+LOAD = 16
 
 
 def make_rig(threshold=2):
-    dbi = DirtyBlockIndex(
-        DbiConfig(cache_blocks=4096, alpha=Fraction(1, 4), granularity=16,
-                  associativity=8)
-    )
-    cache = DramCacheModel(dbi=dbi, capacity_blocks=256)
-    return cache, DramCacheDispatcher(cache, queue_penalty_threshold=threshold)
+    queue, level, offchip = make_level("dbi")
+    return queue, level, offchip, DramCacheDispatcher(level, threshold)
+
+
+def load_stacked(level, count=LOAD, base=0x1000):
+    """Queue ``count`` stacked-array reads that nothing waits on."""
+    for i in range(count):
+        level.stacked.enqueue_read(MemoryRequest(base + i * 64, False))
+
+
+def fill(queue, level, addrs):
+    """Bring ``addrs`` into the level clean, one read at a time."""
+    for addr in addrs:
+        read(queue, level, addr)
+        queue.run()
+
+
+def burst(queue, level, addrs):
+    """Read every address in the same cycle; return the completions."""
+    done = Completions()
+    for addr in addrs:
+        read(queue, level, addr, done)
+    queue.run()
+    assert len(done.done) == len(addrs)
+    return done
 
 
 class TestDirtyRouting:
     def test_dirty_block_forced_to_cache(self):
-        cache, dispatcher = make_rig()
-        cache.write(100)
-        # Load the cache queue so balancing would otherwise offload.
-        for _ in range(10):
-            dispatcher.cache_queue += 1
-        assert dispatcher.dispatch_read(100) is DispatchDecision.DRAM_CACHE
-        assert dispatcher.stats.as_dict()["dispatch.forced_to_cache"] == 1
+        queue, level, offchip, dispatcher = make_rig(threshold=2)
+        write(queue, level, 100)
+        queue.run()
+        load_stacked(level)
+        offchip_reads = offchip.stats.reads
+        burst(queue, level, [100])
+        assert dispatcher.stats.forced_to_cache == 1
+        assert dispatcher.stats.balanced_to_off_chip == 0
+        assert offchip.stats.reads == offchip_reads
 
     def test_clean_block_can_offload(self):
-        cache, dispatcher = make_rig(threshold=2)
-        cache.install(100)  # present but clean
-        dispatcher.cache_queue = 5
-        dispatcher.off_chip_queue = 0
-        assert dispatcher.dispatch_read(100) is DispatchDecision.OFF_CHIP
+        queue, level, offchip, dispatcher = make_rig(threshold=2)
+        fill(queue, level, [100])
+        load_stacked(level)
+        offchip_reads = offchip.stats.reads
+        done = burst(queue, level, [100])
+        assert dispatcher.stats.balanced_to_off_chip == 1
+        assert offchip.stats.reads == offchip_reads + 1
+        assert level.stats.offchip_reads == 1  # only the fill: not a miss
+        [(addr, complete_time)] = done.done
+        assert addr == 100 and complete_time > 0
+        assert level.is_idle()
 
     def test_absent_block_can_offload(self):
-        _cache, dispatcher = make_rig(threshold=0)
-        assert dispatcher.dispatch_read(999) is DispatchDecision.OFF_CHIP
+        # A miss always fetches off-chip; the dispatcher only routes hits.
+        queue, level, offchip, dispatcher = make_rig(threshold=0)
+        burst(queue, level, [999])
+        assert level.stats.offchip_reads == 1
+        assert dispatcher.stats.reads == 0
+
+    def test_read_after_same_cycle_writeback_sees_dirty(self):
+        # The stale-read case: the writeback's tag step runs first, so the
+        # read's routing sees the block dirty and keeps it on the cache.
+        queue, level, offchip, dispatcher = make_rig(threshold=2)
+        fill(queue, level, [100])
+        load_stacked(level)
+        write(queue, level, 100)
+        done = Completions()
+        read(queue, level, 100, done)
+        queue.run()
+        assert len(done.done) == 1
+        assert dispatcher.stats.forced_to_cache == 1
+        assert dispatcher.stats.balanced_to_off_chip == 0
 
 
 class TestLoadBalancing:
     def test_balanced_queues_prefer_cache(self):
-        _cache, dispatcher = make_rig(threshold=2)
-        assert dispatcher.dispatch_read(1) is DispatchDecision.DRAM_CACHE
+        queue, level, offchip, dispatcher = make_rig(threshold=2)
+        fill(queue, level, [1])
+        offchip_reads = offchip.stats.reads
+        burst(queue, level, [1])
+        assert dispatcher.stats.reads == 1
+        assert dispatcher.stats.balanced_to_off_chip == 0
+        assert offchip.stats.reads == offchip_reads
 
     def test_offload_engages_past_threshold(self):
-        _cache, dispatcher = make_rig(threshold=3)
-        decisions = [dispatcher.dispatch_read(i) for i in range(10)]
-        assert DispatchDecision.OFF_CHIP in decisions
-        # Queues stay within the threshold band.
-        assert dispatcher.cache_queue - dispatcher.off_chip_queue <= 3
+        queue, level, _, dispatcher = make_rig(threshold=3)
+        fill(queue, level, range(16))
+        burst(queue, level, range(16))
+        assert dispatcher.stats.balanced_to_off_chip > 0
+        assert dispatcher.stats.forced_to_cache == 0
+
+    def test_unreachable_threshold_offloads_nothing(self):
+        queue, level, _, dispatcher = make_rig(threshold=10**6)
+        fill(queue, level, range(16))
+        load_stacked(level)
+        burst(queue, level, range(16))
+        assert dispatcher.stats.reads == 16
+        assert dispatcher.off_chip_share == 0.0
 
     def test_off_chip_share_under_write_heavy_traffic(self):
-        cache, dispatcher = make_rig(threshold=1)
-        for addr in range(64):
-            cache.write(addr)
-        for addr in range(64):
-            dispatcher.dispatch_read(addr)
-        # Every read was dirty: nothing could be offloaded.
+        queue, level, _, dispatcher = make_rig(threshold=1)
+        for addr in range(32):
+            write(queue, level, addr)
+        queue.run()
+        burst(queue, level, range(32))
+        # Every hit was dirty: nothing could be offloaded.
+        assert dispatcher.stats.forced_to_cache == 32
         assert dispatcher.off_chip_share == 0.0
 
     def test_off_chip_share_under_clean_traffic(self):
-        _cache, dispatcher = make_rig(threshold=1)
-        for addr in range(64):
-            dispatcher.dispatch_read(addr)
+        queue, level, _, dispatcher = make_rig(threshold=1)
+        fill(queue, level, range(32))
+        burst(queue, level, range(32))
         assert dispatcher.off_chip_share > 0.3
 
-
-class TestQueueAccounting:
-    def test_complete_decrements(self):
-        _cache, dispatcher = make_rig()
-        decision = dispatcher.dispatch_read(5)
-        assert dispatcher.cache_queue == 1
-        dispatcher.complete(decision)
-        assert dispatcher.cache_queue == 0
-
-    def test_underflow_rejected(self):
-        _cache, dispatcher = make_rig()
-        with pytest.raises(ValueError):
-            dispatcher.complete(DispatchDecision.OFF_CHIP)
+    def test_negative_threshold_rejected(self):
+        _queue, level, _offchip = make_level("dbi")
+        with pytest.raises(ValueError, match="queue_penalty_threshold"):
+            DramCacheDispatcher(level, queue_penalty_threshold=-1)
+        assert level.dispatcher is None
 
 
-class TestDramCacheModel:
-    def test_install_and_presence(self):
-        cache, _dispatcher = make_rig()
-        cache.install(7)
-        assert cache.contains(7)
-        assert not cache.contains(8)
-
-    def test_capacity_eviction(self):
-        dbi = DirtyBlockIndex(
-            DbiConfig(cache_blocks=4096, alpha=Fraction(1, 4), granularity=16,
-                      associativity=8)
+class TestCheckedSystem:
+    def test_full_check_run_with_dispatcher_stays_clean(self):
+        # A footprint the LLC cannot hold but the level can, so reads hit.
+        trace = random_trace(refs=1500, footprint=1024, write_fraction=0.3)
+        config = small_config(
+            "dbi+awb",
+            dram_cache=small_level_config(
+                "dbi", num_blocks=1024, associativity=8
+            ),
         )
-        cache = DramCacheModel(dbi=dbi, capacity_blocks=4)
-        for addr in range(5):
-            cache.install(addr)
-        assert len(cache._present) == 4
-
-    def test_evicted_dirty_block_cleared_in_dbi(self):
-        dbi = DirtyBlockIndex(
-            DbiConfig(cache_blocks=4096, alpha=Fraction(1, 4), granularity=16,
-                      associativity=8)
-        )
-        cache = DramCacheModel(dbi=dbi, capacity_blocks=2)
-        cache.write(0)
-        cache.install(1)
-        cache.install(2)  # evicts 0 (LRU)
-        assert not dbi.is_dirty(0)
-        assert cache.stats.as_dict()["dram_cache.dirty_evictions"] == 1
-
-    def test_lru_touch_protects_a_block(self):
-        dbi = DirtyBlockIndex(
-            DbiConfig(cache_blocks=4096, alpha=Fraction(1, 4), granularity=16,
-                      associativity=8)
-        )
-        cache = DramCacheModel(dbi=dbi, capacity_blocks=2)
-        cache.install(0)
-        cache.install(1)
-        cache.touch(0)  # 1 becomes LRU
-        assert cache.install(2) == 1
-        assert cache.contains(0)
-
-    def test_write_to_present_block_dirties(self):
-        cache, _dispatcher = make_rig()
-        cache.install(9)
-        cache.write(9)
-        assert cache.dbi.is_dirty(9)
+        system = System(config, [trace], check="full")
+        dispatcher = DramCacheDispatcher(system.dram_cache, 1)
+        result = system.run()  # raises on a dirty ledger or a failed sweep
+        engine = system.check_engine
+        assert engine.sweeps >= 1
+        assert engine.dramcache_ledger.dirtied > 0
+        assert engine.dramcache_ledger.outstanding_writebacks == 0
+        assert system.dram_cache.is_idle()
+        assert dispatcher.stats.forced_to_cache >= 1
+        assert dispatcher.stats.balanced_to_off_chip >= 1
+        # The dispatcher's stats are its own, not the level's.
+        assert not any(key.startswith("dispatch.") for key in result.stats)

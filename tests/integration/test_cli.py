@@ -48,6 +48,26 @@ class TestBadArguments:
         assert_usage_error(result, "workers must be non-negative, got -3")
         assert result.stdout == ""
 
+    def test_unknown_scale_exits_2(self):
+        result = run_cli("run", "lbm", "baseline", "--scale", "nope")
+        assert result.returncode == 2, result.stderr
+        assert "argument --scale: invalid choice: 'nope'" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_reliability_negative_faults_exits_2(self):
+        result = run_cli("reliability", "--faults", "-1")
+        assert_usage_error(result, "faults must be non-negative, got -1")
+
+    def test_reliability_zero_interval_exits_2(self):
+        result = run_cli("reliability", "--interval", "0")
+        assert_usage_error(result, "interval must be positive, got 0")
+
+    def test_reliability_double_bit_fraction_out_of_range_exits_2(self):
+        result = run_cli("reliability", "--double-bit-fraction", "1.5")
+        assert_usage_error(
+            result, "double_bit_fraction must be in [0, 1], got 1.5"
+        )
+
 
 class TestList:
     def test_lists_catalogues(self, capsys):

@@ -1,5 +1,6 @@
 """Smoke tests: every example script runs to completion."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,18 @@ class TestExamples:
         out = run_example("section7_extensions.py")
         assert "Self-balancing DRAM-cache dispatch" in out
         assert "lookup reduction" in out
+        phases = {
+            match["phase"]: (int(match["forced"]), int(match["share"]))
+            for match in re.finditer(
+                r"(?P<phase>[\w-]+)\s*:\s*\d+ reads,\s*(?P<forced>\d+) "
+                r"forced dirty,\s*(?P<share>\d+)% offloaded",
+                out,
+            )
+        }
+        write_forced, write_share = phases["write-heavy"]
+        _, read_share = phases["read-mostly"]
+        assert write_forced > 0
+        assert write_share < read_share
 
     @pytest.mark.slow
     def test_multicore_interference_small(self):

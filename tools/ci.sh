@@ -28,7 +28,11 @@
 #   dramcache    — the die-stacked level's differential proof: both dirty
 #                  backends vs the untimed oracle. The quick trade-off sweep
 #                  (DBI-backed writeback beats tag-dirty) is asserted by
-#                  tests/test_paper_claims.py in the slowfuzz stage.
+#                  tests/test_paper_claims.py in the slowfuzz stage; the
+#                  Section 7 dispatcher's routing on a dbi-backend level
+#                  (dirty hits pinned, clean hits offloaded, the same-cycle
+#                  stale read, a full-check system run) by
+#                  tests/extensions/test_dram_cache.py in tier1.
 #   conformance  — seeded coverage-guided campaign (`repro conformance`):
 #                  random config/op-schedule trials through the differential
 #                  and the invariant engine, run twice; zero findings and a
