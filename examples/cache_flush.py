@@ -66,7 +66,7 @@ def main() -> None:
     tag_walk_lookups = num_blocks  # must inspect every tag entry
 
     cache, dbi = build_dbi_cache(num_blocks, traffic)
-    tracked = dbi.tracked_dirty_blocks
+    tracked = dbi.live_dirty_blocks
     # One row-batched group per DBI entry, in (set, way) order.
     dbi_dirty = [addr for group in dbi.flush() for addr in group]
     dbi_lookups = len(dbi_dirty)  # one data-read lookup per dirty block only

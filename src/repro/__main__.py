@@ -46,41 +46,29 @@ warm build, cell image); it is read here and nowhere else.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
-def _cmd_list(_args) -> int:
-    from repro.analysis.scaling import SCALES
+def _names(text: str, kind: str) -> list:
+    """A comma-separated list of ``kind`` ("benchmark" or "mechanism") names."""
     from repro.mechanisms.registry import MECHANISM_NAMES
     from repro.workloads.spec import profile_names
 
-    print("benchmarks: ", ", ".join(profile_names()))
-    print("mechanisms: ", ", ".join(MECHANISM_NAMES))
-    print("scales:     ", ", ".join(sorted(SCALES)))
+    known = sorted(profile_names()) if kind == "benchmark" else MECHANISM_NAMES
+    names = [name.strip() for name in text.split(",")]
+    for name in names:
+        if name not in known:
+            raise ValueError(f"unknown {kind} {name!r}; choose from {known}")
+    return names
+
+
+def _print(text: str) -> int:
+    print(text)
     return 0
 
 
-def _cmd_run_sampled(args, config, trace) -> int:
-    """``run --sampled``: SMARTS windows + per-metric confidence intervals."""
-    from repro.checkpoint import run_sampled
-    from repro.checkpoint.sampled import SampledConfig
-
-    if args.check != "off" or args.telemetry:
-        print(
-            "--sampled does not compose with --check or --telemetry "
-            "(functional fast-forward breaks the ledger invariants and "
-            "the epoch stream)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        sampled_config = SampledConfig.parse(args.sampled)
-    except ValueError as exc:
-        print(f"bad --sampled spec: {exc}", file=sys.stderr)
-        return 2
-    outcome = run_sampled(config, [trace], sampled_config)
-    result = outcome.result
-    total = outcome.detailed_instructions + outcome.skipped_instructions
+def _print_metrics(args, result) -> None:
     print(f"benchmark          {args.benchmark}")
     print(f"mechanism          {args.mechanism}")
     print(f"IPC                {result.ipc[0]:.4f}")
@@ -89,6 +77,41 @@ def _cmd_run_sampled(args, config, trace) -> int:
     print(f"tag lookups / ki   {result.tag_lookups_pki:.1f}")
     print(f"memory WPKI        {result.memory_wpki:.1f}")
     print(f"LLC MPKI           {result.llc_mpki:.1f}")
+
+
+def _cmd_list(_args):
+    from repro.analysis.scaling import SCALES
+    from repro.mechanisms.registry import MECHANISM_NAMES
+    from repro.workloads.spec import profile_names
+
+    return lambda: _print(
+        f"benchmarks:  {', '.join(profile_names())}\n"
+        f"mechanisms:  {', '.join(MECHANISM_NAMES)}\n"
+        f"scales:      {', '.join(sorted(SCALES))}"
+    )
+
+
+def _cmd_run_sampled(args, config, trace):
+    """``run --sampled``: SMARTS windows + per-metric confidence intervals."""
+    from repro.checkpoint import run_sampled
+    from repro.checkpoint.sampled import SampledConfig
+
+    if args.check != "off" or args.telemetry:
+        raise ValueError(
+            "--sampled does not compose with --check or --telemetry "
+            "(functional fast-forward breaks the ledger invariants and "
+            "the epoch stream)"
+        )
+    sampled_config = SampledConfig.parse(args.sampled)
+    return lambda: _print_sampled(
+        args, run_sampled(config, [trace], sampled_config)
+    )
+
+
+def _print_sampled(args, outcome) -> int:
+    result = outcome.result
+    total = outcome.detailed_instructions + outcome.skipped_instructions
+    _print_metrics(args, result)
     print(
         f"sampling           {outcome.windows_run} windows, "
         f"{outcome.detailed_instructions} detailed + "
@@ -118,39 +141,27 @@ def _trace_and_config(args):
     return trace, scale.system_config(args.mechanism, **overrides)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args):
     from repro.sim.system import System
 
-    try:
-        trace, config = _trace_and_config(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    trace, config = _trace_and_config(args)
     if args.sampled is not None:
         return _cmd_run_sampled(args, config, trace)
-    try:
-        telemetry = None
-        if args.telemetry:
-            from repro.telemetry.sampler import TelemetryConfig
+    telemetry = None
+    if args.telemetry:
+        from repro.telemetry.sampler import TelemetryConfig
 
-            telemetry = TelemetryConfig(
-                epoch_cycles=args.epoch_cycles,
-                jsonl_path=args.telemetry,
-                meta=(("benchmark", args.benchmark), ("mechanism", args.mechanism)),
-            )
-        system = System(config, [trace], check=args.check, telemetry=telemetry)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    result = system.run()
-    print(f"benchmark          {args.benchmark}")
-    print(f"mechanism          {args.mechanism}")
-    print(f"IPC                {result.ipc[0]:.4f}")
-    print(f"write row hit rate {result.write_row_hit_rate:.2%}")
-    print(f"read row hit rate  {result.read_row_hit_rate:.2%}")
-    print(f"tag lookups / ki   {result.tag_lookups_pki:.1f}")
-    print(f"memory WPKI        {result.memory_wpki:.1f}")
-    print(f"LLC MPKI           {result.llc_mpki:.1f}")
+        telemetry = TelemetryConfig(
+            epoch_cycles=args.epoch_cycles,
+            jsonl_path=args.telemetry,
+            meta=(("benchmark", args.benchmark), ("mechanism", args.mechanism)),
+        )
+    system = System(config, [trace], check=args.check, telemetry=telemetry)
+    return lambda: _print_run(args, system, system.run())
+
+
+def _print_run(args, system, result) -> int:
+    _print_metrics(args, result)
     print(f"events processed   {result.events_processed}")
     if args.dram_cache is not None:
         reads = result.stats.get("dramcache.reads", 0)
@@ -183,8 +194,6 @@ def _cmd_run(args) -> int:
 
 def chaos_from_env():
     """The ``REPRO_CHAOS`` spec as a ChaosConfig, or None when unset/off."""
-    import os
-
     from repro.analysis.chaos import CHAOS_ENV, parse_chaos_spec
 
     return parse_chaos_spec(os.environ.get(CHAOS_ENV))
@@ -239,19 +248,12 @@ def make_sweep_runner(args):
     )
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args):
     from repro.analysis import experiments
     from repro.analysis.scaling import SCALES
 
     scale = SCALES[args.scale]
-    benchmarks = args.benchmarks.split(",") if args.benchmarks else None
-    try:
-        sweep = make_sweep_runner(args)
-    except ValueError as exc:
-        # e.g. --checkpoint-dir/--sampled combined with --check/--telemetry,
-        # or a malformed --sampled spec.
-        print(str(exc), file=sys.stderr)
-        return 2
+    benchmarks = _names(args.benchmarks, "benchmark") if args.benchmarks else None
     runners = {
         "fig6": lambda: "\n\n".join(
             r.to_text()
@@ -276,11 +278,19 @@ def _cmd_experiment(args) -> int:
             scale, benchmarks=benchmarks, runner=sweep).to_text(),
     }
     if args.name not in runners:
-        print(f"unknown experiment {args.name!r}; choose from {sorted(runners)}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(
+            f"unknown experiment {args.name!r}; choose from {sorted(runners)}"
+        )
+    # e.g. --checkpoint-dir/--sampled combined with --check/--telemetry, or
+    # a malformed --sampled spec, is refused here, before any job runs.
+    sweep = make_sweep_runner(args)
+    return lambda: _run_sweep(args, sweep, runners[args.name])
+
+
+def _run_sweep(args, sweep, render) -> int:
+    """Print the artifact ``render()`` returns, then close ``sweep``."""
     try:
-        print(runners[args.name]())
+        print(render())
     finally:
         sweep.close()
         if sweep.failures:
@@ -295,23 +305,22 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_campaign(args) -> int:
-    """``repro campaign {plan,run,status}``: crash-consistent sweeps."""
+def _cmd_campaign(args):
+    """``repro campaign {plan,run,status}``: crash-consistent sweeps.
+
+    A directory that cannot be created, opened or resumed raises
+    ``CampaignError``, a ValueError: a bad argument like any other.
+    """
     from repro.campaign import (
         Campaign,
         CampaignConfig,
-        CampaignError,
         campaign_status,
         render_status,
     )
 
     if args.subcommand == "status":
-        try:
-            print(render_status(campaign_status(args.dir)))
-        except (CampaignError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        return 0
+        status = render_status(campaign_status(args.dir))
+        return lambda: _print(status)
 
     def build_config():
         from repro.workloads.spec import profile_names
@@ -401,25 +410,17 @@ def _cmd_campaign(args) -> int:
             kwargs["mechanisms"] = mechanisms
         return CampaignConfig(**kwargs)
 
-    import os as _os
+    chaos = chaos_from_env() if args.subcommand == "run" else None
+    if os.path.exists(os.path.join(args.dir, "journal.jsonl")):
+        campaign = Campaign.open(args.dir)
+    elif args.resume:
+        raise ValueError(f"{args.dir}: nothing to resume (no journal)")
+    else:
+        campaign = Campaign.create(args.dir, build_config())
+    return lambda: _run_campaign(args, campaign, chaos)
 
-    journal_exists = _os.path.exists(_os.path.join(args.dir, "journal.jsonl"))
-    try:
-        chaos = chaos_from_env() if args.subcommand == "run" else None
-        if journal_exists:
-            campaign = Campaign.open(args.dir)
-        else:
-            if args.resume:
-                print(
-                    f"{args.dir}: nothing to resume (no journal)",
-                    file=sys.stderr,
-                )
-                return 2
-            campaign = Campaign.create(args.dir, build_config())
-    except (CampaignError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
 
+def _run_campaign(args, campaign, chaos) -> int:
     with campaign:
         if campaign.recovered_torn:
             print(
@@ -452,7 +453,7 @@ def _cmd_campaign(args) -> int:
             job_timeout=args.job_timeout,
         )
     if outcome.status == "complete":
-        report = _os.path.join(args.dir, "report.txt")
+        report = os.path.join(args.dir, "report.txt")
         with open(report) as handle:
             print(handle.read(), end="")
         if not args.quiet and outcome.sweep_summary:
@@ -468,7 +469,7 @@ def _cmd_campaign(args) -> int:
     else:
         print(
             f"campaign failed: {outcome.cells_failed} cell(s) exhausted "
-            f"retries; see {_os.path.join(args.dir, 'manifest.json')}",
+            f"retries; see {os.path.join(args.dir, 'manifest.json')}",
             file=sys.stderr,
         )
     return outcome.exit_code
@@ -478,43 +479,39 @@ def _campaign_progress(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args):
     """``repro ingest``: external traces -> registered campaign workloads."""
-    from repro.sim.ingest import (
-        DEFAULT_GAP_SCALE,
-        DEFAULT_MAX_GAP,
-        ingest_trace,
-        load_registry,
-    )
+    from repro.sim.ingest import load_registry
 
     if args.list_traces:
-        try:
-            registry = load_registry(args.registry)
-        except (OSError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
         from repro.analysis.report import format_table
 
+        try:
+            registry = load_registry(args.registry)
+        except OSError as exc:
+            raise ValueError(str(exc)) from exc
         rows = [
             [name, entry["records"], entry["source_format"],
              entry["sha256"][:12], entry["source"]]
             for name, entry in sorted(registry["traces"].items())
         ]
-        print(
-            format_table(
-                ["trace", "records", "format", "sha256", "source"],
-                rows,
-                title=f"trace registry: {args.registry}",
-            )
+        table = format_table(
+            ["trace", "records", "format", "sha256", "source"],
+            rows,
+            title=f"trace registry: {args.registry}",
         )
-        return 0
-
+        return lambda: _print(table)
     if not args.sources:
-        print("nothing to ingest (pass FILE... or --list)", file=sys.stderr)
-        return 2
+        raise ValueError("nothing to ingest (pass FILE... or --list)")
     if args.name is not None and len(args.sources) != 1:
-        print("--name needs exactly one source file", file=sys.stderr)
-        return 2
+        raise ValueError("--name needs exactly one source file")
+    return lambda: _ingest(args)
+
+
+def _ingest(args) -> int:
+    """Register each source in turn; a malformed one stops the run, named."""
+    from repro.sim.ingest import DEFAULT_GAP_SCALE, DEFAULT_MAX_GAP, ingest_trace
+
     for source in args.sources:
         try:
             entry = ingest_trace(
@@ -537,38 +534,37 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_reliability(args) -> int:
+def _cmd_reliability(args):
     from fractions import Fraction
 
-    from repro.analysis.experiments import run_reliability
+    from repro.analysis.experiments import plan_reliability
     from repro.analysis.scaling import SCALES
 
-    scale = SCALES[args.scale]
     mechanisms = (
-        [m.strip() for m in args.mechanisms.split(",")]
+        _names(args.mechanisms, "mechanism")
         if args.mechanisms
         else ("baseline", "dbi", "dbi+awb+clb")
     )
-    try:
-        alphas = (
-            [Fraction(a.strip()) for a in args.alphas.split(",")]
-            if args.alphas
-            else (Fraction(1, 4), Fraction(1, 2))
-        )
-        result = run_reliability(
-            scale,
-            benchmark=args.benchmark,
-            mechanisms=mechanisms,
-            alphas=alphas,
-            faults=args.faults,
-            interval=args.interval,
-            seed=args.seed,
-            double_bit_fraction=args.double_bit_fraction,
-            refs=args.refs,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    alphas = (
+        [Fraction(a.strip()) for a in args.alphas.split(",")]
+        if args.alphas
+        else (Fraction(1, 4), Fraction(1, 2))
+    )
+    study = plan_reliability(
+        SCALES[args.scale],
+        benchmark=args.benchmark,
+        mechanisms=mechanisms,
+        alphas=alphas,
+        faults=args.faults,
+        interval=args.interval,
+        seed=args.seed,
+        double_bit_fraction=args.double_bit_fraction,
+        refs=args.refs,
+    )
+    return lambda: _print_reliability(study())
+
+
+def _print_reliability(result) -> int:
     print(result.to_text())
     violations = sum(
         counts["protection_violations"] for counts in result.raw.values()
@@ -582,22 +578,21 @@ def _cmd_reliability(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args):
     from repro.sim.profiler import profile_system
     from repro.sim.system import System
 
-    try:
-        trace, config = _trace_and_config(args)
-        telemetry = None
-        if args.telemetry:
-            from repro.telemetry.sampler import TelemetryConfig
+    trace, config = _trace_and_config(args)
+    telemetry = None
+    if args.telemetry:
+        from repro.telemetry.sampler import TelemetryConfig
 
-            telemetry = TelemetryConfig(epoch_cycles=args.epoch_cycles)
-        system = System(config, [trace], check=args.check, telemetry=telemetry)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    profile = profile_system(system)
+        telemetry = TelemetryConfig(epoch_cycles=args.epoch_cycles)
+    system = System(config, [trace], check=args.check, telemetry=telemetry)
+    return lambda: _print_profile(args, profile_system(system))
+
+
+def _print_profile(args, profile) -> int:
     events = profile.result.events_processed
     wall = profile.wall_seconds
     if args.json:
@@ -631,9 +626,7 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_timeline(args) -> int:
-    from repro.telemetry.timeline import DEFAULT_KEYS, render_timeline
-
+def _cmd_timeline(args):
     if args.input:
         from repro.telemetry.sampler import read_jsonl
 
@@ -646,36 +639,42 @@ def _cmd_timeline(args) -> int:
         title = f"telemetry from {args.input}" + (
             f" ({', '.join(parts)})" if parts else ""
         )
-    else:
-        if not args.benchmark or not args.mechanism:
-            print(
-                "timeline needs either --input FILE or a benchmark and "
-                "a mechanism to run",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.analysis.scaling import SCALES
-        from repro.sim.system import System
-        from repro.telemetry.sampler import TelemetryConfig
+        return lambda: _print_timeline(args, records, title)
+    if not args.benchmark or not args.mechanism:
+        raise ValueError(
+            "timeline needs either --input FILE or a benchmark and "
+            "a mechanism to run"
+        )
+    from repro.analysis.scaling import SCALES
+    from repro.sim.system import System
+    from repro.telemetry.sampler import TelemetryConfig
 
-        scale = SCALES[args.scale]
-        trace = scale.benchmark_trace(args.benchmark, refs=args.refs)
-        system = System(
-            scale.system_config(args.mechanism),
-            [trace],
-            telemetry=TelemetryConfig(epoch_cycles=args.epoch_cycles),
-        )
+    scale = SCALES[args.scale]
+    trace = scale.benchmark_trace(args.benchmark, refs=args.refs)
+    system = System(
+        scale.system_config(args.mechanism),
+        [trace],
+        telemetry=TelemetryConfig(epoch_cycles=args.epoch_cycles),
+    )
+    title = (
+        f"{args.benchmark} under {args.mechanism} "
+        f"({args.scale} scale, {args.epoch_cycles}-cycle epochs)"
+    )
+
+    def run() -> int:
         system.run()
-        records = list(system.telemetry.records)
-        title = (
-            f"{args.benchmark} under {args.mechanism} "
-            f"({args.scale} scale, {args.epoch_cycles}-cycle epochs)"
-        )
-    keys = args.stat or list(DEFAULT_KEYS)
+        return _print_timeline(args, list(system.telemetry.records), title)
+
+    return run
+
+
+def _print_timeline(args, records, title) -> int:
+    from repro.telemetry.timeline import DEFAULT_KEYS, render_timeline
+
     print(
         render_timeline(
             records,
-            keys=keys,
+            keys=args.stat or list(DEFAULT_KEYS),
             width=args.width,
             max_rows=args.max_rows,
             title=title,
@@ -684,35 +683,30 @@ def _cmd_timeline(args) -> int:
     return 0
 
 
-def _cmd_check_diff(args) -> int:
+def _cmd_check_diff(args):
     from repro.analysis.scaling import SCALES
     from repro.check import run_check_diff
 
     scale = SCALES[args.scale]
-    benchmarks = (args.benchmarks or "lbm").split(",")
     traces = [
-        scale.benchmark_trace(name.strip(), refs=args.refs)
-        for name in benchmarks
+        scale.benchmark_trace(name, refs=args.refs)
+        for name in _names(args.benchmarks or "lbm", "benchmark")
     ]
     # None = every mechanism family; oracle v2's drain-schedule replay makes
     # all of them eligible with or without --dram-cache.
-    mechanisms = (
-        [m.strip() for m in args.mechanisms.split(",")]
-        if args.mechanisms
-        else None
-    )
-    try:
+    mechanisms = _names(args.mechanisms, "mechanism") if args.mechanisms else None
+
+    def run() -> int:
         report = run_check_diff(
             traces, mechanisms=mechanisms, dram_cache=args.dram_cache
         )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(report.to_text())
-    return 0 if report.ok else 1
+        print(report.to_text())
+        return 0 if report.ok else 1
+
+    return run
 
 
-def _cmd_conformance(args) -> int:
+def _cmd_conformance(args):
     from repro.check.conformance import (
         CampaignConfig,
         replay_finding,
@@ -720,15 +714,7 @@ def _cmd_conformance(args) -> int:
     )
 
     if args.replay:
-        outcome = replay_finding(args.replay)
-        print(outcome.spec.describe())
-        if outcome.ok:
-            print("replay: clean (the finding no longer reproduces)")
-            return 0
-        for failure in outcome.failures:
-            print(f"  {failure}")
-        return 1
-
+        return lambda: _print_replay(replay_finding(args.replay))
     config = CampaignConfig(
         trials=args.trials,
         seed=args.seed,
@@ -736,35 +722,36 @@ def _cmd_conformance(args) -> int:
     )
     if args.out:
         config.out_dir = args.out
-    result = run_campaign(config)
-    print(result.to_text())
-    return 0 if result.ok else 1
+
+    def run() -> int:
+        result = run_campaign(config)
+        print(result.to_text())
+        return 0 if result.ok else 1
+
+    return run
 
 
-def _cmd_dramcache(args) -> int:
+def _print_replay(outcome) -> int:
+    print(outcome.spec.describe())
+    if outcome.ok:
+        print("replay: clean (the finding no longer reproduces)")
+        return 0
+    for failure in outcome.failures:
+        print(f"  {failure}")
+    return 1
+
+
+def _cmd_dramcache(args):
     from repro.analysis import experiments
     from repro.analysis.scaling import SCALES
 
     scale = SCALES[args.scale]
-    benchmarks = args.benchmarks.split(",") if args.benchmarks else None
-    try:
-        sweep = make_sweep_runner(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        result = experiments.run_dramcache(
-            scale,
-            benchmarks=benchmarks,
-            mechanism=args.mechanism,
-            runner=sweep,
-        )
-        print(result.to_text())
-    finally:
-        sweep.close()
-    if not args.quiet:
-        print(sweep.summary(), file=sys.stderr)
-    return 0
+    benchmarks = _names(args.benchmarks, "benchmark") if args.benchmarks else None
+    _names(args.mechanism, "mechanism")
+    sweep = make_sweep_runner(args)
+    return lambda: _run_sweep(args, sweep, lambda: experiments.run_dramcache(
+        scale, benchmarks=benchmarks, mechanism=args.mechanism, runner=sweep,
+    ).to_text())
 
 
 def main(argv=None) -> int:
@@ -1235,27 +1222,29 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if args.command == "ingest":
-        return _cmd_ingest(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "check-diff":
-        return _cmd_check_diff(args)
-    if args.command == "conformance":
-        return _cmd_conformance(args)
-    if args.command == "dramcache":
-        return _cmd_dramcache(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "reliability":
-        return _cmd_reliability(args)
-    if args.command == "timeline":
-        return _cmd_timeline(args)
-    return _cmd_experiment(args)
+    commands = {
+        "campaign": _cmd_campaign,
+        "check-diff": _cmd_check_diff,
+        "conformance": _cmd_conformance,
+        "dramcache": _cmd_dramcache,
+        "experiment": _cmd_experiment,
+        "ingest": _cmd_ingest,
+        "list": _cmd_list,
+        "profile": _cmd_profile,
+        "reliability": _cmd_reliability,
+        "run": _cmd_run,
+        "timeline": _cmd_timeline,
+    }
+    # Each command resolves its arguments (traces, configs, runner) and
+    # returns its run. A ValueError while resolving is a bad argument: its
+    # message alone, exit status 2. The run is outside this handler, so a
+    # ValueError raised by the simulator keeps its traceback.
+    try:
+        run = commands[args.command](args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    return run()
 
 
 if __name__ == "__main__":

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.analysis.runner import SweepFuture, SweepJobError, SweepRunner
@@ -848,7 +849,7 @@ def run_dramcache(
     )
 
 
-def run_reliability(
+def plan_reliability(
     scale: ScaleProfile = DEFAULT_SCALE,
     benchmark: str = "lbm",
     mechanisms: Sequence[str] = ("baseline", "dbi", "dbi+awb+clb"),
@@ -858,8 +859,8 @@ def run_reliability(
     seed: int = 0x5EED,
     double_bit_fraction: float = 0.0,
     refs: Optional[int] = None,
-) -> ExperimentResult:
-    """Section 3.3 heterogeneous-ECC soft-error study.
+) -> Callable[[], ExperimentResult]:
+    """Section 3.3 heterogeneous-ECC soft-error study, ready to run.
 
     Runs each mechanism with a :class:`~repro.core.ecc.SoftErrorInjector`
     attached and tallies fault outcomes per (mechanism, α). Mechanisms that
@@ -874,43 +875,61 @@ def run_reliability(
     of these runs are byte-identical to uninstrumented ones; the campaign is
     driven inline rather than through a SweepRunner because its product —
     injector tallies — is not part of :class:`SimulationResult`.
+
+    Every cell's system is built here, so a bad argument (an unknown
+    benchmark or mechanism, an alpha outside [0, 1], a bad fault count)
+    raises ValueError before anything is simulated; the returned callable
+    runs the cells and builds the table.
     """
     from repro.core.ecc import SoftErrorConfig
     from repro.sim.system import System
 
     trace = scale.benchmark_trace(benchmark, refs=refs)
+    soft = SoftErrorConfig(
+        faults=faults, interval=interval, seed=seed,
+        double_bit_fraction=double_bit_fraction,
+    )
+    cells = [
+        (mechanism, alpha, System(
+            scale.system_config(mechanism, dbi_alpha=alpha), [trace],
+            soft_errors=soft,
+        ))
+        for mechanism in mechanisms
+        for alpha in alphas
+    ]
+    return partial(
+        _run_reliability, cells, scale, benchmark, faults, double_bit_fraction
+    )
+
+
+def _run_reliability(
+    cells, scale, benchmark, faults, double_bit_fraction
+) -> ExperimentResult:
     rows = []
     raw: Dict = {}
     tracked_loss = 0
     untracked_loss = 0
-    for mechanism in mechanisms:
-        for alpha in alphas:
-            config = scale.system_config(mechanism, dbi_alpha=alpha)
-            soft = SoftErrorConfig(
-                faults=faults, interval=interval, seed=seed,
-                double_bit_fraction=double_bit_fraction,
-            )
-            system = System(config, [trace], soft_errors=soft)
-            system.run()
-            injector = system.soft_errors
-            counts = dict(injector.counts)
-            raw[(mechanism, str(alpha))] = counts
-            if injector.tracked:
-                domain = "DBI-tracked"
-                tracked_loss += counts["data_loss"]
-            else:
-                domain = f"untracked (coverage={alpha})"
-                untracked_loss += counts["data_loss"]
-            rows.append([
-                mechanism,
-                f"alpha={alpha}",
-                domain,
-                counts["injected"],
-                counts["detected"],
-                counts["corrected"],
-                counts["refetched"],
-                counts["data_loss"],
-            ])
+    for mechanism, alpha, system in cells:
+        system.run()
+        injector = system.soft_errors
+        counts = dict(injector.counts)
+        raw[(mechanism, str(alpha))] = counts
+        if injector.tracked:
+            domain = "DBI-tracked"
+            tracked_loss += counts["data_loss"]
+        else:
+            domain = f"untracked (coverage={alpha})"
+            untracked_loss += counts["data_loss"]
+        rows.append([
+            mechanism,
+            f"alpha={alpha}",
+            domain,
+            counts["injected"],
+            counts["detected"],
+            counts["corrected"],
+            counts["refetched"],
+            counts["data_loss"],
+        ])
     notes = (
         f"Single-bit upsets on DBI-tracked domains lost {tracked_loss} "
         f"blocks (paper Section 3.3 predicts 0: every dirty block is "

@@ -89,8 +89,11 @@ RESULTS_NAME = "results.json"
 REPORT_NAME = "report.txt"
 
 
-class CampaignError(RuntimeError):
-    """A campaign directory cannot be created, opened, or safely resumed."""
+class CampaignError(ValueError):
+    """A campaign directory cannot be created, opened, or safely resumed.
+
+    A ``ValueError``, so the command line reports it as a bad argument.
+    """
 
 
 def journal_path(directory: str) -> str:

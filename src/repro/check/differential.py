@@ -279,10 +279,7 @@ def run_timing_serialized(
     l2_states = [_cache_sets(cache) for cache in hierarchy.l2s]
     dbi_entries: Dict[int, int] = {}
     if dbi is not None:
-        dbi_entries = {
-            entry.region_id: entry.bitvector
-            for entry in dbi.iter_valid_entries()
-        }
+        dbi_entries = dbi.entries()
     dramcache_blocks: Set[int] = set()
     dramcache_dirty: Set[int] = set()
     dramcache_dbi_entries: Dict[int, int] = {}
@@ -291,10 +288,7 @@ def run_timing_serialized(
         dramcache_blocks, _tag_dirty = _cache_sets(level.tags)
         dramcache_dirty = set(level.dirty_blocks())
         if level.dbi is not None:
-            dramcache_dbi_entries = {
-                entry.region_id: entry.bitvector
-                for entry in level.dbi.iter_valid_entries()
-            }
+            dramcache_dbi_entries = level.dbi.entries()
         dramcache_reads = level.stats.reads
         dramcache_writes = level.stats.writes
         dramcache_offchip = level.stats.offchip_writes

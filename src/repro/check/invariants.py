@@ -18,9 +18,9 @@ Catalogue (names are stable; tests and docs reference them):
 ``dbi-tag-agreement``        DBI mechanisms never set in-tag dirty bits; every
                              DBI-dirty block is present in the LLC; the dirty
                              population respects α·N (paper Section 2.1).
-``dbi-structure``            entry valid ⇔ nonzero bit vector; the region→way
-                             map is a bijection onto valid entries; bit vectors
-                             fit the region granularity.
+``dbi-structure``            a way's region ≠ -1 ⇔ nonzero bit vector; the
+                             region→way map is a bijection onto valid ways;
+                             bit vectors fit the region granularity.
 ``cache-structure``          each cache's addr→way map is a bijection onto its
                              valid blocks, and every block sits in the set its
                              address hashes to.
@@ -144,51 +144,56 @@ def check_policy_recency(policy, label: str) -> None:
 
 
 def check_dbi_structure(dbi) -> None:
-    """``dbi-structure`` for one :class:`repro.core.dbi.DirtyBlockIndex`."""
+    """``dbi-structure`` for one :class:`repro.core.dbi.DirtyBlockIndex`.
+
+    Walks the entry array (``_region``, ``_bits``; ``-1`` marks an invalid
+    way) once per way.
+    """
     name = "dbi-structure"
     config = dbi.config
+    assoc = config.associativity
     valid = {}
-    for set_idx, ways in enumerate(dbi.sets):
-        for way, entry in enumerate(ways):
-            if not entry.valid:
-                if entry.bitvector:
-                    _fail(
-                        name,
-                        f"invalid entry (set {set_idx} way {way}) holds "
-                        f"bit vector {entry.bitvector:#x}",
-                    )
-                continue
-            if entry.bitvector == 0:
+    for at, (region_id, bits) in enumerate(zip(dbi._region, dbi._bits)):
+        set_idx, way = divmod(at, assoc)
+        if region_id == -1:
+            if bits:
                 _fail(
                     name,
-                    f"valid entry for region {entry.region_id} (set {set_idx} "
-                    f"way {way}) has an empty bit vector",
+                    f"invalid way (set {set_idx} way {way}) holds "
+                    f"bit vector {bits:#x}",
                 )
-            if entry.bitvector >> config.granularity:
-                _fail(
-                    name,
-                    f"region {entry.region_id} bit vector {entry.bitvector:#x} "
-                    f"exceeds granularity {config.granularity}",
-                )
-            if config.set_of(entry.region_id) != set_idx:
-                _fail(
-                    name,
-                    f"region {entry.region_id} stored in set {set_idx} but "
-                    f"hashes to set {config.set_of(entry.region_id)}",
-                )
-            if entry.region_id in valid:
-                _fail(name, f"region {entry.region_id} has two valid entries")
-            valid[entry.region_id] = way
+            continue
+        if bits == 0:
+            _fail(
+                name,
+                f"valid entry for region {region_id} (set {set_idx} "
+                f"way {way}) has an empty bit vector",
+            )
+        if bits >> config.granularity:
+            _fail(
+                name,
+                f"region {region_id} bit vector {bits:#x} "
+                f"exceeds granularity {config.granularity}",
+            )
+        if config.set_of(region_id) != set_idx:
+            _fail(
+                name,
+                f"region {region_id} stored in set {set_idx} but "
+                f"hashes to set {config.set_of(region_id)}",
+            )
+        if region_id in valid:
+            _fail(name, f"region {region_id} has two valid entries")
+        valid[region_id] = way
     if valid != dict(dbi._where):
         _fail(
             name,
             f"region→way map disagrees with the entry array: "
             f"map has {len(dbi._where)} regions, array has {len(valid)}",
         )
-    if dbi.tracked_dirty_blocks > config.tracked_blocks:
+    if dbi.live_dirty_blocks > config.tracked_blocks:
         _fail(
             name,
-            f"DBI tracks {dbi.tracked_dirty_blocks} dirty blocks, over its "
+            f"DBI tracks {dbi.live_dirty_blocks} dirty blocks, over its "
             f"α·N budget of {config.tracked_blocks}",
         )
 

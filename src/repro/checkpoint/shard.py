@@ -23,20 +23,17 @@ cycle-exactly. Segments are deterministic, so a killed campaign
 re-simulates any lost segment to identical bytes and the stitched cell
 stays byte-stable across resumes.
 
-Per-shard results double as segment samples: :func:`shard_estimates` runs
-the sampled-window Student-t estimator over the per-shard metric values,
-which is where campaign surfaces get their confidence intervals for
-sharded cells.
+A sharded cell reports one stitched result, so its confidence intervals
+are the campaign surfaces' across-workload ones; no within-run interval
+is computed from the segments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.checkpoint.sampled import (
-    MetricEstimate,
-    _estimate,
     _read_raw_stats,
     _synthesize_result,
     _window_delta,
@@ -197,32 +194,3 @@ def stitch_shards(results: Sequence[SimulationResult]) -> SimulationResult:
         stats=stats,
         events_processed=sum(result.events_processed for result in results),
     )
-
-
-def shard_estimates(
-    results: Sequence[SimulationResult], rel_ci_floor: float = 0.0
-) -> Dict[str, MetricEstimate]:
-    """Student-t 95% estimates over per-shard metric values.
-
-    Treats each segment as one sample of the run's steady state — the same
-    estimator the sampled-window mode uses, so sharded campaign cells
-    surface comparable confidence intervals.
-    """
-    series: Dict[str, List[float]] = {}
-    for result in results:
-        cycles = result.cycles[0] if result.cycles else 0
-        if cycles:
-            series.setdefault("ipc", []).append(
-                sum(result.instructions) / cycles
-            )
-        for name in ("write_row_hit_rate", "read_row_hit_rate"):
-            total = result.stats.get(f"dram.{name}.total", 0)
-            if total:
-                series.setdefault(name, []).append(
-                    result.stats.get(f"dram.{name}.hits", 0) / total
-                )
-    return {
-        name: _estimate(values, rel_ci_floor)
-        for name, values in series.items()
-        if values
-    }

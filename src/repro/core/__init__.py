@@ -21,7 +21,7 @@ The structure gives the three properties Section 1 identifies:
 
 from repro.core.coherence import CoherenceAdapter, EncodedState
 from repro.core.config import DbiConfig
-from repro.core.dbi import DbiEntry, DbiEviction, DirtyBlockIndex
+from repro.core.dbi import DbiEviction, DirtyBlockIndex
 from repro.core.ecc import EccDomain
 from repro.core.replacement import (
     DbiReplacementPolicy,
@@ -37,7 +37,6 @@ __all__ = [
     "CoherenceAdapter",
     "EncodedState",
     "DbiConfig",
-    "DbiEntry",
     "DbiEviction",
     "DirtyBlockIndex",
     "EccDomain",

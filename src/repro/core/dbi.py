@@ -14,43 +14,13 @@ Operations mirror Section 2.2:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import DbiConfig
 from repro.core.replacement import make_dbi_policy
 from repro.utils.bits import iter_set_bits, popcount
 from repro.utils.rng import DeterministicRng
 from repro.utils.stats import StatRecord
-
-
-class DbiEntry:
-    """One DBI entry: valid bit, region (row) tag, dirty-bit vector."""
-
-    __slots__ = ("valid", "region_id", "bitvector")
-
-    def __init__(self) -> None:
-        self.valid = False
-        self.region_id = -1
-        self.bitvector = 0
-
-    def install(self, region_id: int) -> None:
-        self.valid = True
-        self.region_id = region_id
-        self.bitvector = 0
-
-    def invalidate(self) -> None:
-        self.valid = False
-        self.region_id = -1
-        self.bitvector = 0
-
-    @property
-    def dirty_count(self) -> int:
-        return popcount(self.bitvector)
-
-    def __repr__(self) -> str:
-        if not self.valid:
-            return "DbiEntry(invalid)"
-        return f"DbiEntry(region={self.region_id}, bits={self.bitvector:b})"
 
 
 @dataclass(frozen=True)
@@ -79,6 +49,12 @@ class DbiStats(StatRecord):
 class DirtyBlockIndex:
     """Set-associative index of dirty blocks, keyed by DRAM-row region.
 
+    The entry array is two flat lists with one slot per way, at
+    ``set * associativity + way``: the region (row) tag, ``-1`` marking an
+    invalid way, and the dirty-bit vector (paper Section 2, Figure 2).
+    Only this class and ``check/invariants.py`` index them; everything else
+    reads through the queries below or :meth:`entries`.
+
     Example:
         >>> dbi = DirtyBlockIndex(DbiConfig(cache_blocks=1024, granularity=16,
         ...                                 associativity=4))
@@ -101,10 +77,11 @@ class DirtyBlockIndex:
         stat_name: Optional[str] = None,
     ) -> None:
         self.config = config
-        self.sets: List[List[DbiEntry]] = [
-            [DbiEntry() for _ in range(config.associativity)]
-            for _ in range(config.num_sets)
-        ]
+        ways = config.num_sets * config.associativity
+        # The entry array (class docstring): region tag, dirty-bit vector.
+        self._region: List[int] = [-1] * ways
+        self._bits: List[int] = [0] * ways
+        self._assoc = config.associativity
         self.policy = make_dbi_policy(
             config.replacement, config.num_sets, config.associativity, rng=rng
         )
@@ -112,15 +89,9 @@ class DirtyBlockIndex:
         # mechanism's DBI vs. the DRAM-cache level's DBI).
         self.stats = DbiStats(stat_name or "dbi")
         # region_id -> way for O(1) lookup; the set index is derivable.
-        self._where = {}
+        self._where: Dict[int, int] = {}
 
     # -------------------------------------------------------------- queries
-
-    def _entry(self, region_id: int) -> Optional[DbiEntry]:
-        way = self._where.get(region_id)
-        if way is None:
-            return None
-        return self.sets[self.config.set_of(region_id)][way]
 
     def is_dirty(self, block_addr: int) -> bool:
         """Paper's DBI semantics: valid entry AND bit set."""
@@ -134,13 +105,11 @@ class DirtyBlockIndex:
 
     @property
     def live_dirty_blocks(self) -> int:
-        """Dirty bits set across all valid entries (stat-free)."""
-        return sum(
-            entry.dirty_count
-            for ways in self.sets
-            for entry in ways
-            if entry.valid
-        )
+        """Dirty bits set across all valid entries (stat-free).
+
+        An invalid way holds no bits, so every vector can be counted.
+        """
+        return sum(map(popcount, self._bits))
 
     def peek_dirty(self, block_addr: int) -> bool:
         """Stat-free :meth:`is_dirty` for observational tooling.
@@ -150,10 +119,13 @@ class DirtyBlockIndex:
         counters a real lookup would pay — their runs are required to report
         byte-identical statistics to uninstrumented ones.
         """
-        entry = self._entry(self.config.region_of(block_addr))
-        if entry is None:
+        config = self.config
+        region_id = config.region_of(block_addr)
+        way = self._where.get(region_id)
+        if way is None:
             return False
-        return bool(entry.bitvector >> self.config.offset_of(block_addr) & 1)
+        at = config.set_of(region_id) * self._assoc + way
+        return bool(self._bits[at] >> config.offset_of(block_addr) & 1)
 
     def dirty_blocks_in_region(self, block_addr: int) -> List[int]:
         """All dirty block addresses in ``block_addr``'s region (one query).
@@ -162,13 +134,15 @@ class DirtyBlockIndex:
         (paper Section 3.1, Figure 3).
         """
         self.stats.queries += 1
-        region_id = self.config.region_of(block_addr)
-        entry = self._entry(region_id)
-        if entry is None:
+        config = self.config
+        region_id = config.region_of(block_addr)
+        way = self._where.get(region_id)
+        if way is None:
             return []
+        at = config.set_of(region_id) * self._assoc + way
         return [
-            self.config.block_of(region_id, offset)
-            for offset in iter_set_bits(entry.bitvector)
+            config.block_of(region_id, offset)
+            for offset in iter_set_bits(self._bits[at])
         ]
 
     # -------------------------------------------------------------- updates
@@ -182,37 +156,39 @@ class DirtyBlockIndex:
             and transition them dirty → clean in the cache. None otherwise.
         """
         self.stats.writes += 1
-        region_id = self.config.region_of(block_addr)
-        offset = self.config.offset_of(block_addr)
-        set_idx = self.config.set_of(region_id)
+        config = self.config
+        region_id = config.region_of(block_addr)
+        offset = config.offset_of(block_addr)
+        set_idx = config.set_of(region_id)
+        base = set_idx * self._assoc
+        bits = self._bits
 
         way = self._where.get(region_id)
         if way is not None:
-            entry = self.sets[set_idx][way]
-            if self.observer is not None and not entry.bitvector >> offset & 1:
+            at = base + way
+            if self.observer is not None and not bits[at] >> offset & 1:
                 self.observer.on_block_dirtied(block_addr)
-            entry.bitvector |= 1 << offset
+            bits[at] |= 1 << offset
             self.policy.on_write(set_idx, way)
             return None
 
         evicted = None
-        ways = self.sets[set_idx]
-        target_way = None
-        for candidate_way, entry in enumerate(ways):
-            if not entry.valid:
-                target_way = candidate_way
-                break
-        if target_way is None:
-            target_way = self.policy.victim_way(set_idx, ways)
-            victim = ways[target_way]
+        regions = self._region
+        end = base + self._assoc
+        set_regions = regions[base:end]
+        if -1 in set_regions:
+            way = set_regions.index(-1)
+        else:
+            way = self.policy.victim_way(set_idx, bits[base:end])
+            victim = set_regions[way]
             evicted = DbiEviction(
-                region_id=victim.region_id,
+                region_id=victim,
                 dirty_blocks=tuple(
-                    self.config.block_of(victim.region_id, bit)
-                    for bit in iter_set_bits(victim.bitvector)
+                    config.block_of(victim, bit)
+                    for bit in iter_set_bits(bits[base + way])
                 ),
             )
-            del self._where[victim.region_id]
+            del self._where[victim]
             # A valid entry holds at least one dirty bit, so this adds >= 1.
             self.stats.evictions += 1
             self.stats.evicted_dirty_blocks += len(evicted.dirty_blocks)
@@ -222,11 +198,10 @@ class DirtyBlockIndex:
                 for block in evicted.dirty_blocks:
                     self.observer.on_block_cleaned(block)
 
-        entry = ways[target_way]
-        entry.install(region_id)
-        entry.bitvector = 1 << offset
-        self._where[region_id] = target_way
-        self.policy.on_insert(set_idx, target_way)
+        regions[base + way] = region_id
+        bits[base + way] = 1 << offset
+        self._where[region_id] = way
+        self.policy.on_insert(set_idx, way)
         self.stats.entry_insertions += 1
         if self.observer is not None:
             self.observer.on_block_dirtied(block_addr)
@@ -248,26 +223,29 @@ class DirtyBlockIndex:
         Raises:
             ValueError: if the block is not currently marked dirty.
         """
-        region_id = self.config.region_of(block_addr)
+        config = self.config
+        region_id = config.region_of(block_addr)
         way = self._where.get(region_id)
         if way is None:
             raise ValueError(
                 f"mark_clean({block_addr:#x}): no DBI entry for region "
                 f"{region_id} — the block is not dirty"
             )
-        set_idx = self.config.set_of(region_id)
-        entry = self.sets[set_idx][way]
-        bit = 1 << self.config.offset_of(block_addr)
-        if not entry.bitvector & bit:
+        set_idx = config.set_of(region_id)
+        at = set_idx * self._assoc + way
+        bit = 1 << config.offset_of(block_addr)
+        value = self._bits[at]
+        if not value & bit:
             raise ValueError(
                 f"mark_clean({block_addr:#x}): bit already clear in region "
                 f"{region_id} — the block is not dirty"
             )
         if self.observer is not None:
             self.observer.on_block_cleaned(block_addr)
-        entry.bitvector &= ~bit
-        if entry.bitvector == 0:
-            entry.invalidate()
+        value ^= bit
+        self._bits[at] = value
+        if value == 0:
+            self._region[at] = -1
             del self._where[region_id]
             self.policy.on_invalidate(set_idx, way)
             self.stats.entries_emptied += 1
@@ -291,22 +269,22 @@ class DirtyBlockIndex:
         Paper Section 7 ("Cache Flushing"): bank power-down or a persistence
         epoch must write back all dirty blocks; the DBI yields them directly
         and row-batched (each inner list drains as DRAM row hits), where a
-        conventional cache must walk its whole tag store.
+        conventional cache must walk its whole tag store. Groups come in
+        (set, way) order, each one's blocks lowest bit first.
         """
-        groups: List[List[int]] = []
-        for entry in list(self.iter_valid_entries()):
-            blocks = [
-                self.config.block_of(entry.region_id, bit)
-                for bit in iter_set_bits(entry.bitvector)
-            ]
-            groups.append(blocks)
+        block_of = self.config.block_of
+        groups = [
+            [block_of(region_id, bit) for bit in iter_set_bits(value)]
+            for region_id, value in zip(self._region, self._bits)
+            if region_id != -1
+        ]
         if self.observer is not None:
             for blocks in groups:
                 for block in blocks:
                     self.observer.on_block_cleaned(block)
-        for ways in self.sets:
-            for entry in ways:
-                entry.invalidate()
+        ways = len(self._region)
+        self._region[:] = [-1] * ways
+        self._bits[:] = [0] * ways
         count = len(self._where)
         self._where.clear()
         self.stats.flushes += 1
@@ -315,20 +293,13 @@ class DirtyBlockIndex:
 
     # ----------------------------------------------------------- inspection
 
-    def iter_valid_entries(self) -> Iterator[DbiEntry]:
-        for ways in self.sets:
-            for entry in ways:
-                if entry.valid:
-                    yield entry
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._where)
-
-    @property
-    def tracked_dirty_blocks(self) -> int:
-        """Total dirty blocks currently recorded across all entries."""
-        return sum(entry.dirty_count for entry in self.iter_valid_entries())
+    def entries(self) -> Dict[int, int]:
+        """``region_id -> bit vector`` over all valid entries."""
+        return {
+            region_id: value
+            for region_id, value in zip(self._region, self._bits)
+            if region_id != -1
+        }
 
     def all_dirty_blocks(self) -> List[int]:
         """Every block address currently marked dirty (flush support).
@@ -343,20 +314,18 @@ class DirtyBlockIndex:
         shift = config._granularity_shift
         limit = 1 << config.granularity
         blocks = []
-        for ways in self.sets:
-            for entry in ways:
-                if not entry.valid:
-                    continue
-                value = entry.bitvector
-                if not 0 <= value < limit:
-                    blocks.extend(
-                        config.block_of(entry.region_id, bit)
-                        for bit in iter_set_bits(value)
-                    )
-                    continue
-                base = entry.region_id << shift
-                while value:
-                    low = value & -value
-                    blocks.append(base | (low.bit_length() - 1))
-                    value ^= low
+        for region_id, value in zip(self._region, self._bits):
+            if region_id == -1:
+                continue
+            if not 0 <= value < limit:
+                blocks.extend(
+                    config.block_of(region_id, bit)
+                    for bit in iter_set_bits(value)
+                )
+                continue
+            base = region_id << shift
+            while value:
+                low = value & -value
+                blocks.append(base | (low.bit_length() - 1))
+                value ^= low
         return blocks

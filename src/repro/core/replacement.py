@@ -27,8 +27,9 @@ from repro.utils.rng import DeterministicRng
 class DbiReplacementPolicy(abc.ABC):
     """Interface between the DBI and its replacement state.
 
-    ``entries`` passed to :meth:`victim_way` is the set's entry list; count
-    policies inspect the bit vectors, recency policies ignore them.
+    ``bitvectors`` passed to :meth:`victim_way` holds the set's dirty-bit
+    vectors, one per way; count policies count their bits, recency policies
+    ignore them.
     """
 
     def __init__(self, num_sets: int, num_ways: int) -> None:
@@ -46,7 +47,7 @@ class DbiReplacementPolicy(abc.ABC):
         """A fresh entry was installed in ``way``."""
 
     @abc.abstractmethod
-    def victim_way(self, set_idx: int, entries: Sequence) -> int:
+    def victim_way(self, set_idx: int, bitvectors: Sequence[int]) -> int:
         """Pick the entry to evict (all ways valid)."""
 
     def on_invalidate(self, set_idx: int, way: int) -> None:
@@ -71,7 +72,7 @@ class LrwPolicy(DbiReplacementPolicy):
     def on_insert(self, set_idx: int, way: int) -> None:
         self._touch(set_idx, way)
 
-    def victim_way(self, set_idx: int, entries: Sequence) -> int:
+    def victim_way(self, set_idx: int, bitvectors: Sequence[int]) -> int:
         return self._stacks[set_idx][0]
 
     def on_invalidate(self, set_idx: int, way: int) -> None:
@@ -119,7 +120,7 @@ class RwipPolicy(DbiReplacementPolicy):
     def on_insert(self, set_idx: int, way: int) -> None:
         self._rwpv[set_idx][way] = self.max_rwpv - 1
 
-    def victim_way(self, set_idx: int, entries: Sequence) -> int:
+    def victim_way(self, set_idx: int, bitvectors: Sequence[int]) -> int:
         values = self._rwpv[set_idx]
         while True:
             for way, value in enumerate(values):
@@ -141,25 +142,21 @@ class _CountBasedPolicy(DbiReplacementPolicy):
     def on_insert(self, set_idx: int, way: int) -> None:
         pass
 
-    @staticmethod
-    def _counts(entries: Sequence) -> List[int]:
-        return [popcount(entry.bitvector) for entry in entries]
-
 
 class MaxDirtyPolicy(_CountBasedPolicy):
     """Evict the entry with the most dirty blocks (amortize the burst)."""
 
-    def victim_way(self, set_idx: int, entries: Sequence) -> int:
-        counts = self._counts(entries)
-        return max(range(len(counts)), key=counts.__getitem__)
+    def victim_way(self, set_idx: int, bitvectors: Sequence[int]) -> int:
+        counts = list(map(popcount, bitvectors))
+        return counts.index(max(counts))
 
 
 class MinDirtyPolicy(_CountBasedPolicy):
     """Evict the entry with the fewest dirty blocks (minimize the burst)."""
 
-    def victim_way(self, set_idx: int, entries: Sequence) -> int:
-        counts = self._counts(entries)
-        return min(range(len(counts)), key=counts.__getitem__)
+    def victim_way(self, set_idx: int, bitvectors: Sequence[int]) -> int:
+        counts = list(map(popcount, bitvectors))
+        return counts.index(min(counts))
 
 
 def make_dbi_policy(

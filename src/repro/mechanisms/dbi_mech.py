@@ -195,7 +195,7 @@ class DbiMechanism(LlcMechanism):
     def check_invariants(self) -> None:
         assert self.llc.dirty_count == 0, "in-tag dirty bit set under DBI"
         limit = self.dbi.config.tracked_blocks
-        assert self.dbi.tracked_dirty_blocks <= limit, "DBI over capacity"
+        assert self.dbi.live_dirty_blocks <= limit, "DBI over capacity"
         for block in self.dbi.all_dirty_blocks():
             assert self.llc.contains(block), (
                 f"DBI marks block {block} dirty but it is not cached"

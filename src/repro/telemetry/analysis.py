@@ -1,4 +1,4 @@
-"""Analysis over epoch streams: warmup detection, phases, steady state.
+"""Analysis over epoch streams: warmup detection and steady state.
 
 The headline experiment tables assume a *fixed* 40% instruction warmup
 (``SystemConfig.warmup_fraction``, mirroring the paper's 200M of 500M). The
@@ -21,22 +21,6 @@ from repro.telemetry.sampler import EpochRecord
 def series(records: Sequence[EpochRecord], key: str) -> List[float]:
     """The per-epoch time series of ``key`` (see :meth:`EpochRecord.value`)."""
     return [record.value(key) for record in records]
-
-
-def rate_series(
-    records: Sequence[EpochRecord], name: str
-) -> List[Optional[float]]:
-    """Per-epoch ratio of a rate stat, e.g. ``dram.write_row_hit_rate``.
-
-    Computed from the epoch's hits/total deltas; epochs in which the rate's
-    denominator saw no traffic yield None.
-    """
-    out: List[Optional[float]] = []
-    for record in records:
-        hits = record.deltas.get(f"{name}.hits", 0)
-        total = record.deltas.get(f"{name}.total", 0)
-        out.append(hits / total if total else None)
-    return out
 
 
 def detect_warmup(
@@ -124,33 +108,6 @@ def summarize(records: Sequence[EpochRecord]) -> Dict[str, float]:
         "tag_lookups_pki": _pki(totals, totals.get("mech.tag_lookups", 0)),
         "llc_mpki": _pki(totals, misses),
     }
-
-
-def phase_summaries(
-    records: Sequence[EpochRecord], phases: int = 4
-) -> List[Dict[str, float]]:
-    """Split the stream into ``phases`` contiguous slices and summarize each.
-
-    Useful for "where in the run did it happen": each summary carries
-    ``first_epoch``/``last_epoch`` alongside the :func:`summarize` metrics.
-    """
-    if phases < 1:
-        raise ValueError(f"phases must be >= 1, got {phases}")
-    records = list(records)
-    if not records:
-        return []
-    phases = min(phases, len(records))
-    size = len(records) / phases
-    out = []
-    for index in range(phases):
-        chunk = records[int(index * size) : int((index + 1) * size)]
-        if not chunk:
-            continue
-        summary = summarize(chunk)
-        summary["first_epoch"] = chunk[0].epoch
-        summary["last_epoch"] = chunk[-1].epoch
-        out.append(summary)
-    return out
 
 
 def warmup_report(

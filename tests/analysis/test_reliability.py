@@ -3,7 +3,7 @@
 import dataclasses
 from fractions import Fraction
 
-from repro.analysis.experiments import run_reliability
+from repro.analysis.experiments import plan_reliability
 from repro.analysis.scaling import QUICK_SCALE
 
 #: Small but not degenerate: enough references to dirty the LLC, enough
@@ -21,7 +21,7 @@ def run_tiny(**kwargs):
         interval=100,
     )
     defaults.update(kwargs)
-    return run_reliability(**defaults)
+    return plan_reliability(**defaults)()
 
 
 class TestReliabilityExperiment:

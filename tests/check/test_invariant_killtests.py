@@ -34,7 +34,10 @@ def _corrupt_dbi_tag_agreement(system):
 
 
 def _corrupt_dbi_structure(system):
-    system.mechanism.dbi._where[9999] = 0
+    # A valid way whose bit vector is empty.
+    dbi = system.mechanism.dbi
+    valid = next(at for at, region in enumerate(dbi._region) if region != -1)
+    dbi._bits[valid] = 0
 
 
 def _corrupt_cache_structure(system):

@@ -161,26 +161,24 @@ class TestDbiStructure:
     def test_valid_entry_with_empty_bitvector_detected(self):
         dbi = make_dbi()
         dbi.mark_dirty(17)
-        for ways in dbi.sets:
-            for entry in ways:
-                if entry.valid:
-                    entry.bitvector = 0
+        for at, region_id in enumerate(dbi._region):
+            if region_id != -1:
+                dbi._bits[at] = 0
         with expect("dbi-structure"):
             check_dbi_structure(dbi)
 
     def test_invalid_entry_with_residual_bits_detected(self):
         dbi = make_dbi()
-        dbi.sets[0][0].bitvector = 0b1
+        dbi._bits[0] = 0b1
         with expect("dbi-structure"):
             check_dbi_structure(dbi)
 
     def test_bitvector_wider_than_granularity_detected(self):
         dbi = make_dbi()
         dbi.mark_dirty(17)
-        for ways in dbi.sets:
-            for entry in ways:
-                if entry.valid:
-                    entry.bitvector |= 1 << dbi.config.granularity
+        for at, region_id in enumerate(dbi._region):
+            if region_id != -1:
+                dbi._bits[at] |= 1 << dbi.config.granularity
         with expect("dbi-structure"):
             check_dbi_structure(dbi)
 

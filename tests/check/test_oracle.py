@@ -91,9 +91,7 @@ def test_ref_dbi_matches_real_dbi(ops):
         else:
             assert real.is_dirty(addr) == ref.is_dirty(addr)
     assert set(real.all_dirty_blocks()) == ref.dirty_blocks()
-    assert {
-        entry.region_id: entry.bitvector for entry in real.iter_valid_entries()
-    } == ref.entries()
+    assert real.entries() == ref.entries()
 
 
 class TestRefDbiStrictness:

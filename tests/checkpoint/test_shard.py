@@ -10,12 +10,7 @@ from repro.analysis.runner import SweepRunner, job_key
 from repro.analysis.scaling import SCALES
 from repro.checkpoint import warm as warm_module
 from repro.checkpoint import warm_cell
-from repro.checkpoint.shard import (
-    ShardSpec,
-    run_shard,
-    shard_estimates,
-    stitch_shards,
-)
+from repro.checkpoint.shard import ShardSpec, run_shard, stitch_shards
 from repro.sim.system import MODEL_VERSION, SimulationResult, System
 from repro.telemetry.sampler import TelemetryConfig
 from tests.checkpoint.conftest import reformat, restamp
@@ -168,15 +163,6 @@ class TestStitchShards:
             [_segment(config, trace, i, 4) for i in range(4)]
         )
         assert stitched.ipc[0] == pytest.approx(full.ipc[0], rel=0.15)
-
-    def test_estimates_cover_metrics(self):
-        config, trace = _config(), _trace()
-        shards = [_segment(config, trace, i, 3) for i in range(3)]
-        estimates = shard_estimates(shards)
-        assert "ipc" in estimates
-        est = estimates["ipc"]
-        assert est.samples == 3
-        assert est.ci_low <= est.mean <= est.ci_high
 
 
 class TestRunnerSharding:

@@ -204,7 +204,7 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="newer"):
             restore_system(data)
 
-    @pytest.mark.parametrize("fmt", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("fmt", [1, 2, 3, 4, 5, 6])
     def test_older_format_rejected(self, fmt):
         header = json.dumps({"format": fmt}).encode()
         data = MAGIC + struct.pack("<I", len(header)) + header
@@ -320,6 +320,27 @@ class TestCacheState:
         assert restored.dram_cache.tags.observer is not None
 
 
+def test_restored_warmed_dbi_is_identical():
+    """A DBI's entries are two flat per-way lists, pickled as they are
+    (format 7): the LLC mechanism's and the DRAM-cache level's."""
+    system = make_system(
+        "dbi+awb+clb", check="full", benchmark="lbm", dram_cache="dbi"
+    )
+    restored = restore_system(split_run(system))
+    pairs = [
+        (system.mechanism.dbi, restored.mechanism.dbi),
+        (system.dram_cache.dbi, restored.dram_cache.dbi),
+    ]
+    for dbi, copy in pairs:
+        assert dbi.entries()
+        assert (copy._region, copy._bits) == (dbi._region, dbi._bits)
+        assert copy._where == dbi._where
+        assert copy.entries() == dbi.entries()
+        assert copy.policy._stacks == dbi.policy._stacks
+        assert list(vars(copy)) == list(vars(dbi))
+    assert restored.mechanism.dbi.observer is restored.check_engine
+
+
 def test_restored_stats_keep_values_and_remembered_set():
     system = make_system("dbi+awb+clb")
     restored = restore_system(split_run(system))
@@ -338,13 +359,15 @@ def test_restored_stats_keep_values_and_remembered_set():
 
 
 #: ``_set_state`` calls restoring a freshly built quick 2-core
-#: ``dbi+awb+clb`` System (the first 2-core mix). Measured 189 on CPython
-#: 3.11 (each of the five caches is one call; its tag store is plain lists);
-#: format 2, which pickled every tag entry as its own ``CacheBlock`` object,
-#: made 4,861 (4,672 of them blocks). The margin of 21 (11%) leaves room for
-#: a few new simulator objects, not for a tag store of objects: the smallest
-#: cache of that system, an L1, has 32 blocks.
-SET_STATE_CEILING = 210
+#: ``dbi+awb+clb`` System (the first 2-core mix). Measured 61 on CPython
+#: 3.11 (each of the five caches and the DBI is one call; their entries are
+#: plain lists); format 6, which restored each of the DBI's 128 entries as
+#: an object of its own, made 189, and format 2, which pickled every tag
+#: entry as its own ``CacheBlock`` object, made 4,861 (4,672 of them
+#: blocks). The margin of 9 (15%) leaves room for a few new simulator
+#: objects, not for entries as objects: the smallest cache of that system,
+#: an L1, has 32 blocks.
+SET_STATE_CEILING = 70
 
 
 def test_restore_sends_no_block_through_the_state_setter(monkeypatch):

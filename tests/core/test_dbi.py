@@ -29,7 +29,7 @@ class TestSemantics:
     def test_initially_nothing_dirty(self):
         dbi = make_dbi()
         assert not dbi.is_dirty(0)
-        assert dbi.entry_count == 0
+        assert dbi.live_entries == 0
 
     def test_mark_dirty_sets_exactly_one_block(self):
         dbi = make_dbi()
@@ -43,14 +43,14 @@ class TestSemantics:
         dbi.mark_dirty(0)
         dbi.mark_dirty(5)
         dbi.mark_dirty(15)
-        assert dbi.entry_count == 1
+        assert dbi.live_entries == 1
         assert dbi.dirty_blocks_in_region(3) == [0, 5, 15]
 
     def test_different_regions_use_different_entries(self):
         dbi = make_dbi(granularity=16)
         dbi.mark_dirty(0)
         dbi.mark_dirty(16)
-        assert dbi.entry_count == 2
+        assert dbi.live_entries == 2
 
     def test_mark_clean_clears_bit(self):
         dbi = make_dbi()
@@ -77,17 +77,17 @@ class TestSemantics:
         dbi.mark_dirty(17)
         dbi.mark_dirty(18)
         dbi.mark_clean(17)
-        assert dbi.entry_count == 1
+        assert dbi.live_entries == 1
         dbi.mark_clean(18)
-        assert dbi.entry_count == 0
+        assert dbi.live_entries == 0
         assert dbi.stats.as_dict()["dbi.entries_emptied"] == 1
 
     def test_idempotent_mark_dirty(self):
         dbi = make_dbi()
         dbi.mark_dirty(17)
         dbi.mark_dirty(17)
-        assert dbi.entry_count == 1
-        assert dbi.tracked_dirty_blocks == 1
+        assert dbi.live_entries == 1
+        assert dbi.live_dirty_blocks == 1
 
 
 class TestEviction:
@@ -172,8 +172,8 @@ class TestCapacityBound:
         cap = dbi.config.tracked_blocks
         for addr in range(4096):
             dbi.mark_dirty(addr * 3 % 2048)
-            assert dbi.tracked_dirty_blocks <= cap
-            assert dbi.entry_count <= dbi.config.num_entries
+            assert dbi.live_dirty_blocks <= cap
+            assert dbi.live_entries <= dbi.config.num_entries
 
 
 class TestAllDirtyBlocks:
@@ -305,8 +305,8 @@ def test_structural_invariants_all_policies(addrs, replacement):
             # Evicted blocks must not still be dirty.
             for block in eviction.dirty_blocks:
                 assert not dbi.is_dirty(block)
-        assert dbi.entry_count <= dbi.config.num_entries
-        assert dbi.tracked_dirty_blocks <= dbi.config.tracked_blocks
+        assert dbi.live_entries <= dbi.config.num_entries
+        assert dbi.live_dirty_blocks <= dbi.config.tracked_blocks
         assert dbi.is_dirty(addr)  # the block just written is always dirty
     # Every currently-dirty block was written at some point.
     assert set(dbi.all_dirty_blocks()) <= written

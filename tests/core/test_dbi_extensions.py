@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from repro.check.invariants import check_dbi_structure
 from repro.core.config import DbiConfig
 from repro.core.dbi import DirtyBlockIndex
 
@@ -47,9 +48,12 @@ class TestFlush:
         dbi = make_dbi()
         dbi.mark_dirty(3)
         dbi.flush()
-        assert dbi.entry_count == 0
+        assert dbi.live_entries == 0
+        assert dbi.live_dirty_blocks == 0
+        assert dbi.entries() == {}
         assert not dbi.is_dirty(3)
         assert dbi.all_dirty_blocks() == []
+        check_dbi_structure(dbi)
 
     def test_flush_empty_dbi(self):
         dbi = make_dbi()
@@ -61,7 +65,7 @@ class TestFlush:
         dbi.flush()
         dbi.mark_dirty(99)
         assert dbi.is_dirty(99)
-        assert dbi.entry_count == 1
+        assert dbi.live_entries == 1
 
     def test_flush_counters(self):
         dbi = make_dbi()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.dbi import DbiEntry
 from repro.core.replacement import (
     LrwBipPolicy,
     LrwPolicy,
@@ -14,14 +13,8 @@ from repro.core.replacement import (
 from repro.utils.rng import DeterministicRng
 
 
-def entries_with_counts(counts):
-    out = []
-    for count in counts:
-        entry = DbiEntry()
-        entry.install(0)
-        entry.bitvector = (1 << count) - 1
-        out.append(entry)
-    return out
+def bitvectors_with_counts(counts):
+    return [(1 << count) - 1 for count in counts]
 
 
 class TestLrw:
@@ -86,18 +79,18 @@ class TestRwip:
 class TestCountPolicies:
     def test_max_dirty_picks_fullest(self):
         policy = MaxDirtyPolicy(num_sets=1, num_ways=3)
-        entries = entries_with_counts([2, 7, 4])
-        assert policy.victim_way(0, entries) == 1
+        bitvectors = bitvectors_with_counts([2, 7, 4])
+        assert policy.victim_way(0, bitvectors) == 1
 
     def test_min_dirty_picks_emptiest(self):
         policy = MinDirtyPolicy(num_sets=1, num_ways=3)
-        entries = entries_with_counts([2, 7, 4])
-        assert policy.victim_way(0, entries) == 0
+        bitvectors = bitvectors_with_counts([2, 7, 4])
+        assert policy.victim_way(0, bitvectors) == 0
 
     def test_ties_break_to_first(self):
         policy = MaxDirtyPolicy(num_sets=1, num_ways=3)
-        entries = entries_with_counts([5, 5, 5])
-        assert policy.victim_way(0, entries) == 0
+        bitvectors = bitvectors_with_counts([5, 5, 5])
+        assert policy.victim_way(0, bitvectors) == 0
 
 
 class TestFactory:

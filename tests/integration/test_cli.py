@@ -68,6 +68,39 @@ class TestBadArguments:
             result, "double_bit_fraction must be in [0, 1], got 1.5"
         )
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("check-diff", "--benchmarks", "nope"), "benchmark 'nope'"),
+            (("experiment", "fig6", "--benchmarks", "nope"), "benchmark 'nope'"),
+            (("dramcache", "--benchmarks", "nope"), "benchmark 'nope'"),
+            (("timeline", "lbm", "nope"), "mechanism 'nope'"),
+            (("timeline", "nope", "baseline"), "benchmark 'nope'"),
+        ],
+    )
+    def test_unknown_name_exits_2_before_running(self, argv, name):
+        result = run_cli(*argv)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"unknown {name}; choose from ")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    def test_simulator_value_error_keeps_its_traceback(self, monkeypatch):
+        # Raised by the run itself, a ValueError is a fault to debug, not a
+        # bad argument to report in one line.
+        import repro.check
+        from repro.sim.system import System
+
+        def broken(*_args, **_kwargs):
+            raise ValueError("simulator fault")
+
+        monkeypatch.setattr(System, "run", broken)
+        with pytest.raises(ValueError, match="simulator fault"):
+            main(["run", "lbm", "baseline", "--refs", "500"])
+        monkeypatch.setattr(repro.check, "run_check_diff", broken)
+        with pytest.raises(ValueError, match="simulator fault"):
+            main(["check-diff", "--refs", "500"])
+
 
 class TestList:
     def test_lists_catalogues(self, capsys):

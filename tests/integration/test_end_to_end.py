@@ -64,7 +64,7 @@ class TestDbiInvariantsEndToEnd:
         )
         system.run()
         dbi = system.mechanism.dbi
-        assert dbi.tracked_dirty_blocks <= dbi.config.tracked_blocks
+        assert dbi.live_dirty_blocks <= dbi.config.tracked_blocks
 
 
 class TestSkipCacheWriteThrough:

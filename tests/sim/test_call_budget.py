@@ -45,12 +45,12 @@ CALLS_PER_REF_CEILING = 70
 STACKED_CALLS_PER_REF_CEILING = 165
 
 #: Calls made building the stacked System above (the trace and config are
-#: made outside the profile). Measured 890 on CPython 3.11 (903 with each
-#: component's stats a dict-based group), 576 of them ``DbiEntry``
-#: constructions; one ``CacheBlock`` object per tag entry
-#: (10,528, 8,192 of them DRAM-cache tags) and a generator summing the
-#: trace's gaps made 18,636. The ceiling leaves a 12% margin.
-STACKED_BUILD_CALLS_CEILING = 1000
+#: made outside the profile). Measured 276 on CPython 3.11; one entry
+#: object per DBI way made 890 (576 of them entry constructions), one
+#: ``CacheBlock`` object per tag entry (10,528, 8,192 of them DRAM-cache
+#: tags) and a generator summing the trace's gaps made 18,636. The ceiling
+#: leaves a 12% margin.
+STACKED_BUILD_CALLS_CEILING = 310
 
 #: ``functools.partial`` builds per reference on a quick memory-bound cell
 #: (mcf under DAWB, seed 1, 6000 references). Measured 5.66 on CPython

@@ -1,11 +1,9 @@
-"""Unit tests for warmup detection, phase summaries and steady-state math."""
+"""Unit tests for warmup detection and steady-state math."""
 
 import pytest
 
 from repro.telemetry.analysis import (
     detect_warmup,
-    phase_summaries,
-    rate_series,
     series,
     summarize,
     warmup_report,
@@ -64,13 +62,6 @@ class TestSeries:
         assert series(records, "ipc") == [0.5, 0.7]
         assert series(records, "mech.read_hits") == [3, 3]
 
-    def test_rate_series_none_when_idle(self):
-        records = [
-            make_record(0, 0.5, deltas={"r.hits": 4, "r.total": 8}),
-            make_record(1, 0.5),
-        ]
-        assert rate_series(records, "r") == [0.5, None]
-
 
 class TestSummarize:
     def test_aggregates_deltas_and_ipc(self):
@@ -108,25 +99,6 @@ class TestSummarize:
         )
         # 6 true misses + (4 bypasses - 3 that were resident) = 7.
         assert summarize(records)["llc_mpki"] == pytest.approx(1000 * 7 / 50)
-
-
-class TestPhases:
-    def test_contiguous_cover(self):
-        records = ipc_stream([0.5] * 8)
-        phases = phase_summaries(records, phases=4)
-        assert [(p["first_epoch"], p["last_epoch"]) for p in phases] == [
-            (0, 1), (2, 3), (4, 5), (6, 7),
-        ]
-
-    def test_more_phases_than_epochs(self):
-        assert len(phase_summaries(ipc_stream([0.5] * 2), phases=10)) == 2
-
-    def test_zero_phases_rejected(self):
-        with pytest.raises(ValueError):
-            phase_summaries(ipc_stream([0.5]), phases=0)
-
-    def test_empty_stream(self):
-        assert phase_summaries([], phases=4) == []
 
 
 class TestWarmupReport:
